@@ -43,3 +43,7 @@ class HasExtinction(BrwlltError):
 
 class CountOverflow(BrwlltError):
     """A particle count would exceed the configured integer width."""
+
+
+class ConfigError(BrwlltError, ValueError):
+    """An experiment config field is missing, malformed or inconsistent."""

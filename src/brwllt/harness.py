@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .errors import ConfigError
 from .exact_dist import cf_invert, convolve_step, delta_dist, dist_at
 from .gw_brw import (
     OffspringLaw,
@@ -28,6 +29,7 @@ from .llt import (
     constants,
     fit_correction_coefficients,
     gaussian_identity_check,
+    leading_factor,
     parity_matched,
     rw_expansion,
 )
@@ -76,27 +78,46 @@ class ExperimentConfig:
 
 
 def load_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document and build the typed experiment config."""
+    """Validate a config document and build the typed experiment config.
+
+    Inconsistent fields raise ``ConfigError`` naming the field, here rather
+    than deep inside a runner.
+    """
+    for key in ("experiment", "step_law"):
+        if key not in doc:
+            raise ConfigError(f"{key}: required field missing")
     experiment = doc["experiment"]
     if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+        raise ConfigError(f"experiment: unknown {experiment!r}; expected one of {EXPERIMENTS}")
     law = law_from_dict(doc["step_law"])
     offspring = None
     if "offspring" in doc:
         offspring = validate_offspring(doc["offspring"])
     if experiment == "brw-check" and offspring is None:
-        raise ValueError("brw-check requires an offspring spec")
+        raise ConfigError("offspring: brw-check requires an offspring spec")
     kappa = float(doc.get("kappa", 0.15))
     if not 0.0 < kappa < 1.0 / 6.0:
-        raise ValueError(f"kappa = {kappa} outside (0, 1/6)")
+        raise ConfigError(f"kappa: {kappa} outside (0, 1/6)")
     n_values = tuple(int(n) for n in doc.get("n_values", ()))
+    if experiment in ("llt-check", "brw-check") and not n_values:
+        raise ConfigError(f"n_values: {experiment} needs at least one probe n")
+    if any(n < 1 for n in n_values):
+        raise ConfigError(f"n_values: every probe n must be >= 1, got {list(n_values)}")
+    n_est = int(doc["n_est"]) if "n_est" in doc else None
+    if experiment == "brw-check" and n_est is not None and not 1 <= n_est <= max(n_values):
+        raise ConfigError(f"n_est: {n_est} outside [1, max(n_values) = {max(n_values)}]")
+    replicates = int(doc.get("replicates", 1))
+    if replicates < 1:
+        raise ConfigError(f"replicates: {replicates} must be >= 1")
     z_set = tuple(tuple(int(c) for c in z) for z in doc.get("z_set", [[0] * law.d]))
+    if not z_set:
+        raise ConfigError("z_set: needs at least one lattice point")
     for z in z_set:
         if len(z) != law.d:
-            raise ValueError(f"z = {z} has wrong dimension, expected {law.d}")
+            raise ConfigError(f"z_set: z = {z} has wrong dimension, expected {law.d}")
     count_width = int(doc.get("count_width", 64))
     if count_width not in (64, 128):
-        raise ValueError("count_width must be 64 or 128")
+        raise ConfigError("count_width: must be 64 or 128")
     thresholds = dict(DEFAULT_THRESHOLDS)
     thresholds.update(doc.get("thresholds", {}))
     return ExperimentConfig(
@@ -105,11 +126,11 @@ def load_config(doc: dict) -> ExperimentConfig:
         offspring=offspring,
         n_values=n_values,
         z_set=z_set,
-        replicates=int(doc.get("replicates", 1)),
+        replicates=replicates,
         base_seed=int(doc.get("base_seed", 0)),
         kappa=kappa,
         z_radius_constant=float(doc.get("z_radius_constant", 1.0)),
-        n_est=int(doc["n_est"]) if "n_est" in doc else None,
+        n_est=n_est,
         count_width=count_width,
         output=doc.get("output"),
         thresholds=thresholds,
@@ -303,7 +324,7 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
             for n in probes:
                 st = by_n[n]
                 observed = mean ** (-n) * st.counts.get(z, 0)
-                lead = c.factor * (2.0 * math.pi * n) ** (-cfg.law.d / 2.0) * c.norm
+                lead = leading_factor(c, n)
                 w_n = st.total / mean**n
                 if c.walk_class is WalkClass.BIPARTITE and not parity_matched(n, z):
                     ratio = 0.0

@@ -2,25 +2,25 @@
 
 Provides the expansion constants, the predicted point probability, the
 scaled residual against the exact distribution, an empirical fit of the
-1/n and 1/n^2 correction coefficients, and brute-force quadrature checks
-of the Gaussian moment identities behind the expansion.
+1/n and 1/n^2 correction coefficients, and exact Gauss-Hermite quadrature
+checks of the Gaussian moment identities behind the expansion.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityExceeded
 from .exact_dist import DEFAULT_ELEMENT_BUDGET, dist_at, walk_dist
 from .step_law import Moments, StepLaw, WalkClass, classify, moments
 
-MAX_IDENTITY_DIM = 3
-# Panels per axis for the Gaussian quadrature, by dimension.  The tail is
-# truncated at 12 standard deviations, so even the coarsest grid is far
-# below 1e-10 relative error; the d=3 grid is kept small for cost.
-IDENTITY_PANELS = {1: 4096, 2: 1024, 3: 256}
+# Gauss-Hermite nodes per axis: exact for degree <= 11 per axis, and the
+# identity integrands reach degree 8.
+IDENTITY_NODES = 6
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,16 @@ def expansion_bracket(c: ExpansionConstants, m: Moments, n: int, z) -> float:
     return 1.0 + first / n + second / n**2
 
 
+def leading_factor(c: ExpansionConstants, n: int) -> float:
+    """factor * (2 pi n)^{-d/2} * (det Gamma_2)^{-1/2}, the Gaussian term at z = 0."""
+    return c.factor * (2.0 * math.pi * n) ** (-c.d / 2.0) * c.norm
+
+
 def rw_expansion(c: ExpansionConstants, m: Moments, n: int, z) -> float:
     """Predicted P(S_n = z) to second order; 0 on a bipartite parity mismatch."""
     if c.walk_class is WalkClass.BIPARTITE and not parity_matched(n, z):
         return 0.0
-    lead = c.factor * (2.0 * math.pi * n) ** (-c.d / 2.0) * c.norm
-    return lead * expansion_bracket(c, m, n, z)
+    return leading_factor(c, n) * expansion_bracket(c, m, n, z)
 
 
 def gamma_residual(
@@ -175,8 +179,7 @@ def fit_correction_coefficients(
     for n in range(1, max(n_list) + 1):
         dist = convolve_step(dist, law, max_elements=max_elements)
         if n in probes:
-            lead = c.factor * (2.0 * math.pi * n) ** (-law.d / 2.0) * c.norm
-            rho = dist_at(dist, z) / lead - 1.0
+            rho = dist_at(dist, z) / leading_factor(c, n) - 1.0
             c1_seq.append(n * rho)
             c2_seq.append(n * n * (rho - c1_exact / n))
     return CoefficientFit(
@@ -264,56 +267,45 @@ def _identity_integrand(m: Moments, index: int, z, a2, a4, a6, tz):
     raise ValueError(f"identity index must be 1..13, got {index}")
 
 
-def gaussian_identity_check(
-    m: Moments,
-    identity_index: int,
-    z=None,
-    panels: int | None = None,
-) -> float:
+@functools.cache
+def _hermite_rule():
+    from numpy.polynomial.hermite_e import hermegauss  # imported on first use only
+
+    return hermegauss(IDENTITY_NODES)
+
+
+def gaussian_identity_check(m: Moments, identity_index: int, z=None) -> float:
     """Relative error of one Gaussian moment identity under product quadrature.
 
-    The integral over R^d is truncated at |theta_s| <= 12 / sqrt(zeta_s(2))
-    per axis and evaluated with the trapezoid rule; the result is compared
-    to the displayed closed form.
+    The integrand is a polynomial of degree <= 8 per axis times
+    exp(-a2/2).  Gauss-Hermite nodes scaled by 1/sqrt(zeta_s(2)) have that
+    Gaussian as their weight, so the rule is exact up to rounding; the result
+    is compared to the displayed closed form.  Raises ``CapacityExceeded``,
+    before allocating, if the IDENTITY_NODES^d grid exceeds the element budget.
     """
     d = m.d
-    if d > MAX_IDENTITY_DIM:
-        raise ValueError(f"identity checks support d <= {MAX_IDENTITY_DIM}")
-    if panels is None:
-        panels = IDENTITY_PANELS[d]
-    axes, steps = [], []
-    for s in range(d):
-        half = 12.0 / math.sqrt(m.gamma2[s])
-        pts = np.linspace(-half, half, panels + 1)
-        axes.append(pts)
-        steps.append(pts[1] - pts[0])
-    vol = math.prod(steps)
-
-    # Slab-wise over the first axis to bound memory at d = 3.
-    total = 0.0
-    rest = axes[1:]
-    for t0 in axes[0]:
-        coords = [np.full((1,) * max(d - 1, 1), t0)]
-        for s, pts in enumerate(rest):
-            shape = [1] * max(d - 1, 1)
-            shape[s] = len(pts)
-            coords.append(pts.reshape(shape))
-        a2 = sum(m.gamma2[s] * coords[s] ** 2 for s in range(d))
-        a4 = sum(m.gamma4[s] * coords[s] ** 4 for s in range(d))
-        a6 = sum(m.gamma6[s] * coords[s] ** 6 for s in range(d))
-        if z is not None:
-            tz = sum(float(z[s]) * coords[s] for s in range(d))
-        else:
-            tz = np.zeros_like(a2)
-        gauss = np.exp(-0.5 * a2)
-        total += float(np.sum(gauss * _identity_integrand(m, identity_index, z, a2, a4, a6, tz)))
-    integral = total * vol
-
+    if IDENTITY_NODES**d > DEFAULT_ELEMENT_BUDGET:
+        raise CapacityExceeded(
+            f"{IDENTITY_NODES}^{d} quadrature nodes exceed budget {DEFAULT_ELEMENT_BUDGET}"
+        )
     closed = (
         (2.0 * math.pi) ** (d / 2.0)
         / math.sqrt(m.det_gamma2)
         * _identity_closed_form(m, identity_index, z)
     )
+    nodes, weights = _hermite_rule()
+    coords, weight = [], 1.0
+    for s in range(d):
+        shape = [1] * d
+        shape[s] = IDENTITY_NODES
+        scale = 1.0 / math.sqrt(m.gamma2[s])
+        coords.append((nodes * scale).reshape(shape))
+        weight = weight * (weights * scale).reshape(shape)
+    a2 = sum(m.gamma2[s] * coords[s] ** 2 for s in range(d))
+    a4 = sum(m.gamma4[s] * coords[s] ** 4 for s in range(d))
+    a6 = sum(m.gamma6[s] * coords[s] ** 6 for s in range(d))
+    tz = np.zeros_like(a2) if z is None else sum(float(z[s]) * coords[s] for s in range(d))
+    integral = float(np.sum(weight * _identity_integrand(m, identity_index, z, a2, a4, a6, tz)))
     if closed == 0.0:
         return abs(integral)
     return abs(integral - closed) / abs(closed)

@@ -13,7 +13,13 @@ import math
 from dataclasses import dataclass
 
 from .gw_brw import GenerationState
-from .llt import ExpansionConstants, expansion_bracket, parity_matched, quad_form
+from .llt import (
+    ExpansionConstants,
+    expansion_bracket,
+    leading_factor,
+    parity_matched,
+    quad_form,
+)
 from .step_law import Moments, StepLaw, WalkClass
 
 FUNCTIONALS = ("W", "N1", "N2", "N2z", "N3", "N4")
@@ -209,8 +215,7 @@ def theorem_prediction(
     """Predicted m^{-n} Z_n(z); 0 on a bipartite parity mismatch."""
     if c.walk_class is WalkClass.BIPARTITE and not parity_matched(n, z):
         return 0.0
-    lead = c.factor * (2.0 * math.pi * n) ** (-mom.d / 2.0) * c.norm
-    return lead * (
+    return leading_factor(c, n) * (
         est.W_inf + f1_eval(est, c, mom, z) / n + f2_eval(est, c, mom, z) / n**2
     )
 

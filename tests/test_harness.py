@@ -3,6 +3,7 @@ import json
 import pytest
 
 from brwllt import cli
+from brwllt.errors import ConfigError
 from brwllt.harness import (
     DEFAULT_THRESHOLDS,
     EXPERIMENTS,
@@ -67,6 +68,31 @@ class TestConfig:
         c = load_config(base_doc("identities", base_seed=8))
         assert a.config_hash != c.config_hash
 
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("n_est", base_doc("brw-check", offspring={"2": 1.0}, n_values=[8, 16], n_est=20)),
+            ("replicates", base_doc("brw-check", offspring={"2": 1.0}, n_values=[8, 16], replicates=0)),
+            ("n_values", base_doc("brw-check", offspring={"2": 1.0}, n_values=[])),
+            ("n_values", base_doc("llt-check", n_values=[])),
+            ("n_values", base_doc("brw-check", offspring={"2": 1.0}, n_values=[0, 8])),
+            ("z_set", base_doc("identities", z_set=[])),
+            ("step_law", {"experiment": "identities"}),
+        ],
+        ids=[
+            "n_est_above_max",
+            "zero_replicates",
+            "empty_brw_probes",
+            "empty_llt_probes",
+            "probe_n_zero",
+            "empty_z_set",
+            "missing_step_law",
+        ],
+    )
+    def test_config_error_names_field(self, field, doc):
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            load_config(doc)
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(base_doc("identities")))
@@ -76,7 +102,9 @@ class TestConfig:
 class TestAdmissibleZ:
     def test_filter(self):
         cfg = load_config(
-            base_doc("llt-check", kappa=0.15, z_set=[[0], [1], [5]], z_radius_constant=1.0)
+            base_doc(
+                "llt-check", n_values=[16], kappa=0.15, z_set=[[0], [1], [5]], z_radius_constant=1.0
+            )
         )
         assert admissible_z(cfg, 16) == [(0,), (1,)]
         # 5 <= n^0.15 requires n >= 5^(1/0.15), far beyond this range
@@ -84,7 +112,7 @@ class TestAdmissibleZ:
 
     def test_constant_scales_cap(self):
         cfg = load_config(
-            base_doc("llt-check", kappa=0.15, z_set=[[5]], z_radius_constant=4.0)
+            base_doc("llt-check", n_values=[16], kappa=0.15, z_set=[[5]], z_radius_constant=4.0)
         )
         assert admissible_z(cfg, 16) == [(5,)]
 
@@ -109,6 +137,13 @@ class TestRunners:
 
     def test_identities(self):
         res = run_experiment(load_config(base_doc("identities")))
+        assert res.passed
+        assert len(res.rows) == 13
+        assert all(err <= 1e-8 for _, err in res.rows)
+
+    def test_identities_d4(self):
+        law = {"d": 4, "zeta0": 0.2, "axes": [[0.2]] * 4}
+        res = run_experiment(load_config(base_doc("identities", step_law=law, z_set=[[1, 0, -2, 3]])))
         assert res.passed
         assert len(res.rows) == 13
         assert all(err <= 1e-8 for _, err in res.rows)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from brwllt.errors import CapacityExceeded
 from brwllt.llt import (
     constants,
     constants_for,
@@ -192,7 +194,7 @@ class TestCoefficientFit:
 
 class TestGaussianIdentities:
     @pytest.mark.parametrize("idx", range(1, 14))
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_randomized(self, idx, d):
         rng = np.random.default_rng(100 * d + idx)
         m = random_moments(d, rng)
@@ -212,6 +214,18 @@ class TestGaussianIdentities:
     def test_identity1_z0(self):
         m = identity_moments(2)
         assert gaussian_identity_check(m, 1, z=(0, 0)) <= 1e-12
+
+    def test_grid_budget_checked_before_allocating(self):
+        # 6^11 nodes exceed the element budget; the check must come first.
+        m = random_moments(11, np.random.default_rng(11))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded):
+                gaussian_identity_check(m, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_second_order_candidates_differ_off_origin(self):
         m = moments(SIMPLE)
