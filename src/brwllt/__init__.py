@@ -36,10 +36,9 @@ from .gw_brw import (  # noqa: F401
     GenerationState,
     OffspringLaw,
     ReplicateSeed,
-    binomial_exact,
+    SiteCounts,
     evolve_generation,
     initial_state,
-    multinomial_exact,
     simulate,
     validate_offspring,
 )

@@ -1,28 +1,43 @@
 """Count-based branching random walk driven by a Galton-Watson offspring law.
 
-A generation is a map site -> exact integer particle count.  One step
-splits every site's count over offspring values by exact multinomial,
-then splits the resulting total over the displacement atoms of the step
-law, again by exact multinomial.  All randomness comes from counter-based
-Philox streams keyed by (base seed, replicate, generation, site ordinal),
-so the result is independent of processing order.
+A generation is a dense box of exact integer particle counts over the
+bounding box of its occupied sites.  One step splits every occupied cell's
+count over offspring values by exact multinomial, then splits each cell's
+offspring over the displacement atoms of the step law, again by exact
+multinomial (both are sequential exact binomials, with no normal
+approximation), and shifts the displaced counts into the next box atom by
+atom.  Both splits of all cells are drawn at once from one counter-based
+Philox stream keyed by (base seed, replicate, generation), in the style of
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
+Cells are drawn in lexicographic order of their coordinates, so a step
+depends only on which sites hold how many particles, not on the box that
+stores them.
+
+Counts are exact at any size.  A box keeps every count as base-2^32
+digits, and a count too large for one int64 draw is split into blocks of
+2^s particles, with s chosen so that the offspring of a block still fit
+in int64; independent blocks realize the exact law of the whole count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CountOverflow, HasExtinction, NonNormalized, SubcriticalOrCritical
+from .errors import CapacityExceeded, CountOverflow, HasExtinction, NonNormalized, SubcriticalOrCritical
+from .exact_dist import DEFAULT_ELEMENT_BUDGET
 from .step_law import StepLaw
 
 _NORMALIZATION_TOL = 1e-12
-# numpy's Generator.binomial takes an int64 trial count; stay clear of it.
-_BINOMIAL_CHUNK = 2**62
-
-COUNT_LIMITS = {64: 2**63 - 1, 128: 2**127 - 1}
+# An offspring table longer than this is refused: every occupied cell
+# draws one count per offspring value.
+MAX_OFFSPRING = 2**16
+_DIGIT = 32
+_DIGIT_MASK = (1 << _DIGIT) - 1
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -36,13 +51,118 @@ class OffspringLaw:
     mean: float
 
 
+class SiteCounts(Mapping):
+    """Exact particle counts on the box prod_s [-radius[s], radius[s]].
+
+    ``digits[k]`` holds base-2^32 digit k of every cell's count, so the
+    count of a cell is sum_k digits[k] * 2**(32 k), 0 <= digits[k] < 2**32;
+    the lattice origin sits at index ``radius`` on each axis.  As a mapping
+    it reads site tuple -> exact int over the occupied sites, in
+    lexicographic order; empty sites are absent.
+    """
+
+    __slots__ = ("radius", "digits")
+
+    def __init__(self, radius, digits: np.ndarray):
+        self.radius = tuple(int(r) for r in radius)
+        self.digits = digits
+
+    @classmethod
+    def from_mapping(cls, counts, d: int) -> SiteCounts:
+        """The smallest box that holds every occupied site of a site ->
+        count mapping.
+
+        Raises:
+            ValueError: a negative count.
+            CapacityExceeded: the box's digits exceed
+                ``DEFAULT_ELEMENT_BUDGET``; raised before allocating.
+        """
+        if isinstance(counts, SiteCounts):
+            return counts
+        occupied = {tuple(int(x) for x in site): int(c) for site, c in counts.items() if c}
+        if any(c < 0 for c in occupied.values()):
+            raise ValueError("particle counts must be nonnegative")
+        radius = tuple(max((abs(site[s]) for site in occupied), default=0) for s in range(d))
+        n_digits = max(1, -(-max(occupied.values(), default=0).bit_length() // _DIGIT))
+        if n_digits * math.prod(2 * r + 1 for r in radius) > DEFAULT_ELEMENT_BUDGET:
+            raise CapacityExceeded(f"a box of radius {radius} exceeds the element budget")
+        digits = np.zeros((n_digits, *(2 * r + 1 for r in radius)), dtype=np.int64)
+        for site, c in occupied.items():
+            cell = tuple(x + r for x, r in zip(site, radius))
+            for k in range(len(digits)):
+                digits[(k, *cell)] = (c >> (_DIGIT * k)) & _DIGIT_MASK
+        return cls(radius, digits)
+
+    def total(self) -> int:
+        """Exact sum of all counts."""
+        return sum(int(dg.sum()) << (_DIGIT * k) for k, dg in enumerate(self.digits))
+
+    def bit_length(self) -> int:
+        """Bit length of the largest count."""
+        return _DIGIT * (len(self.digits) - 1) + int(self.digits[-1].max()).bit_length()
+
+    def pieces(self, width: int) -> list[tuple[int, np.ndarray]]:
+        """The counts cut into int64 arrays of at most ``width`` bits:
+        pairs (shift, piece) whose sum of piece * 2**shift is every count."""
+        width = min(width, _DIGIT)
+        return [
+            (_DIGIT * k + j, (digit >> j) & ((1 << width) - 1))
+            for k, digit in enumerate(self.digits)
+            for j in range(0, _DIGIT, width)
+        ]
+
+    def _occupied(self) -> np.ndarray:
+        return np.flatnonzero(self.digits.any(axis=0))
+
+    def _sites(self, flat) -> list[tuple[int, ...]]:
+        axes = np.unravel_index(flat, self.digits.shape[1:])
+        return list(zip(*((a - r).tolist() for a, r in zip(axes, self.radius))))
+
+    def _values(self, flat) -> list[int]:
+        values = self.digits[0].reshape(-1)[flat].tolist()
+        for k in range(1, len(self.digits)):
+            upper = self.digits[k].reshape(-1)[flat].tolist()
+            values = [v + (u << (_DIGIT * k)) for v, u in zip(values, upper)]
+        return values
+
+    def __getitem__(self, site) -> int:
+        cell = tuple(int(x) + r for x, r in zip(site, self.radius))
+        if len(cell) != len(self.radius) or any(not 0 <= i <= 2 * r for i, r in zip(cell, self.radius)):
+            raise KeyError(site)
+        value = sum(int(dg[cell]) << (_DIGIT * k) for k, dg in enumerate(self.digits))
+        if not value:
+            raise KeyError(site)
+        return value
+
+    def __iter__(self):
+        return iter(self._sites(self._occupied()))
+
+    def __len__(self) -> int:
+        return len(self._occupied())
+
+    # Lists in site order, built in one pass over the box.
+    def values(self) -> list[int]:
+        return self._values(self._occupied())
+
+    def items(self) -> list[tuple[tuple[int, ...], int]]:
+        flat = self._occupied()
+        return list(zip(self._sites(flat), self._values(flat)))
+
+    def __repr__(self) -> str:
+        return f"SiteCounts({dict(self.items())!r})"
+
+
 @dataclass(frozen=True)
 class GenerationState:
-    """Exact site occupancy of one generation."""
+    """Exact site occupancy of one generation.
+
+    ``counts`` maps lattice tuples to exact int counts: any mapping, such
+    as a dict, or the ``SiteCounts`` box that ``evolve_generation`` returns.
+    """
 
     n: int
     d: int
-    counts: dict  # lattice tuple -> int
+    counts: Mapping
     total: int
 
 
@@ -59,14 +179,20 @@ def validate_offspring(raw) -> OffspringLaw:
     probabilities for k = 1..K.
 
     Raises:
+        ValueError: an empty table or a negative offspring number.
+        CapacityExceeded: an offspring number above ``MAX_OFFSPRING``.
         HasExtinction: positive mass on zero offspring.
         NonNormalized: negative entries, or sum != 1 within 1e-12.
         SubcriticalOrCritical: mean offspring number is <= 1.
     """
     if isinstance(raw, dict):
         ks = [int(k) for k in raw]
+        if not ks:
+            raise ValueError("empty offspring table")
         if any(k < 0 for k in ks):
             raise ValueError("offspring counts must be nonnegative")
+        if max(ks) > MAX_OFFSPRING:
+            raise CapacityExceeded(f"offspring number {max(ks)} above {MAX_OFFSPRING}")
         p0 = float(raw.get(0, raw.get("0", 0.0)))
         if p0 > 0.0:
             raise HasExtinction(f"P(N=0) = {p0} > 0")
@@ -77,10 +203,12 @@ def validate_offspring(raw) -> OffspringLaw:
         probs = dense
     else:
         probs = [float(p) for p in raw]
+        if len(probs) > MAX_OFFSPRING:
+            raise CapacityExceeded(f"offspring number {len(probs)} above {MAX_OFFSPRING}")
     if any(p < 0.0 for p in probs):
         raise NonNormalized("offspring probabilities must be nonnegative")
     total = math.fsum(probs)
-    if abs(total - 1.0) > _NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= _NORMALIZATION_TOL:  # also refuses NaN entries
         raise NonNormalized(f"offspring probabilities sum to {total!r}")
     probs = [p / total for p in probs]
     mean = math.fsum(k * p for k, p in enumerate(probs, start=1))
@@ -97,59 +225,68 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def derive_stream(seed: ReplicateSeed, generation: int, ordinal: int) -> np.random.Generator:
-    """Philox stream for one site visit, a pure function of its coordinates."""
+def derive_stream(seed: ReplicateSeed, generation: int) -> np.random.Generator:
+    """Philox stream of one generation, a pure function of (base seed,
+    replicate, generation)."""
     k0 = _mix64(seed.base_seed & 0xFFFFFFFFFFFFFFFF)
     k0 = _mix64(k0 ^ _mix64(seed.replicate_index))
     k1 = _mix64(k0 ^ _mix64(generation))
-    k2 = _mix64(k1 ^ _mix64(ordinal))
-    key = np.array([k1, k2], dtype=np.uint64)
+    key = np.array([k0, k1], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def binomial_exact(trials: int, p: float, rng: np.random.Generator) -> int:
-    """One draw from Binomial(trials, p) for arbitrarily large trial counts.
+def _blocks(digits: np.ndarray, s: int, max_blocks: int):
+    """Counts, given as base-2^32 digits of shape (digits, cells), cut into
+    blocks of at most 2^s particles, 32 <= s < 63.
 
-    Backed by the generator's exact binomial sampler (inversion/rejection,
-    no normal approximation); counts beyond the int64 range are split into
-    independent binomial blocks, whose sum has the exact law.
+    A count q * 2^s + r becomes q blocks of 2^s and, if r > 0, one of r.
+    Returns the block sizes cell after cell and the index of each cell's
+    first block.  Raises ``CapacityExceeded`` before allocating the blocks
+    if there are more than ``max_blocks``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p} outside [0, 1]")
-    if trials < 0:
-        raise ValueError(f"negative trial count {trials}")
-    if p == 0.0 or trials == 0:
-        return 0
-    if p == 1.0:
-        return trials
-    out = 0
-    remaining = trials
-    while remaining > 0:
-        block = min(remaining, _BINOMIAL_CHUNK)
-        out += int(rng.binomial(block, p))
-        remaining -= block
-    return out
+    bits = _DIGIT * (len(digits) - 1) + int(digits[-1].max(initial=0)).bit_length()
+    if bits - s > _DIGIT:
+        raise CapacityExceeded(f"counts of {bits} bits need over 2^32 blocks each")
+    rest = digits[0]
+    full = np.zeros_like(rest)
+    if len(digits) > 1:
+        rest = rest | ((digits[1] & ((1 << (s - _DIGIT)) - 1)) << _DIGIT)
+        full = digits[1] >> (s - _DIGIT)
+        for k in range(2, len(digits)):
+            full = full + (digits[k] << (_DIGIT * k - s))
+    has_rest = rest > 0
+    n_blocks = full + has_rest
+    total = int(n_blocks.sum())
+    if total > max_blocks:
+        raise CapacityExceeded(f"{total} count blocks exceed the {max_blocks} the element budget leaves")
+    starts = np.cumsum(n_blocks) - n_blocks
+    sizes = np.full(total, 1 << s, dtype=np.int64)
+    sizes[(starts + full)[has_rest]] = rest[has_rest]
+    return sizes, starts
 
 
-def multinomial_exact(trials: int, probs, rng: np.random.Generator) -> list[int]:
-    """Split ``trials`` over categories by sequential exact binomial draws.
+def _carry(parts) -> np.ndarray:
+    """Base-2^32 digits of sum_k parts[k] * 2^(32 k), for nonnegative parts."""
+    digits = []
+    carry = np.zeros_like(parts[0])
+    for part in parts:
+        value = part + carry
+        digits.append(value & _DIGIT_MASK)
+        carry = value >> _DIGIT
+    while carry.any():
+        digits.append(carry & _DIGIT_MASK)
+        carry = carry >> _DIGIT
+    while len(digits) > 1 and not digits[-1].any():
+        digits.pop()
+    return np.stack(digits)
 
-    Categories are consumed in the given order with renormalized tail
-    probabilities, which realizes the exact multinomial law.
-    """
-    counts = []
-    remaining = trials
-    tail = math.fsum(probs)
-    for p in probs[:-1]:
-        if remaining == 0 or tail <= 0.0:
-            counts.append(0)
-            continue
-        c = binomial_exact(remaining, min(p / tail, 1.0), rng)
-        counts.append(c)
-        remaining -= c
-        tail -= p
-    counts.append(remaining)
-    return counts
+
+def _check_width(counts: SiteCounts, count_width: int, generation: int) -> None:
+    bits = counts.bit_length()
+    if bits >= count_width:
+        raise CountOverflow(
+            f"a count of {bits} bits exceeds the signed {count_width}-bit limit in generation {generation}"
+        )
 
 
 def evolve_generation(
@@ -161,41 +298,66 @@ def evolve_generation(
 ) -> GenerationState:
     """One branching-and-displacement step.
 
-    Sites are visited in sorted order; each visit draws from its own
-    derived stream, so any processing order gives the same result.  The
-    new total equals the integer sum of all sampled offspring exactly.
+    Offspring and displacement splits of every occupied block are drawn
+    from the generation's stream in lexicographic site order.  The new
+    total equals the integer sum of all sampled offspring exactly.
+
+    Raises:
+        CountOverflow: a count of the state or of the new generation does
+            not fit a signed ``count_width``-bit integer.
+        CapacityExceeded: a count needs 2^32 blocks or more, or the blocks
+            times the larger of the offspring and atom numbers, plus the
+            cells of the new box, exceed ``DEFAULT_ELEMENT_BUDGET``; raised
+            before the blocks are allocated.  With binary offspring that is
+            about 2^27 blocks of 2^61 particles, enough for counts near
+            2^80 on each of 150 sites.  The new box alone must fit the
+            budget too: in d = 5 an occupied reach of 22 per axis is the
+            most a nearest-neighbour walk can step from.
     """
-    limit = COUNT_LIMITS[count_width]
+    box = SiteCounts.from_mapping(state.counts, state.d)
+    _check_width(box, count_width, state.n)
+    n_values = len(off.probs)
     atoms = list(law.atoms())
-    atom_points = [a for a, _ in atoms]
-    atom_probs = [p for _, p in atoms]
-    new_counts: dict = {}
-    new_total = 0
-    for ordinal, site in enumerate(sorted(state.counts)):
-        c = state.counts[site]
-        if c == 0:
-            continue
-        rng = derive_stream(seed, state.n, ordinal)
-        per_value = multinomial_exact(c, off.probs, rng)
-        offspring = sum(k * ck for k, ck in enumerate(per_value, start=1))
-        placed = multinomial_exact(offspring, atom_probs, rng)
-        for point, cnt in zip(atom_points, placed):
-            if cnt == 0:
-                continue
-            dest = tuple(site[s] + point[s] for s in range(law.d))
-            val = new_counts.get(dest, 0) + cnt
-            if val > limit:
-                raise CountOverflow(
-                    f"count at {dest} exceeds {count_width}-bit limit in generation {state.n + 1}"
-                )
-            new_counts[dest] = val
-        new_total += offspring
-    return GenerationState(n=state.n + 1, d=state.d, counts=new_counts, total=new_total)
+    digits = box.digits.reshape(len(box.digits), -1)
+    occupied = np.flatnonzero(digits.any(axis=0))
+    # The new box is the bounding box of the occupied sites grown by one
+    # step, whatever box holds them now.
+    sites = [c - r for c, r in zip(np.unravel_index(occupied, box.digits.shape[1:]), box.radius)]
+    radius = tuple(int(np.abs(x).max(initial=0)) + t for x, t in zip(sites, law.ranges))
+    shape = tuple(2 * r + 1 for r in radius)
+    if math.prod(shape) > DEFAULT_ELEMENT_BUDGET:
+        raise CapacityExceeded(f"the {shape} box of generation {state.n + 1} exceeds the element budget")
+    max_blocks = (DEFAULT_ELEMENT_BUDGET - math.prod(shape)) // max(n_values, len(atoms))
+    # Blocks of 2^s <= (2^63 - 1) // K particles: a block's offspring fit int64.
+    sizes, starts = _blocks(digits[:, occupied], (_INT64_MAX // n_values).bit_length() - 1, max_blocks)
+
+    rng = derive_stream(seed, state.n)
+    per_value = rng.multinomial(sizes, off.probs)
+    offspring = per_value @ np.arange(1, n_values + 1, dtype=np.int64)
+    placed = rng.multinomial(offspring, [p for _, p in atoms])
+
+    # Each displaced block count (< 2^63) enters as two base-2^32 digits,
+    # summed per cell far below 2^63 and carried at the end.  Shifting the
+    # box by an atom shifts every flat index of the new box by one offset.
+    low = np.add.reduceat(placed & _DIGIT_MASK, starts, axis=0)
+    high = np.add.reduceat(placed >> _DIGIT, starts, axis=0)
+    origin = np.ravel_multi_index(tuple(x + r for x, r in zip(sites, radius)), shape)
+    strides = [math.prod(shape[s + 1 :]) for s in range(len(shape))]
+    parts = np.zeros((2, math.prod(shape)), dtype=np.int64)
+    for a, (point, _) in enumerate(atoms):
+        dest = origin + sum(p * st for p, st in zip(point, strides))
+        parts[0, dest] += low[:, a]
+        parts[1, dest] += high[:, a]
+    parts = parts.reshape(2, *shape)
+    counts = SiteCounts(radius, _carry(parts))
+    _check_width(counts, count_width, state.n + 1)
+    return GenerationState(n=state.n + 1, d=state.d, counts=counts, total=counts.total())
 
 
 def initial_state(d: int) -> GenerationState:
     """A single ancestor at the origin."""
-    return GenerationState(n=0, d=d, counts={(0,) * d: 1}, total=1)
+    counts = SiteCounts((0,) * d, np.ones((1,) * (d + 1), dtype=np.int64))
+    return GenerationState(n=0, d=d, counts=counts, total=1)
 
 
 def simulate(
@@ -219,17 +381,3 @@ def simulate(
         if state.n in probes:
             out.append(state)
     return out
-
-
-def dump_snapshot_csv(states, path) -> None:
-    """Write rows (generation, z_1..z_d, count) with exact integer counts."""
-    if not states:
-        raise ValueError("no snapshots to dump")
-    d = states[0].d
-    with open(path, "w") as fh:
-        cols = ",".join(f"z{s + 1}" for s in range(d))
-        fh.write(f"generation,{cols},count\n")
-        for st in states:
-            for site in sorted(st.counts):
-                zs = ",".join(str(c) for c in site)
-                fh.write(f"{st.n},{zs},{st.counts[site]}\n")

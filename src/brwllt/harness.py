@@ -10,12 +10,13 @@ import hashlib
 import json
 import math
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import BrwlltError, ConfigError
 from .exact_dist import cf_invert, convolve_step, delta_dist, dist_at
 from .gw_brw import (
     OffspringLaw,
@@ -44,6 +45,12 @@ from .martingales import (
 from .step_law import StepLaw, WalkClass, classify, law_from_dict, moments
 
 EXPERIMENTS = ("llt-check", "coeff-fit", "identities", "martingale-check", "brw-check")
+
+# Version of the random streams behind every sampled figure; it changes
+# whenever the same config and seed would draw different numbers.  2: one
+# Philox stream per (base seed, replicate, generation), cells drawn in
+# lexicographic order.
+STREAM_VERSION = 2
 
 DEFAULT_THRESHOLDS = {
     "cf_agreement": 1e-9,
@@ -77,49 +84,108 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+@contextmanager
+def _field(name: str):
+    """Re-raise a failure to read config field ``name`` as an error that
+    names it: typed package errors keep their type, bare Python errors
+    become ``ConfigError``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except BrwlltError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{name}: missing key {exc}") from exc
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{value} is not a positive finite number")
+    return value
+
+
 def load_config(doc: dict) -> ExperimentConfig:
     """Validate a config document and build the typed experiment config.
 
-    Inconsistent fields raise ``ConfigError`` naming the field, here rather
-    than deep inside a runner.
+    Missing, malformed or inconsistent fields raise a ``BrwlltError`` whose
+    message starts with the field name (``ConfigError`` unless the step law
+    or offspring validator raised a more specific type), here rather than
+    deep inside a runner.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config: expected a JSON object, got {type(doc).__name__}")
     for key in ("experiment", "step_law"):
         if key not in doc:
             raise ConfigError(f"{key}: required field missing")
     experiment = doc["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown {experiment!r}; expected one of {EXPERIMENTS}")
-    law = law_from_dict(doc["step_law"])
+    with _field("step_law"):
+        law = law_from_dict(doc["step_law"])
     offspring = None
     if "offspring" in doc:
-        offspring = validate_offspring(doc["offspring"])
+        with _field("offspring"):
+            offspring = validate_offspring(doc["offspring"])
     if experiment == "brw-check" and offspring is None:
         raise ConfigError("offspring: brw-check requires an offspring spec")
-    kappa = float(doc.get("kappa", 0.15))
+    with _field("kappa"):
+        kappa = float(doc.get("kappa", 0.15))
     if not 0.0 < kappa < 1.0 / 6.0:
         raise ConfigError(f"kappa: {kappa} outside (0, 1/6)")
-    n_values = tuple(int(n) for n in doc.get("n_values", ()))
+    with _field("n_values"):
+        n_values = tuple(_int(n) for n in _list(doc.get("n_values", [])))
     if experiment in ("llt-check", "brw-check") and not n_values:
         raise ConfigError(f"n_values: {experiment} needs at least one probe n")
     if any(n < 1 for n in n_values):
         raise ConfigError(f"n_values: every probe n must be >= 1, got {list(n_values)}")
-    n_est = int(doc["n_est"]) if "n_est" in doc else None
+    with _field("n_est"):
+        n_est = _int(doc["n_est"]) if "n_est" in doc else None
     if experiment == "brw-check" and n_est is not None and not 1 <= n_est <= max(n_values):
         raise ConfigError(f"n_est: {n_est} outside [1, max(n_values) = {max(n_values)}]")
-    replicates = int(doc.get("replicates", 1))
+    with _field("replicates"):
+        replicates = _int(doc.get("replicates", 1))
     if replicates < 1:
         raise ConfigError(f"replicates: {replicates} must be >= 1")
-    z_set = tuple(tuple(int(c) for c in z) for z in doc.get("z_set", [[0] * law.d]))
+    with _field("z_set"):
+        z_set = tuple(tuple(_int(c) for c in _list(z)) for z in _list(doc.get("z_set", [[0] * law.d])))
     if not z_set:
         raise ConfigError("z_set: needs at least one lattice point")
     for z in z_set:
         if len(z) != law.d:
             raise ConfigError(f"z_set: z = {z} has wrong dimension, expected {law.d}")
-    count_width = int(doc.get("count_width", 64))
+    with _field("count_width"):
+        count_width = _int(doc.get("count_width", 64))
     if count_width not in (64, 128):
         raise ConfigError("count_width: must be 64 or 128")
     thresholds = dict(DEFAULT_THRESHOLDS)
-    thresholds.update(doc.get("thresholds", {}))
+    with _field("thresholds"):
+        given = doc.get("thresholds", {})
+        if not isinstance(given, dict):
+            raise TypeError(f"expected an object, got {type(given).__name__}")
+        thresholds.update({key: _positive(value) for key, value in given.items()})
+    with _field("base_seed"):
+        base_seed = _int(doc.get("base_seed", 0))
+    with _field("z_radius_constant"):
+        z_radius_constant = _positive(doc.get("z_radius_constant", 1.0))
+    output = doc.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output: expected a path string, got {type(output).__name__}")
     return ExperimentConfig(
         experiment=experiment,
         law=law,
@@ -127,12 +193,12 @@ def load_config(doc: dict) -> ExperimentConfig:
         n_values=n_values,
         z_set=z_set,
         replicates=replicates,
-        base_seed=int(doc.get("base_seed", 0)),
+        base_seed=base_seed,
         kappa=kappa,
-        z_radius_constant=float(doc.get("z_radius_constant", 1.0)),
+        z_radius_constant=z_radius_constant,
         n_est=n_est,
         count_width=count_width,
-        output=doc.get("output"),
+        output=output,
         thresholds=thresholds,
         raw=doc,
     )
@@ -388,6 +454,7 @@ def write_csv(cfg: ExperimentConfig, result: RunResult, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg.config_hash}\n")
         fh.write(f"# tool_version={__version__}\n")
+        fh.write(f"# stream_version={STREAM_VERSION}\n")
         fh.write(f"# base_seed={cfg.base_seed}\n")
         fh.write(f"# experiment={cfg.experiment}\n")
         fh.write(f"# passed={result.passed}\n")

@@ -9,10 +9,13 @@ occupation-count expansion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .gw_brw import GenerationState
+import numpy as np
+
+from .gw_brw import GenerationState, SiteCounts
 from .llt import (
     ExpansionConstants,
     expansion_bracket,
@@ -104,43 +107,81 @@ def functional_value(functional_id: str, mom: Moments, x, n: int, z=None):
     return _f_vector(functional_id, mom, x, n)
 
 
+def _power_sums(box: SiteCounts, degree: int) -> dict:
+    """Exact sums sum_x c(x) x^alpha over the box, as python ints, for every
+    multi-index alpha with |alpha| <= degree.
+
+    The counts are cut into pieces narrow enough that every needed sum of
+    piece * x^alpha over the box fits int64; the sums are contracted one
+    axis at a time and recombined as python ints.  Entries with |alpha| >
+    degree may wrap, but they never feed a needed one.  A box too wide for
+    even one-bit pieces is summed in python ints throughout.
+    """
+    d = len(box.radius)
+    width = 62 - (box.digits[0].size * max(max(box.radius), 1) ** degree).bit_length()
+    dtype = np.int64 if width >= 1 else object
+    powers = [
+        np.arange(-r, r + 1).astype(dtype)[:, np.newaxis] ** np.arange(degree + 1).astype(dtype)
+        for r in box.radius
+    ]
+    alphas = [a for a in itertools.product(range(degree + 1), repeat=d) if sum(a) <= degree]
+    sums = dict.fromkeys(alphas, 0)
+    for shift, piece in box.pieces(width if width >= 1 else 64):
+        if not piece.any():
+            continue
+        piece = piece.astype(dtype, copy=False)
+        for v in powers:
+            piece = np.tensordot(piece, v, axes=([0], [0]))
+        for a in alphas:
+            sums[a] += int(piece[a]) << shift
+    return sums
+
+
 def readout(
     state: GenerationState, m: float, mom: Moments, z
 ) -> MartingaleReadout:
     """Evaluate every functional on a generation, scaled by m^{-n}.
 
-    Per-site terms are accumulated with compensated summation; counts up
-    to 2^53 convert to float exactly, and the m^{-n} scaling is applied
-    once at the end.
+    Every functional is a polynomial of degree <= 4 in the position, so a
+    generation enters only through its exact integer power sums
+    sum_u S_u^alpha, |alpha| <= 4.  These are combined with the float
+    coefficients in exact rational arithmetic; the only roundings are the
+    final conversion to float and the m^{-n} scaling, so counts above 2^53
+    lose nothing before that.
     """
+    from fractions import Fraction
+
     d = mom.d
-    scale = m ** (-state.n)
-    w_terms = []
-    n1_terms = [[] for _ in range(d)]
-    n2_terms = [[] for _ in range(d)]
-    n2z_terms = []
-    n3_terms = [[] for _ in range(d)]
-    n4_terms = []
-    for site in sorted(state.counts):
-        c = float(state.counts[site])
-        w_terms.append(c)
-        v1 = _f_vector("N1", mom, site, state.n)
-        v2 = _f_vector("N2", mom, site, state.n)
-        v3 = _f_vector("N3", mom, site, state.n)
-        for s in range(d):
-            n1_terms[s].append(c * v1[s])
-            n2_terms[s].append(c * v2[s])
-            n3_terms[s].append(c * v3[s])
-        n2z_terms.append(c * _f_scalar("N2z", mom, site, state.n, z))
-        n4_terms.append(c * _f_scalar("N4", mom, site, state.n, None))
+    n = state.n
+    sums = _power_sums(SiteCounts.from_mapping(state.counts, d), 4)
+
+    def p(*axes):
+        return sums[tuple(axes.count(s) for s in range(d))]
+
+    g2 = [Fraction(g) for g in mom.gamma2]
+    gz = [z[s] / g2[s] for s in range(d)]
+    p0 = p()
+    n1 = [p(s) for s in range(d)]
+    q = sum(p(s, s) / g2[s] for s in range(d))
+    n2 = [p(s, s) - n * g2[s] * p0 for s in range(d)]
+    n2z = sum(gz[s] * gz[t] * p(s, t) for s in range(d) for t in range(d)) - n * sum(
+        gz[s] * z[s] for s in range(d)
+    ) * p0
+    n3 = [sum(p(t, t, s) / g2[t] for t in range(d)) - (d + 2) * n * n1[s] for s in range(d)]
+    n4 = (
+        sum(p(s, s, t, t) / (g2[s] * g2[t]) for s in range(d) for t in range(d))
+        - (4 + 2 * d) * n * q
+        + (d * (d + 2) * (n * n + n) - Fraction(mom.tr_g4g2m2) * n) * p0
+    )
+    scale = m ** (-n)
     return MartingaleReadout(
-        n=state.n,
-        W=scale * math.fsum(w_terms),
-        N1=tuple(scale * math.fsum(t) for t in n1_terms),
-        N2=tuple(scale * math.fsum(t) for t in n2_terms),
-        N2z=scale * math.fsum(n2z_terms),
-        N3=tuple(scale * math.fsum(t) for t in n3_terms),
-        N4=scale * math.fsum(n4_terms),
+        n=n,
+        W=scale * float(p0),
+        N1=tuple(scale * float(v) for v in n1),
+        N2=tuple(scale * float(v) for v in n2),
+        N2z=scale * float(n2z),
+        N3=tuple(scale * float(v) for v in n3),
+        N4=scale * float(n4),
         z=tuple(int(c) for c in z),
     )
 

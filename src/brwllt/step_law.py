@@ -132,7 +132,7 @@ def validate(d: int, zeta0: float, weights) -> StepLaw:
         ]
 
     total = zeta0 + sum(w for row in rows for w in row)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # also refuses NaN weights
         raise NonNormalized(f"weights sum to {total!r}, expected 1")
 
     for s, row in enumerate(rows):
@@ -185,7 +185,14 @@ def law_from_dict(spec: dict) -> StepLaw:
     """Build a validated law from its JSON form.
 
     Expected shape: ``{"d": int, "zeta0": number, "axes": [[w1, ..., wt], ...]}``.
+
+    Raises:
+        TypeError: ``spec`` is not a mapping.
+        KeyError: ``d`` or ``axes`` is missing.
+        plus everything ``validate`` raises.
     """
+    if not isinstance(spec, dict):
+        raise TypeError(f"expected an object with d, zeta0 and axes, got {type(spec).__name__}")
     return validate(int(spec["d"]), spec.get("zeta0", 0.0), spec["axes"])
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,12 +8,12 @@ from scipy import stats
 
 from brwllt import errors
 from brwllt.gw_brw import (
+    GenerationState,
     ReplicateSeed,
-    binomial_exact,
+    SiteCounts,
     derive_stream,
     evolve_generation,
     initial_state,
-    multinomial_exact,
     simulate,
     validate_offspring,
 )
@@ -20,6 +21,29 @@ from brwllt.exact_dist import dist_at, walk_dist
 from brwllt.step_law import lazy_simple_law, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
+
+
+def state_of(counts, d=1, n=0):
+    return GenerationState(n=n, d=d, counts=counts, total=sum(counts.values()))
+
+
+def spaced(cells, count):
+    """A 1-d state with ``count`` (< 2^32) particles on each of ``cells``
+    sites three apart, so that one nearest-neighbour step keeps the
+    children of different sites apart."""
+    r = 3 * cells // 2 + 1
+    digits = np.zeros((1, 2 * r + 1), dtype=np.int64)
+    digits[0, 1 : 3 * cells : 3] = count
+    return GenerationState(n=0, d=1, counts=SiteCounts((r,), digits), total=cells * count)
+
+
+def children(new, cells):
+    """Per parent of ``spaced``: its children at (x - 1, x, x + 1)."""
+    digits = new.counts.digits
+    assert len(digits) == 1
+    # The first parent sits at 1 - r, r = 3 * cells // 2 + 1.
+    start = new.counts.radius[0] - (3 * cells // 2 + 1)
+    return digits[0, start : start + 3 * cells].reshape(cells, 3)
 
 
 class TestOffspring:
@@ -44,33 +68,69 @@ class TestOffspring:
         with pytest.raises(errors.NonNormalized):
             validate_offspring({2: 0.9})
 
+    def test_nan_rejected(self):
+        with pytest.raises(errors.NonNormalized):
+            validate_offspring({2: float("nan")})
+
+    def test_table_size(self):
+        with pytest.raises(ValueError):
+            validate_offspring({})
+        with pytest.raises(errors.CapacityExceeded):
+            validate_offspring({2**40: 1.0})
+
 
 class TestBinomialExact:
+    """The exact binomial splits of the step: one offspring split and one
+    displacement split per occupied site and generation."""
+
     def test_edges(self):
-        rng = derive_stream(ReplicateSeed(0, 0), 0, 0)
-        assert binomial_exact(10, 0.0, rng) == 0
-        assert binomial_exact(10, 1.0, rng) == 10
-        assert binomial_exact(0, 0.3, rng) == 0
+        seed = ReplicateSeed(0, 0)
+        # P(N = 2) = 1: exactly two children per particle.
+        new = evolve_generation(state_of({(0,): 10, (4,): 7}), validate_offspring({2: 1.0}), SIMPLE, seed)
+        assert new.total == 34
+        # P(N = 2) = 0: every site has 1 or 3 children, never 2.
+        new = evolve_generation(spaced(500, 1), validate_offspring({1: 0.5, 3: 0.5}), SIMPLE, seed)
+        per_site = children(new, 500).sum(axis=1)
+        assert set(per_site.tolist()) == {1, 3}
+        # No particles: nothing is drawn and nothing appears.
+        empty = evolve_generation(state_of({}), validate_offspring({2: 1.0}), SIMPLE, seed)
+        assert empty.total == 0
+        assert len(empty.counts) == 0
 
     def test_large_trials_mean(self):
-        rng = derive_stream(ReplicateSeed(1, 0), 0, 0)
+        # 10^4 sites of 5 * 10^8 particles, two children each: the count
+        # one step left of a site is Binomial(10^9, 1/2).
         trials, p, reps = 10**9, 0.5, 10**4
-        draws = [binomial_exact(trials, p, rng) for _ in range(reps)]
+        off = validate_offspring({2: 1.0})
+        new = evolve_generation(spaced(reps, trials // 2), off, SIMPLE, ReplicateSeed(1, 0))
+        draws = children(new, reps)[:, 0]
         se = math.sqrt(trials * p * (1 - p) / reps)
         assert abs(np.mean(draws) - trials * p) <= 4 * se
 
     def test_beyond_int64(self):
-        rng = derive_stream(ReplicateSeed(2, 0), 0, 0)
-        trials = 2**64 + 5
-        x = binomial_exact(trials, 0.5, rng)
+        count = 2**64 + 5
+        trials = 2 * count
+        new = evolve_generation(
+            state_of({(0,): count}), validate_offspring({2: 1.0}), SIMPLE, ReplicateSeed(2, 0), count_width=128
+        )
+        x = new.counts[(-1,)]
+        assert new.total == trials
+        assert x + new.counts[(1,)] == trials
         assert 0 <= x <= trials
         se = math.sqrt(trials * 0.25)
         assert abs(x - trials / 2) <= 8 * se
 
     def test_small_pmf_chisquare(self):
-        rng = derive_stream(ReplicateSeed(3, 0), 0, 0)
+        # One particle per site, five children each, P(step -1) = 0.3: the
+        # count one step left is Binomial(5, 0.3).  10^6 sites over ten
+        # replicates of 10^5.
         trials, p, reps = 5, 0.3, 10**6
-        draws = Counter(binomial_exact(trials, p, rng) for _ in range(reps))
+        law = validate(1, 0.4, [[0.6]])
+        off = validate_offspring({5: 1.0})
+        draws = Counter()
+        for r in range(10):
+            new = evolve_generation(spaced(reps // 10, 1), off, law, ReplicateSeed(3, r))
+            draws.update(children(new, reps // 10)[:, 0].tolist())
         observed = [draws.get(k, 0) for k in range(6)]
         expected = [reps * stats.binom.pmf(k, trials, p) for k in range(6)]
         _, pval = stats.chisquare(observed, expected)
@@ -79,16 +139,21 @@ class TestBinomialExact:
 
 class TestMultinomial:
     def test_conserves_total(self):
-        rng = derive_stream(ReplicateSeed(4, 0), 0, 0)
-        for _ in range(50):
-            parts = multinomial_exact(1000, [0.2, 0.3, 0.5], rng)
-            assert sum(parts) == 1000
-            assert all(c >= 0 for c in parts)
+        # 50 sites of 1000 particles, two children each, over three atoms.
+        law = validate(1, 0.5, [[0.5]])
+        new = evolve_generation(spaced(50, 1000), validate_offspring({2: 1.0}), law, ReplicateSeed(4, 0))
+        parts = children(new, 50)
+        assert (parts.sum(axis=1) == 2000).all()
+        assert (parts >= 0).all()
 
     def test_chisquare_against_numpy_pmf(self):
-        rng = derive_stream(ReplicateSeed(5, 0), 0, 0)
+        # One particle per site, three children each, split over
+        # (stay, -1, +1) with probabilities (0.5, 0.25, 0.25).
         reps = 200_000
-        counts = Counter(tuple(multinomial_exact(3, [0.5, 0.25, 0.25], rng)) for _ in range(reps))
+        law = validate(1, 0.5, [[0.5]])
+        new = evolve_generation(spaced(reps, 1), validate_offspring({3: 1.0}), law, ReplicateSeed(5, 0))
+        parts = children(new, reps)
+        counts = Counter(zip(parts[:, 1].tolist(), parts[:, 0].tolist(), parts[:, 2].tolist()))
         observed, expected = [], []
         for combo, obs in counts.items():
             observed.append(obs)
@@ -98,6 +163,28 @@ class TestMultinomial:
             expected.append(reps * pmf)
         _, pval = stats.chisquare(observed, expected)
         assert pval > 0.001
+
+
+class TestSiteCounts:
+    def test_mapping_round_trip(self):
+        counts = {(2, -1): 3, (0, 0): 2**70 + 1, (-1, 4): 1}
+        box = SiteCounts.from_mapping(counts, 2)
+        assert box.radius == (2, 4)
+        assert box == counts
+        assert list(box) == sorted(counts)
+        assert len(box) == 3
+        assert box.total() == sum(counts.values())
+        assert box.bit_length() == 71
+        assert box.get((1, 1), 0) == 0
+        assert box.get((9, 9), 0) == 0
+        assert dict(box.items()) == counts
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            SiteCounts.from_mapping({(0,): -1}, 1)
+        # Two far sites would span a 2^32-cell box: refused before allocating.
+        with pytest.raises(errors.CapacityExceeded):
+            SiteCounts.from_mapping({(2**15, 0): 1, (0, 2**15): 1}, 2)
 
 
 class TestEvolve:
@@ -113,6 +200,15 @@ class TestEvolve:
         off = validate_offspring({2: 1.0})
         snaps = simulate(off, SIMPLE, 10, ReplicateSeed(11, 0), [10])
         assert snaps[0].total == 1024
+
+    def test_deep_binary_total_exact(self):
+        # The largest site counts pass 2^61, the block size for binary
+        # offspring, in the last generations: the block split runs.
+        off = validate_offspring({2: 1.0})
+        snaps = simulate(off, SIMPLE, 72, ReplicateSeed(11, 0), [72], count_width=128)
+        assert snaps[0].total == 2**72
+        assert sum(snaps[0].counts.values()) == 2**72
+        assert max(snaps[0].counts.values()).bit_length() > 63
 
     def test_conservation_and_support(self):
         off = validate_offspring({1: 0.5, 3: 0.5})
@@ -133,18 +229,32 @@ class TestEvolve:
 
     def test_count_overflow(self):
         off = validate_offspring({2: 1.0})
-        state = initial_state(1)
-        state.counts[(0,)] = 2**63 - 1
+        state = state_of({(0,): 2**63 - 1})
         with pytest.raises(errors.CountOverflow):
             evolve_generation(state, off, SIMPLE, ReplicateSeed(14, 0))
+        new = evolve_generation(state, off, SIMPLE, ReplicateSeed(14, 0), count_width=128)
+        assert new.total == 2**64 - 2
+        with pytest.raises(errors.CountOverflow):
+            evolve_generation(state_of({(0,): 2**127}), off, SIMPLE, ReplicateSeed(14, 0), count_width=128)
+
+    def test_block_budget(self):
+        # 2^90 particles need 2^29 blocks of 2^61, 2^126 need 2^65; both
+        # are refused before any block is allocated.
+        off = validate_offspring({2: 1.0})
+        for count in (2**90, 2**126):
+            state = state_of({(0,): count})
+            tracemalloc.start()
+            try:
+                with pytest.raises(errors.CapacityExceeded):
+                    evolve_generation(state, off, SIMPLE, ReplicateSeed(14, 0), 128)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_multinomial_placement_mean(self):
-        # 10^6 walkers, p1=1: occupancy mean tracks the one-step law
-        off = validate_offspring({1: 0.999999999, 2: 1e-9})
-        # p1=1 exactly is critical; use deterministic placement check instead
         off = validate_offspring({2: 1.0})
-        state = initial_state(1)
-        state.counts[(0,)] = 10**6
+        state = state_of({(0,): 10**6})
         new = evolve_generation(state, off, SIMPLE, ReplicateSeed(15, 0))
         total = 2 * 10**6
         for z in (-1, 1):
@@ -156,10 +266,7 @@ class TestEvolve:
         # E[counts_{n+1}(z)] = m * sum_y counts_n(y) P(L = z - y), statistically
         off = validate_offspring({1: 0.5, 3: 0.5})
         law = lazy_simple_law(1, 0.5)
-        base = initial_state(1)
-        base.counts[(0,)] = 400
-        base.counts[(1,)] = 100
-        base = type(base)(n=base.n, d=1, counts=base.counts, total=500)
+        base = state_of({(0,): 400, (1,): 100})
         step = walk_dist(law, 1)
         reps = 3000
         acc = Counter()
@@ -193,35 +300,45 @@ class TestDeterminism:
         assert a[0].counts != b[0].counts
 
     def test_stream_is_pure_function_of_coordinates(self):
-        g1 = derive_stream(ReplicateSeed(5, 7), 3, 11)
-        g2 = derive_stream(ReplicateSeed(5, 7), 3, 11)
-        assert g1.integers(0, 2**62) == g2.integers(0, 2**62)
-        g3 = derive_stream(ReplicateSeed(5, 7), 3, 12)
-        assert g2.integers(0, 2**62) != g3.integers(0, 2**62)  # streams independent
+        # One stream per (base seed, replicate, generation).
+        def first(base, rep, gen):
+            return int(derive_stream(ReplicateSeed(base, rep), gen).integers(0, 2**62))
+
+        assert first(5, 7, 3) == first(5, 7, 3)
+        others = {first(5, 7, 4), first(5, 8, 3), first(6, 7, 3)}
+        assert first(5, 7, 3) not in others
+        assert len(others) == 3
 
     def test_site_order_independent(self):
-        # processing sites in any order must reproduce the sorted-order result,
-        # because each site visit owns its ordinal-keyed stream
+        # The step reads sites in lexicographic order, whatever order the
+        # mapping lists them in.
         off = validate_offspring({1: 0.5, 3: 0.5})
-        law = SIMPLE
-        state = initial_state(1)
-        for _ in range(6):
-            state = evolve_generation(state, off, law, ReplicateSeed(30, 0))
+        state = simulate(off, lazy_simple_law(2, 0.25), 6, ReplicateSeed(30, 0), [6])[0]
+        items = state.counts.items()
+        forward = GenerationState(n=6, d=2, counts=dict(items), total=state.total)
+        backward = GenerationState(n=6, d=2, counts=dict(reversed(items)), total=state.total)
         seed = ReplicateSeed(30, 0)
+        law = lazy_simple_law(2, 0.25)
         serial = evolve_generation(state, off, law, seed)
+        assert evolve_generation(forward, off, law, seed).counts == serial.counts
+        assert evolve_generation(backward, off, law, seed).counts == serial.counts
 
-        # re-do the same step manually in reversed site order
-        from brwllt.gw_brw import derive_stream as ds, multinomial_exact as me
-
-        atoms = list(law.atoms())
-        ordered = sorted(state.counts)
-        merged = Counter()
-        for ordinal in reversed(range(len(ordered))):
-            site = ordered[ordinal]
-            rng = ds(seed, state.n, ordinal)
-            per_value = me(state.counts[site], off.probs, rng)
-            offspring = sum(k * ck for k, ck in enumerate(per_value, start=1))
-            placed = me(offspring, [p for _, p in atoms], rng)
-            for (point, _), cnt in zip(atoms, placed):
-                merged[(site[0] + point[0],)] += cnt
-        assert dict(+merged) == serial.counts
+    def test_padded_box_same_next_generation(self):
+        # The same occupied sites in a larger, zero-padded box draw the same
+        # numbers: the stream is keyed by coordinates, not by box layout.
+        off = validate_offspring({1: 0.5, 3: 0.5})
+        law = lazy_simple_law(2, 0.25)
+        state = simulate(off, law, 5, ReplicateSeed(31, 2), [5])[0]
+        box = state.counts
+        pad = [(0, 0)] + [(9 - r, 9 - r) for r in box.radius]
+        padded = GenerationState(
+            n=5, d=2, counts=SiteCounts((9, 9), np.pad(box.digits, pad)), total=state.total
+        )
+        assert padded.counts.digits.shape[1:] == (19, 19)
+        seed = ReplicateSeed(31, 2)
+        a = evolve_generation(state, off, law, seed)
+        b = evolve_generation(padded, off, law, seed)
+        assert a.counts == b.counts
+        assert a.total == b.total
+        # The new box is sized from the occupied sites, not the old box.
+        assert a.counts.radius == b.counts.radius

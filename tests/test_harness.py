@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brwllt import cli
-from brwllt.errors import ConfigError
+from brwllt.errors import BrwlltError, ConfigError, NonNormalized
 from brwllt.harness import (
     DEFAULT_THRESHOLDS,
     EXPERIMENTS,
@@ -21,6 +24,60 @@ LAW_1D_SIMPLE = {"d": 1, "zeta0": 0.0, "axes": [[1.0]]}
 def base_doc(experiment, **extra):
     doc = {"experiment": experiment, "step_law": dict(LAW_1D_LAZY), "base_seed": 7}
     doc.update(extra)
+    return doc
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+OFFSPRING_KEYS = ["-1", "0", "1", "2", "3", "x", str(2**40)]
+NUMBER = st.integers(-2, 4) | st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), float("inf"), 10**30])
+
+
+@st.composite
+def config_docs(draw):
+    """A valid config document with one to three fields broken: replaced by
+    a near-valid value, by arbitrary JSON, or removed."""
+    rows = st.lists(st.lists(NUMBER, max_size=3), max_size=3)
+    near = {
+        "experiment": st.text(max_size=10),
+        "step_law": st.fixed_dictionaries({}, optional={"d": NUMBER, "zeta0": NUMBER, "axes": rows | JSON}),
+        "offspring": st.dictionaries(st.sampled_from(OFFSPRING_KEYS), NUMBER, max_size=3)
+        | st.lists(NUMBER, max_size=3),
+        "n_values": st.lists(NUMBER, max_size=3),
+        "n_est": NUMBER,
+        "replicates": NUMBER,
+        "z_set": st.lists(st.lists(NUMBER, max_size=2) | JSON, max_size=2),
+        "kappa": NUMBER,
+        "count_width": NUMBER,
+        "thresholds": st.dictionaries(st.sampled_from(sorted(DEFAULT_THRESHOLDS)), NUMBER | JSON, max_size=2),
+        "base_seed": NUMBER,
+        "z_radius_constant": NUMBER,
+        "output": JSON,
+    }
+    doc = {
+        "experiment": draw(st.sampled_from(EXPERIMENTS)),
+        "step_law": dict(LAW_1D_LAZY),
+        "offspring": {"1": 0.5, "3": 0.5},
+        "n_values": [4, 8],
+        "n_est": 8,
+        "replicates": 2,
+        "z_set": [[0], [1]],
+        "kappa": 0.15,
+        "count_width": 64,
+        "thresholds": {},
+        "base_seed": 7,
+        "z_radius_constant": 1.0,
+        "output": "out.csv",
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(near)), min_size=1, max_size=3, unique=True)):
+        kind = draw(st.sampled_from(["near", "json", "absent"]))
+        if kind == "absent":
+            del doc[key]
+        else:
+            doc[key] = draw(near[key] if kind == "near" else JSON)
     return doc
 
 
@@ -78,6 +135,12 @@ class TestConfig:
             ("n_values", base_doc("brw-check", offspring={"2": 1.0}, n_values=[0, 8])),
             ("z_set", base_doc("identities", z_set=[])),
             ("step_law", {"experiment": "identities"}),
+            ("step_law", {"experiment": "identities", "step_law": {"d": 1}}),
+            ("step_law", {"experiment": "identities", "step_law": {"zeta0": 0.5, "axes": [[0.5]]}}),
+            ("step_law", {"experiment": "identities", "step_law": [1, 0.5, [[0.5]]]}),
+            ("step_law", {"experiment": "identities", "step_law": {"d": 2, "zeta0": 0.5, "axes": [[0.5]]}}),
+            ("offspring", base_doc("brw-check", offspring={}, n_values=[4])),
+            ("offspring", base_doc("brw-check", offspring={"-1": 0.5, "2": 0.5}, n_values=[4])),
         ],
         ids=[
             "n_est_above_max",
@@ -87,11 +150,35 @@ class TestConfig:
             "probe_n_zero",
             "empty_z_set",
             "missing_step_law",
+            "step_law_missing_axes",
+            "step_law_missing_d",
+            "step_law_not_object",
+            "step_law_axis_rows",
+            "empty_offspring",
+            "negative_offspring",
         ],
     )
     def test_config_error_names_field(self, field, doc):
         with pytest.raises(ConfigError, match=f"^{field}:"):
             load_config(doc)
+
+    def test_typed_errors_name_field(self):
+        with pytest.raises(NonNormalized, match="^offspring:"):
+            load_config(base_doc("brw-check", offspring={"2": 0.9}, n_values=[4]))
+        with pytest.raises(NonNormalized, match="^step_law:"):
+            load_config(base_doc("identities", step_law={"d": 1, "zeta0": float("nan"), "axes": [[0.5]]}))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(doc=config_docs())
+    def test_rejections_are_typed(self, doc):
+        # Whatever the document, load_config accepts it or raises a package
+        # error; never a bare KeyError, TypeError, IndexError or ValueError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                load_config(doc)
+            except BrwlltError:
+                pass
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -194,11 +281,12 @@ class TestCsvAndDeterminism:
         lines = path.read_text().splitlines()
         assert lines[0] == f"# config_hash={cfg.config_hash}"
         assert lines[1].startswith("# tool_version=")
-        assert lines[2] == "# base_seed=7"
-        assert lines[3] == "# experiment=identities"
-        assert lines[4] == "# passed=True"
-        assert lines[5] == "identity,relative_error"
-        assert len(lines) == 6 + 13
+        assert lines[2] == "# stream_version=2"
+        assert lines[3] == "# base_seed=7"
+        assert lines[4] == "# experiment=identities"
+        assert lines[5] == "# passed=True"
+        assert lines[6] == "identity,relative_error"
+        assert len(lines) == 7 + 13
 
     def test_repeated_runs_byte_identical(self, tmp_path):
         doc = base_doc(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from brwllt.gw_brw import (
     GenerationState,
     ReplicateSeed,
+    SiteCounts,
     initial_state,
     simulate,
     validate_offspring,
@@ -14,6 +16,7 @@ from brwllt.llt import constants, constants_for, rw_expansion
 from brwllt.martingales import (
     FUNCTIONALS,
     LimitEstimates,
+    _power_sums,
     brw_residual,
     chi_sigma_d,
     corollary_eval,
@@ -89,6 +92,66 @@ class TestFunctionalValues:
         assert r.N2 == (0.0,)  # x^2 - n = 0 at x = +-1, n = 1
         # N2z at z=1: (x)^2 - 1 = 0 for both particles
         assert r.N2z == 0.0
+
+    def test_readout_exact_above_2p53(self):
+        # Counts above 2^53 lose their low bits in a float; readout must not.
+        law = validate(2, 0.1, [[0.3, 0.2], [0.4]])
+        mom = moments(law)
+        counts = {(-3, 1): 2**60 + 7, (2, 2): 2**55 + 1, (0, -4): 3, (5, 0): 2**80 + 11}
+        state = GenerationState(n=7, d=2, counts=counts, total=sum(counts.values()))
+        z = (1, -2)
+        g = [Fraction(v) for v in mom.gamma2]
+
+        def site_values(x, n):
+            q = sum(Fraction(x[s]) ** 2 / g[s] for s in range(2))
+            gz = [Fraction(z[s]) / g[s] for s in range(2)]
+            dot = sum(gz[s] * x[s] for s in range(2))
+            return {
+                "W": (Fraction(1),),
+                "N1": tuple(Fraction(x[s]) for s in range(2)),
+                "N2": tuple(Fraction(x[s]) ** 2 - n * g[s] for s in range(2)),
+                "N2z": (dot * dot - n * sum(gz[s] * z[s] for s in range(2)),),
+                "N3": tuple((q - 4 * n) * x[s] for s in range(2)),
+                "N4": (q * q - 8 * n * q + 8 * (n * n + n) - Fraction(mom.tr_g4g2m2) * n,),
+            }
+
+        values = {x: site_values(x, state.n) for x in counts}
+        scale = 2.0 ** (-state.n)
+        r = readout(state, 2.0, mom, z)
+        for fid in FUNCTIONALS:
+            width = len(values[(5, 0)][fid])
+            exact = [sum(c * values[x][fid][i] for x, c in counts.items()) for i in range(width)]
+            expect = tuple(scale * float(v) for v in exact)
+            got = getattr(r, fid)
+            assert (got if isinstance(got, tuple) else (got,)) == expect, fid
+
+    @pytest.mark.parametrize("radius", [7, 4100])
+    def test_power_sums_exact(self, radius):
+        # At radius 4100, sum over the box of x^4 passes 2^61 and the sums
+        # are taken in python ints instead of int64 pieces.
+        counts = {(-radius,): 2**70 + 3, (radius - 1,): 5, (2,): 2**40 + 1}
+        assert SiteCounts.from_mapping(counts, 1).radius == (radius,)
+        sums = _power_sums(SiteCounts.from_mapping(counts, 1), 4)
+        assert sums == {(k,): sum(c * x[0] ** k for x, c in counts.items()) for k in range(5)}
+
+    def test_readout_matches_site_sum(self):
+        law = lazy_simple_law(2, 0.25)
+        mom = moments(law)
+        off = validate_offspring({1: 0.5, 3: 0.5})
+        state = simulate(off, law, 12, ReplicateSeed(8, 1), [12])[0]
+        z = (2, -1)
+        r = readout(state, 2.0, mom, z)
+        scale = 2.0**-12
+        for fid in FUNCTIONALS:
+            vals = [(c, functional_value(fid, mom, x, 12, z=z)) for x, c in state.counts.items()]
+            got = getattr(r, fid)
+            if isinstance(got, tuple):
+                for s in range(2):
+                    terms = [c * v[s] for c, v in vals]
+                    assert abs(got[s] - scale * math.fsum(terms)) <= 1e-12 * scale * math.fsum(map(abs, terms))
+            else:
+                terms = [c * v for c, v in vals]
+                assert abs(got - scale * math.fsum(terms)) <= 1e-12 * scale * math.fsum(map(abs, terms))
 
     def test_freeze_round_trip(self):
         r = readout(initial_state(2), 3.0, moments(lazy_simple_law(2, 0.25)), (0, 0))
