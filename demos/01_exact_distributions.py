@@ -7,7 +7,7 @@ torus grid, and shows that the two oracles agree to machine precision.
 
 import numpy as np
 
-from brwllt import cf_invert, cf_invert_box, convolve_step, delta_dist, dist_at, lazy_simple_law
+from brwllt import cf_invert_box, convolve_step, delta_dist, dist_at, lazy_simple_law
 
 law = lazy_simple_law(d=1, sigma=1.0 / 3.0)
 print(f"step law: d={law.d}, stay probability {law.zeta0:.4f}, weights {law.weights}")
@@ -15,13 +15,13 @@ print(f"step law: d={law.d}, stay probability {law.zeta0:.4f}, weights {law.weig
 dist = delta_dist(law)
 for n in range(1, 21):
     dist = convolve_step(dist, law)
+box = cf_invert_box(law, 20)
 
 print(f"\nP(S_20 = z) for small z, convolution vs inversion:")
 for z in [(-3,), (0,), (1,), (5,)]:
     a = dist_at(dist, z)
-    b = cf_invert(law, 20, z)
+    b = dist_at(box, z)
     print(f"  z={z[0]:+d}: {a:.12e}  {b:.12e}  gap {abs(a - b):.2e}")
 
-box = cf_invert_box(law, 20)
 print(f"\nwhole-box max gap at n=20: {np.abs(dist.mass - box.mass).max():.3e}")
 print(f"total mass: {dist.total():.15f}")

@@ -16,7 +16,6 @@ from .step_law import (  # noqa: F401
 )
 from .exact_dist import (  # noqa: F401
     LatticeDist,
-    cf_invert,
     cf_invert_box,
     convolve_step,
     delta_dist,

@@ -76,6 +76,8 @@ def main(argv=None) -> int:
     sub.add_parser("version", help="print the tool version")
 
     args = parser.parse_args(argv)
+    if args.verb == "dump-dist" and args.n < 0:
+        p_dump.error(f"--n must be >= 0, got {args.n}")
 
     if args.verb == "version":
         print(__version__)

@@ -29,10 +29,6 @@ class CapacityExceeded(BrwlltError):
     """A dense distribution tensor would exceed the element budget."""
 
 
-class ResolutionTooLow(BrwlltError):
-    """Quadrature grid too coarse for the requested inversion."""
-
-
 class SubcriticalOrCritical(BrwlltError):
     """Offspring mean is not strictly greater than one."""
 

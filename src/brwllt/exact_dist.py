@@ -1,11 +1,12 @@
 """Exact n-step distributions by dense lattice convolution and CF inversion.
 
-The convolution route stores the full probability mass function of the
-n-step walk on the solid box it can reach.  The characteristic-function
-route integrates cos<phi,z> psi(phi)^n over the torus with a uniform
-(trapezoid) grid; the integrand is a trigonometric polynomial of known
-degree, so with enough panels the quadrature is exact up to rounding and
-serves as a genuinely independent second method.
+Both routes return the probability mass function of the n-step walk on
+the solid box it can reach.  Convolution steps the walk n times and is
+the oracle.  The characteristic-function route samples psi(phi)^n on a
+uniform torus grid and inverts it with one FFT; the integrand is a
+trigonometric polynomial of known degree, so the grid rule is exact up
+to rounding and serves as a genuinely independent second method.  Both
+check an element budget before they allocate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded, ResolutionTooLow
+from .errors import CapacityExceeded
 from .step_law import StepLaw
 
 DEFAULT_ELEMENT_BUDGET = 2**28
@@ -89,6 +90,8 @@ def walk_dist(
     max_elements: int = DEFAULT_ELEMENT_BUDGET,
 ) -> LatticeDist:
     """The n-step distribution, built by repeated convolution."""
+    if n < 0:
+        raise ValueError(f"number of steps must be >= 0, got {n}")
     dist = delta_dist(law)
     for _ in range(n):
         dist = convolve_step(dist, law, max_elements=max_elements)
@@ -106,16 +109,6 @@ def dist_at(dist: LatticeDist, z) -> float:
     return float(dist.mass[tuple(idx)])
 
 
-def min_panels(law: StepLaw, n: int, z) -> int:
-    """Smallest panel count per axis for which the grid rule is exact."""
-    deg = n * law.max_range + max((abs(int(zs)) for zs in z), default=0)
-    return deg + 1
-
-
-def default_panels(law: StepLaw, n: int, z) -> int:
-    return 2 * (n * law.max_range + max((abs(int(zs)) for zs in z), default=0)) + 1
-
-
 def _psi_grid(law: StepLaw, phis) -> np.ndarray:
     """psi(phi) = zeta0 + sum_{s,r} zeta_{s,r} cos(r phi_s) on a product grid."""
     d = law.d
@@ -131,66 +124,26 @@ def _psi_grid(law: StepLaw, phis) -> np.ndarray:
     return out
 
 
-def cf_invert(law: StepLaw, n: int, z, panels: int | None = None) -> float:
-    """P(S_n = z) via the torus inversion integral on a uniform grid.
+def cf_invert_box(
+    law: StepLaw,
+    n: int,
+    max_elements: int = DEFAULT_ELEMENT_BUDGET,
+) -> LatticeDist:
+    """All of P(S_n = .) on the reachable box, by inverting the sampled CF.
 
-    ``panels`` is the number of grid points per axis; it must be at least
-    ``min_panels(law, n, z)`` for the rule to be exact.
+    psi^n is a trigonometric polynomial of degree n*t_s in phi_s, so its
+    samples at 2*n*t_s + 1 points per axis determine every coefficient and
+    an inverse DFT returns them exactly up to rounding.  The error is
+    absolute, about 1e-16, so far-tail cells are not relatively accurate.
     """
-    need = min_panels(law, n, z)
-    if panels is None:
-        panels = default_panels(law, n, z)
-    if panels < need:
-        raise ResolutionTooLow(
-            f"{panels} panels per axis, need at least {need} for n={n}, z={tuple(z)}"
-        )
-    phis = [2.0 * np.pi * np.arange(panels) / panels - np.pi] * law.d
-    psi = _psi_grid(law, phis)
-    phase = np.zeros((1,) * law.d)
-    for s in range(law.d):
-        shape = [1] * law.d
-        shape[s] = panels
-        phase = phase + float(z[s]) * phis[s].reshape(shape)
-    val = float(np.sum(np.cos(phase) * psi**n)) / panels**law.d
-    return val
-
-
-def cf_invert_bipartite(law: StepLaw, n: int, z, panels: int | None = None) -> float:
-    """The folded inversion for bipartite laws: twice the integral over the
-    half torus [-pi/2, pi/2] x [-pi, pi]^{d-1}.
-
-    Valid when n and z have matching parity; relies on the invariance of the
-    integrand under a simultaneous shift of all angles by pi.  ``panels``
-    must be even so the grid maps onto itself under that shift.
-    """
-    need = min_panels(law, n, z)
-    if panels is None:
-        panels = default_panels(law, n, z) + 1  # make it even
-    if panels % 2:
-        panels += 1
-    if panels < need:
-        raise ResolutionTooLow(
-            f"{panels} panels per axis, need at least {need} for n={n}, z={tuple(z)}"
-        )
-    grid = 2.0 * np.pi * np.arange(panels) / panels - np.pi
-    phis = [grid[(grid >= -np.pi / 2) & (grid < np.pi / 2)]] + [grid] * (law.d - 1)
-    psi = _psi_grid(law, phis)
-    phase = np.zeros((1,) * law.d)
-    for s in range(law.d):
-        shape = [1] * law.d
-        shape[s] = len(phis[s])
-        phase = phase + float(z[s]) * phis[s].reshape(shape)
-    return 2.0 * float(np.sum(np.cos(phase) * psi**n)) / panels**law.d
-
-
-def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
-    """All of P(S_n = .) on the reachable box, via the sampled CF.
-
-    Evaluates the same uniform-grid sums as :func:`cf_invert` for every z at
-    once through an inverse DFT of psi^n; exact for the same reason.
-    """
+    if n < 0:
+        raise ValueError(f"number of steps must be >= 0, got {n}")
     radius = tuple(n * t for t in law.ranges)
     panel_counts = [2 * r + 1 for r in radius]
+    if math.prod(panel_counts) > max_elements:
+        raise CapacityExceeded(
+            f"CF grid {tuple(panel_counts)} exceeds element budget {max_elements}"
+        )
     phis = [2.0 * np.pi * np.arange(m) / m for m in panel_counts]
     psi = _psi_grid(law, phis)
     vals = np.fft.ifftn(psi**n).real

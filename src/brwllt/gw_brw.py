@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, CountOverflow, HasExtinction, NonNormalized, SubcriticalOrCritical
 from .exact_dist import DEFAULT_ELEMENT_BUDGET
-from .step_law import StepLaw
+from .step_law import StepLaw, json_number
 
 _NORMALIZATION_TOL = 1e-12
 # An offspring table longer than this is refused: every occupied cell
@@ -179,6 +179,7 @@ def validate_offspring(raw) -> OffspringLaw:
     probabilities for k = 1..K.
 
     Raises:
+        TypeError: a probability is a bool or a str.
         ValueError: an empty table or a negative offspring number.
         CapacityExceeded: an offspring number above ``MAX_OFFSPRING``.
         HasExtinction: positive mass on zero offspring.
@@ -193,16 +194,16 @@ def validate_offspring(raw) -> OffspringLaw:
             raise ValueError("offspring counts must be nonnegative")
         if max(ks) > MAX_OFFSPRING:
             raise CapacityExceeded(f"offspring number {max(ks)} above {MAX_OFFSPRING}")
-        p0 = float(raw.get(0, raw.get("0", 0.0)))
+        p0 = float(json_number(raw.get(0, raw.get("0", 0.0))))
         if p0 > 0.0:
             raise HasExtinction(f"P(N=0) = {p0} > 0")
         dense = [0.0] * max(ks)
         for k, p in raw.items():
             if int(k) >= 1:
-                dense[int(k) - 1] = float(p)
+                dense[int(k) - 1] = float(json_number(p))
         probs = dense
     else:
-        probs = [float(p) for p in raw]
+        probs = [float(json_number(p)) for p in raw]
         if len(probs) > MAX_OFFSPRING:
             raise CapacityExceeded(f"offspring number {len(probs)} above {MAX_OFFSPRING}")
     if any(p < 0.0 for p in probs):

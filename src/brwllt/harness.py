@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BrwlltError, ConfigError
-from .exact_dist import cf_invert, convolve_step, delta_dist, dist_at
+from .exact_dist import cf_invert_box, convolve_step, delta_dist, dist_at
 from .gw_brw import (
     OffspringLaw,
     ReplicateSeed,
@@ -42,7 +42,7 @@ from .martingales import (
     harmonicity_defect,
     readout,
 )
-from .step_law import StepLaw, WalkClass, classify, law_from_dict, moments
+from .step_law import StepLaw, WalkClass, classify, json_int, json_number, law_from_dict, moments
 
 EXPERIMENTS = ("llt-check", "coeff-fit", "identities", "martingale-check", "brw-check")
 
@@ -101,12 +101,6 @@ def _field(name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _int(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
@@ -114,7 +108,7 @@ def _list(value) -> list:
 
 
 def _positive(value) -> float:
-    value = float(value)
+    value = float(json_number(value))
     if not 0.0 < value < math.inf:
         raise ValueError(f"{value} is not a positive finite number")
     return value
@@ -145,32 +139,32 @@ def load_config(doc: dict) -> ExperimentConfig:
     if experiment == "brw-check" and offspring is None:
         raise ConfigError("offspring: brw-check requires an offspring spec")
     with _field("kappa"):
-        kappa = float(doc.get("kappa", 0.15))
+        kappa = float(json_number(doc.get("kappa", 0.15)))
     if not 0.0 < kappa < 1.0 / 6.0:
         raise ConfigError(f"kappa: {kappa} outside (0, 1/6)")
     with _field("n_values"):
-        n_values = tuple(_int(n) for n in _list(doc.get("n_values", [])))
+        n_values = tuple(json_int(n) for n in _list(doc.get("n_values", [])))
     if experiment in ("llt-check", "brw-check") and not n_values:
         raise ConfigError(f"n_values: {experiment} needs at least one probe n")
     if any(n < 1 for n in n_values):
         raise ConfigError(f"n_values: every probe n must be >= 1, got {list(n_values)}")
     with _field("n_est"):
-        n_est = _int(doc["n_est"]) if "n_est" in doc else None
+        n_est = json_int(doc["n_est"]) if "n_est" in doc else None
     if experiment == "brw-check" and n_est is not None and not 1 <= n_est <= max(n_values):
         raise ConfigError(f"n_est: {n_est} outside [1, max(n_values) = {max(n_values)}]")
     with _field("replicates"):
-        replicates = _int(doc.get("replicates", 1))
+        replicates = json_int(doc.get("replicates", 1))
     if replicates < 1:
         raise ConfigError(f"replicates: {replicates} must be >= 1")
     with _field("z_set"):
-        z_set = tuple(tuple(_int(c) for c in _list(z)) for z in _list(doc.get("z_set", [[0] * law.d])))
+        z_set = tuple(tuple(json_int(c) for c in _list(z)) for z in _list(doc.get("z_set", [[0] * law.d])))
     if not z_set:
         raise ConfigError("z_set: needs at least one lattice point")
     for z in z_set:
         if len(z) != law.d:
             raise ConfigError(f"z_set: z = {z} has wrong dimension, expected {law.d}")
     with _field("count_width"):
-        count_width = _int(doc.get("count_width", 64))
+        count_width = json_int(doc.get("count_width", 64))
     if count_width not in (64, 128):
         raise ConfigError("count_width: must be 64 or 128")
     thresholds = dict(DEFAULT_THRESHOLDS)
@@ -180,7 +174,7 @@ def load_config(doc: dict) -> ExperimentConfig:
             raise TypeError(f"expected an object, got {type(given).__name__}")
         thresholds.update({key: _positive(value) for key, value in given.items()})
     with _field("base_seed"):
-        base_seed = _int(doc.get("base_seed", 0))
+        base_seed = json_int(doc.get("base_seed", 0))
     with _field("z_radius_constant"):
         z_radius_constant = _positive(doc.get("z_radius_constant", 1.0))
     output = doc.get("output")
@@ -224,7 +218,11 @@ class RunResult:
 
 
 def run_llt_check(cfg: ExperimentConfig) -> RunResult:
-    """Exact probability vs CF inversion vs second-order prediction."""
+    """Exact probability vs CF inversion vs second-order prediction.
+
+    Stepwise convolution is the oracle; one CF box per probe n gives the
+    independent value for every admissible z.
+    """
     m = moments(cfg.law)
     c = constants(m, classify(cfg.law))
     bipartite = c.walk_class is WalkClass.BIPARTITE
@@ -238,9 +236,11 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
         if n not in probes:
             continue
         sup = 0.0
-        for z in admissible_z(cfg, n):
+        zs = admissible_z(cfg, n)
+        box = cf_invert_box(cfg.law, n) if zs else None
+        for z in zs:
             exact = dist_at(dist, z)
-            cf = cf_invert(cfg.law, n, z)
+            cf = dist_at(box, z)
             pred = rw_expansion(c, m, n, z)
             if bipartite and not parity_matched(n, z):
                 gamma = 0.0

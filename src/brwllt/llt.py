@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded
-from .exact_dist import DEFAULT_ELEMENT_BUDGET, dist_at, walk_dist
+from .exact_dist import DEFAULT_ELEMENT_BUDGET, cf_invert_box, dist_at, walk_dist
 from .step_law import Moments, StepLaw, WalkClass, classify, moments
 
 # Gauss-Hermite nodes per axis: exact for degree <= 11 per axis, and the
@@ -152,9 +152,12 @@ def fit_correction_coefficients(
     n_list,
     max_elements: int = DEFAULT_ELEMENT_BUDGET,
 ) -> CoefficientFit:
-    """Estimate the correction coefficients from exact convolution.
+    """Estimate the correction coefficients from exact probabilities.
 
-    For bipartite laws every n in ``n_list`` must be parity-compatible
+    Each probe n is read from its own CF box (:func:`cf_invert_box`), so
+    the cost follows the probes, not every n up to the largest; raises
+    ``CapacityExceeded`` when a box exceeds ``max_elements``.  For
+    bipartite laws every n in ``n_list`` must be parity-compatible
     with z.  Needs at least 3 entries in increasing order.
     """
     n_list = tuple(int(n) for n in n_list)
@@ -162,6 +165,8 @@ def fit_correction_coefficients(
         raise ValueError("need at least 3 probe values of n")
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
+    if n_list[0] < 1:
+        raise ValueError(f"every probe n must be >= 1, got {n_list[0]}")
     m = moments(law)
     c = constants(m, classify(law))
     if c.walk_class is WalkClass.BIPARTITE:
@@ -171,17 +176,12 @@ def fit_correction_coefficients(
     c1_exact = c.tau_d - 0.5 * quad_form(m, z)
     c2_theorem, c2_flipped = second_order_candidates(c, m, z)
 
-    probes = set(n_list)
-    dist = walk_dist(law, 0, max_elements=max_elements)
     c1_seq, c2_seq = [], []
-    from .exact_dist import convolve_step  # local import avoids cycle at module load
-
-    for n in range(1, max(n_list) + 1):
-        dist = convolve_step(dist, law, max_elements=max_elements)
-        if n in probes:
-            rho = dist_at(dist, z) / leading_factor(c, n) - 1.0
-            c1_seq.append(n * rho)
-            c2_seq.append(n * n * (rho - c1_exact / n))
+    for n in n_list:
+        p = dist_at(cf_invert_box(law, n, max_elements=max_elements), z)
+        rho = p / leading_factor(c, n) - 1.0
+        c1_seq.append(n * rho)
+        c2_seq.append(n * n * (rho - c1_exact / n))
     return CoefficientFit(
         n_list=n_list,
         c1_seq=tuple(c1_seq),

@@ -24,6 +24,22 @@ NORMALIZATION_TOL = 1e-12
 ZERO_WEIGHT_TOL = 1e-15
 
 
+def json_number(value):
+    """``value`` unchanged unless it is a bool or a str, which ``int()`` and
+    ``float()`` would otherwise turn into numbers (JSON ``true``, ``"0.5"``)."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def json_int(value) -> int:
+    """An integer config value; a float must be integral."""
+    value = json_number(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 class WalkClass(enum.Enum):
     APERIODIC = "aperiodic"
     BIPARTITE = "bipartite"
@@ -187,13 +203,15 @@ def law_from_dict(spec: dict) -> StepLaw:
     Expected shape: ``{"d": int, "zeta0": number, "axes": [[w1, ..., wt], ...]}``.
 
     Raises:
-        TypeError: ``spec`` is not a mapping.
+        TypeError: ``spec`` is not a mapping, or a number is a bool or a str.
+        ValueError: ``d`` is not an integer.
         KeyError: ``d`` or ``axes`` is missing.
         plus everything ``validate`` raises.
     """
     if not isinstance(spec, dict):
         raise TypeError(f"expected an object with d, zeta0 and axes, got {type(spec).__name__}")
-    return validate(int(spec["d"]), spec.get("zeta0", 0.0), spec["axes"])
+    weights = [[json_number(w) for w in axis] for axis in spec["axes"]]
+    return validate(json_int(spec["d"]), json_number(spec.get("zeta0", 0.0)), weights)
 
 
 def law_to_dict(law: StepLaw) -> dict:

@@ -1,10 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from brwllt import errors
 from brwllt.exact_dist import (
-    cf_invert,
-    cf_invert_bipartite,
     cf_invert_box,
     convolve_step,
     delta_dist,
@@ -80,21 +80,38 @@ def test_capacity_budget():
         walk_dist(SIMPLE, 10, max_elements=10)
 
 
+def test_negative_steps_refused():
+    with pytest.raises(ValueError):
+        walk_dist(SIMPLE, -3)
+    with pytest.raises(ValueError):
+        cf_invert_box(SIMPLE, -3)
+
+
 def test_cf_invert_n0():
-    assert abs(cf_invert(SIMPLE, 0, (0,)) - 1.0) <= 1e-12
+    assert abs(dist_at(cf_invert_box(SIMPLE, 0), (0,)) - 1.0) <= 1e-12
 
 
 def test_cf_invert_simple_n2():
-    assert abs(cf_invert(SIMPLE, 2, (0,)) - 0.5) <= 1e-10
+    assert abs(dist_at(cf_invert_box(SIMPLE, 2), (0,)) - 0.5) <= 1e-10
 
 
 def test_cf_invert_parity_zero():
-    assert abs(cf_invert(SIMPLE, 3, (0,))) <= 1e-10
+    assert abs(dist_at(cf_invert_box(SIMPLE, 3), (0,))) <= 1e-10
 
 
-def test_cf_resolution_gate():
-    with pytest.raises(errors.ResolutionTooLow):
-        cf_invert(SIMPLE, 10, (0,), panels=5)
+def test_cf_budget_checked_before_allocating():
+    # A (2*10^5 + 1)^2 grid exceeds the element budget; the check must come first.
+    law = lazy_simple_law(2, 1.0 / 3.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.CapacityExceeded):
+            cf_invert_box(law, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(errors.CapacityExceeded):
+        cf_invert_box(SIMPLE, 10, max_elements=10)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -110,23 +127,12 @@ def test_oracle_equivalence(d, sigma):
         assert np.abs(dist.mass - box.mass).max() <= 1e-9
 
 
-def test_cf_box_matches_pointwise():
-    law = lazy_simple_law(2, 1.0 / 3.0)
-    box = cf_invert_box(law, 7)
-    for z in [(0, 0), (2, -1), (3, 3), (-5, 1)]:
-        assert abs(dist_at(box, z) - cf_invert(law, 7, z)) <= 1e-12
-
-
-def test_cf_bipartite_reduction():
-    for n, z in [(10, (2,)), (11, (3,)), (8, (0,))]:
-        assert abs(cf_invert_bipartite(SIMPLE, n, z) - cf_invert(SIMPLE, n, z)) <= 1e-12
-
-
 def test_longer_range_law_oracles_agree():
     law = validate(1, 0.0, [[0.5, 0.0, 0.5]])
     d = walk_dist(law, 20)
+    box = cf_invert_box(law, 20)
     for z in [(0,), (2,), (6,), (-10,)]:
-        assert abs(dist_at(d, z) - cf_invert(law, 20, z)) <= 1e-9
+        assert abs(dist_at(d, z) - dist_at(box, z)) <= 1e-9
 
 
 def test_dump_csv(tmp_path):

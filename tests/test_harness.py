@@ -141,6 +141,21 @@ class TestConfig:
             ("step_law", {"experiment": "identities", "step_law": {"d": 2, "zeta0": 0.5, "axes": [[0.5]]}}),
             ("offspring", base_doc("brw-check", offspring={}, n_values=[4])),
             ("offspring", base_doc("brw-check", offspring={"-1": 0.5, "2": 0.5}, n_values=[4])),
+            ("step_law", base_doc("identities", step_law={"d": True, "zeta0": 0.5, "axes": [[0.5]]})),
+            ("step_law", base_doc("identities", step_law={"d": 1.5, "zeta0": 0.5, "axes": [[0.5]]})),
+            ("step_law", base_doc("identities", step_law={"d": 1, "zeta0": "0.5", "axes": [[0.5]]})),
+            ("step_law", base_doc("identities", step_law={"d": 1, "zeta0": 0.5, "axes": [["0.5"]]})),
+            ("n_values", base_doc("llt-check", n_values=[True, "8"])),
+            ("n_values", base_doc("llt-check", n_values=["8"])),
+            ("z_set", base_doc("identities", z_set=[[False]])),
+            ("kappa", base_doc("identities", kappa="0.1")),
+            ("replicates", base_doc("brw-check", offspring={"2": 1.0}, n_values=[4], replicates=True)),
+            ("base_seed", base_doc("identities", base_seed="7")),
+            ("count_width", base_doc("identities", count_width="64")),
+            ("thresholds", base_doc("identities", thresholds={"cf_agreement": "1e-9"})),
+            ("z_radius_constant", base_doc("identities", z_radius_constant=True)),
+            ("offspring", base_doc("brw-check", offspring={"2": "1.0"}, n_values=[4])),
+            ("offspring", base_doc("brw-check", offspring=[0.0, True], n_values=[4])),
         ],
         ids=[
             "n_est_above_max",
@@ -156,6 +171,21 @@ class TestConfig:
             "step_law_axis_rows",
             "empty_offspring",
             "negative_offspring",
+            "step_law_bool_d",
+            "step_law_fractional_d",
+            "step_law_str_zeta0",
+            "step_law_str_weight",
+            "bool_and_str_probes",
+            "str_probe",
+            "bool_z",
+            "str_kappa",
+            "bool_replicates",
+            "str_base_seed",
+            "str_count_width",
+            "str_threshold",
+            "bool_z_radius_constant",
+            "str_offspring_probability",
+            "bool_offspring_probability",
         ],
     )
     def test_config_error_names_field(self, field, doc):
@@ -369,6 +399,16 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "z1,probability"
         assert len(lines) == 4  # z in {-2, 0, 2}
+
+    def test_dump_dist_negative_n(self, tmp_path, capsys):
+        doc = base_doc("identities")
+        path = self.write_cfg(tmp_path, doc)
+        out = tmp_path / "dist.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dump-dist", path, "--n", "-3", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "--n must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_override_form(self, tmp_path):
         path = self.write_cfg(tmp_path, base_doc("identities"))

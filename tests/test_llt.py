@@ -191,6 +191,14 @@ class TestCoefficientFit:
         with pytest.raises(ValueError):
             fit_correction_coefficients(SIMPLE, (1,), (64, 128, 256))
 
+    def test_probes_positive(self):
+        with pytest.raises(ValueError):
+            fit_correction_coefficients(SIMPLE, (0,), (0, 2, 4))
+
+    def test_element_budget(self):
+        with pytest.raises(CapacityExceeded):
+            fit_correction_coefficients(SIMPLE, (0,), (64, 128, 256), max_elements=10)
+
 
 class TestGaussianIdentities:
     @pytest.mark.parametrize("idx", range(1, 14))
