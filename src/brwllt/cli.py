@@ -9,6 +9,9 @@ Verbs:
 The default output directory can be set with the BRWLLT_OUTPUT_DIR
 environment variable; an explicit path in the config or on the command
 line wins.
+
+A package error (``BrwlltError``) ends the command with one
+``brwllt: <message>`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 import sys
 
 from . import __version__
+from .errors import BrwlltError, ConfigError
 from .exact_dist import dump_csv, walk_dist
 from .harness import load_config, run_experiment, write_csv
 
@@ -41,8 +45,11 @@ def _apply_overrides(doc: dict, overrides) -> dict:
 
 
 def _load(path, overrides):
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
     return load_config(_apply_overrides(doc, overrides))
 
 
@@ -83,6 +90,14 @@ def main(argv=None) -> int:
         print(__version__)
         return 0
 
+    try:
+        return _run_verb(args)
+    except BrwlltError as exc:
+        print(f"brwllt: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_verb(args) -> int:
     cfg = _load(args.config, args.override)
 
     if args.verb == "validate":

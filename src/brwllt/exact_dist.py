@@ -2,11 +2,13 @@
 
 Both routes return the probability mass function of the n-step walk on
 the solid box it can reach.  Convolution steps the walk n times and is
-the oracle.  The characteristic-function route samples psi(phi)^n on a
-uniform torus grid and inverts it with one FFT; the integrand is a
-trigonometric polynomial of known degree, so the grid rule is exact up
-to rounding and serves as a genuinely independent second method.  Both
-check an element budget before they allocate.
+the oracle.  It uses the per-axis reflection symmetry of every n-step
+law (orthant + mirror): each step computes only the cells with every
+z_s >= 0 and mirrors them into the full box.  The characteristic-function
+route samples psi(phi)^n on a uniform torus grid and inverts it with one
+FFT; the integrand is a trigonometric polynomial of known degree, so the
+grid rule is exact up to rounding and serves as a genuinely independent
+second method.  Both check an element budget before they allocate.
 """
 
 from __future__ import annotations
@@ -46,6 +48,31 @@ def delta_dist(law: StepLaw) -> LatticeDist:
     return LatticeDist(n=0, d=law.d, radius=(0,) * law.d, mass=mass)
 
 
+def box_shape(law: StepLaw, n: int) -> tuple[int, ...]:
+    """Shape of the box the n-step walk can reach: 2*n*t_s + 1 per axis."""
+    return tuple(2 * n * t + 1 for t in law.ranges)
+
+
+def _check_budget(what: str, shape: tuple[int, ...], max_elements: int) -> None:
+    if math.prod(shape) > max_elements:
+        raise CapacityExceeded(f"{what} {shape} exceeds element budget {max_elements}")
+
+
+def _unfold(orthant: np.ndarray, radius: tuple[int, ...]) -> np.ndarray:
+    """The full box prod_s [-radius[s], radius[s]] of a law that is symmetric
+    under each axis reflection, from its cells with every z_s >= 0."""
+    full = orthant
+    for s, r in enumerate(radius):
+        shape = list(full.shape)
+        shape[s] = 2 * r + 1
+        out = np.empty(shape)
+        lead = (slice(None),) * s
+        out[lead + (slice(r, None),)] = full
+        out[lead + (slice(None, r),)] = full[lead + (slice(r, 0, -1),)]
+        full = out
+    return full
+
+
 def convolve_step(
     dist: LatticeDist,
     law: StepLaw,
@@ -53,35 +80,44 @@ def convolve_step(
 ) -> LatticeDist:
     """One step of the walk: convolve the stored pmf with the step law.
 
-    The output box grows by t_s per axis.  Summation order is fixed
-    (axis-major, increasing r), and the result is symmetrized so that
-    mass(z) == mass(-z) holds bit-exactly.
+    Orthant + mirror.  Every step law puts w/2 on each of +-r*e_s, so the
+    n-step law has per-axis reflection symmetry (z_s -> -z_s on each axis
+    alone), and ``dist`` must have it too, as every distribution built by
+    ``delta_dist`` and ``convolve_step`` does.  The step reads only the
+    orthant z >= 0, pads it by t_s low ghost cells per axis that hold the
+    reflection (cell -k holds cell k) and 2*t_s high zero cells, sums
+    zeta0*m(z) + sum (w/2)*(m(z - r*e_s) + m(z + r*e_s)) over the new
+    orthant in a fixed order (axis-major, increasing r), and mirrors the
+    result into the full box, which grows by t_s per axis.  Mirroring makes
+    the symmetry hold bit-exactly.  The output box is checked against
+    ``max_elements`` before anything is allocated.
     """
     t = law.ranges
-    radius = tuple(dist.radius[s] + t[s] for s in range(law.d))
-    shape = tuple(2 * r + 1 for r in radius)
-    if math.prod(shape) > max_elements:
-        raise CapacityExceeded(
-            f"output tensor {shape} exceeds element budget {max_elements}"
-        )
-    out = np.zeros(shape)
-    # Window of the old box inside the new one.
-    core = tuple(slice(t[s], t[s] + 2 * dist.radius[s] + 1) for s in range(law.d))
-    if law.zeta0 > 0.0:
-        out[core] += law.zeta0 * dist.mass
-    for s in range(law.d):
+    d = law.d
+    radius = tuple(dist.radius[s] + t[s] for s in range(d))
+    _check_budget("output tensor", tuple(2 * r + 1 for r in radius), max_elements)
+    # Padded orthant: axis s holds z_s = -t_s .. radius[s] + t_s.
+    padded = np.zeros(tuple(r + 1 + 2 * ts for r, ts in zip(radius, t)))
+    padded[tuple(slice(ts, ts + r + 1) for r, ts in zip(dist.radius, t))] = dist.mass[
+        tuple(slice(r, None) for r in dist.radius)
+    ]
+    for s in range(d):
+        lead = (slice(None),) * s
+        padded[lead + (slice(None, t[s]),)] = padded[lead + (slice(2 * t[s], t[s], -1),)]
+    # Window of the new orthant, z_s = 0 .. radius[s], inside ``padded``.
+    core = tuple(slice(ts, ts + r + 1) for r, ts in zip(radius, t))
+    out = law.zeta0 * padded[core]
+    for s in range(d):
         for r, w in enumerate(law.weights[s], start=1):
             if w <= 0.0:
                 continue
-            half = 0.5 * w * dist.mass
-            for shift in (-r, r):
-                dest = list(core)
-                lo = t[s] + shift
-                dest[s] = slice(lo, lo + 2 * dist.radius[s] + 1)
-                out[tuple(dest)] += half
-    rev = out[(slice(None, None, -1),) * law.d]
-    out = 0.5 * (out + rev)
-    return LatticeDist(n=dist.n + 1, d=law.d, radius=radius, mass=out)
+            lo, hi = list(core), list(core)
+            lo[s] = slice(t[s] - r, t[s] - r + radius[s] + 1)
+            hi[s] = slice(t[s] + r, t[s] + r + radius[s] + 1)
+            term = padded[tuple(lo)] + padded[tuple(hi)]
+            term *= 0.5 * w
+            out += term
+    return LatticeDist(n=dist.n + 1, d=d, radius=radius, mass=_unfold(out, radius))
 
 
 def walk_dist(
@@ -89,9 +125,13 @@ def walk_dist(
     n: int,
     max_elements: int = DEFAULT_ELEMENT_BUDGET,
 ) -> LatticeDist:
-    """The n-step distribution, built by repeated convolution."""
+    """The n-step distribution, built by repeated convolution.
+
+    The n-step box is checked against ``max_elements`` before the first step.
+    """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
+    _check_budget(f"{n}-step box", box_shape(law, n), max_elements)
     dist = delta_dist(law)
     for _ in range(n):
         dist = convolve_step(dist, law, max_elements=max_elements)
@@ -139,11 +179,8 @@ def cf_invert_box(
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
     radius = tuple(n * t for t in law.ranges)
-    panel_counts = [2 * r + 1 for r in radius]
-    if math.prod(panel_counts) > max_elements:
-        raise CapacityExceeded(
-            f"CF grid {tuple(panel_counts)} exceeds element budget {max_elements}"
-        )
+    panel_counts = box_shape(law, n)
+    _check_budget("CF grid", panel_counts, max_elements)
     phis = [2.0 * np.pi * np.arange(m) / m for m in panel_counts]
     psi = _psi_grid(law, phis)
     vals = np.fft.ifftn(psi**n).real

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brwllt import errors
+from brwllt import errors, exact_dist
 from brwllt.exact_dist import (
+    LatticeDist,
     cf_invert_box,
     convolve_step,
     delta_dist,
@@ -60,11 +61,63 @@ def test_normalization_drift():
     assert abs(d.total() - 1.0) <= n * 1e-12
 
 
+# Multi-range laws, ranges up to 3, none of them symmetric under swapping axes.
+LAWS = {
+    1: validate(1, 0.1, [[0.4, 0.0, 0.5]]),
+    2: validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]]),
+    3: validate(3, 0.05, [[0.2, 0.1], [0.3], [0.15, 0.0, 0.2]]),
+}
+
+
+def reference_step(dist: LatticeDist, law) -> LatticeDist:
+    """The full-box stencil: shift-and-add every atom over the whole box."""
+    t = law.ranges
+    radius = tuple(r + ts for r, ts in zip(dist.radius, t))
+    out = np.zeros(tuple(2 * r + 1 for r in radius))
+    core = tuple(slice(ts, ts + 2 * r + 1) for r, ts in zip(dist.radius, t))
+    out[core] += law.zeta0 * dist.mass
+    for s in range(law.d):
+        for r, w in enumerate(law.weights[s], start=1):
+            for shift in (-r, r):
+                dest = list(core)
+                dest[s] = slice(t[s] + shift, t[s] + shift + 2 * dist.radius[s] + 1)
+                out[tuple(dest)] += 0.5 * w * dist.mass
+    return LatticeDist(n=dist.n + 1, d=law.d, radius=radius, mass=out)
+
+
 def test_symmetry_bit_exact():
-    law = validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]])
-    d = walk_dist(law, 12)
-    rev = d.mass[::-1, ::-1]
-    assert np.array_equal(d.mass, rev)
+    # Each reflection z_s -> -z_s on its own, not only z -> -z.
+    for d, n in [(1, 30), (2, 12), (3, 6)]:
+        mass = walk_dist(LAWS[d], n).mass
+        for s in range(d):
+            assert np.array_equal(mass, np.flip(mass, axis=s))
+        assert np.array_equal(mass, np.flip(mass))
+
+
+@pytest.mark.parametrize(
+    "law, n_max",
+    [
+        (LAWS[1], 40),
+        (LAWS[2], 40),
+        (LAWS[3], 20),
+        (SIMPLE, 40),
+        (lazy_simple_law(2, 1.0 / 3.0), 40),
+        (validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]]), 40),
+    ],
+    ids=["multi-1d", "multi-2d", "multi-3d", "simple-1d", "lazy-2d", "bipartite-2d"],
+)
+def test_matches_full_box_reference(law, n_max):
+    # Orthant + mirror vs the full-box stencil: same zero cells, and every
+    # nonzero cell within 1e-13 relative.
+    dist = ref = delta_dist(law)
+    for _ in range(n_max):
+        dist = convolve_step(dist, law)
+        ref = reference_step(ref, law)
+        assert dist.radius == ref.radius
+        nonzero = ref.mass != 0.0
+        assert np.array_equal(dist.mass != 0.0, nonzero)
+        rel = np.abs(dist.mass[nonzero] - ref.mass[nonzero]) / ref.mass[nonzero]
+        assert rel.max() <= 1e-13
 
 
 def test_bipartite_parity_zero_pattern():
@@ -73,11 +126,41 @@ def test_bipartite_parity_zero_pattern():
     for z in range(-9, 10):
         if (9 - z) % 2:
             assert dist_at(d, (z,)) == 0.0
+    # Odd ranges only, in 2-d: every cell of the wrong parity is exactly 0.0.
+    law = validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]])
+    assert classify(law) is WalkClass.BIPARTITE
+    for n in (7, 8):
+        dist = walk_dist(law, n)
+        z1, z2 = np.indices(dist.mass.shape)
+        wrong = (z1 - dist.radius[0] + z2 - dist.radius[1] - n) % 2 == 1
+        assert np.all(dist.mass[wrong] == 0.0)
+        assert np.all(dist.mass[~wrong & (np.abs(z1 - dist.radius[0]) <= 1)] > 0.0)
 
 
 def test_capacity_budget():
     with pytest.raises(errors.CapacityExceeded):
         walk_dist(SIMPLE, 10, max_elements=10)
+
+
+def test_walk_budget_checked_before_first_step(monkeypatch):
+    # The n-step box is checked before any step is taken or any box allocated.
+    calls = []
+    real = exact_dist.convolve_step
+    monkeypatch.setattr(exact_dist, "convolve_step", lambda *a, **k: calls.append(1) or real(*a, **k))
+    law = lazy_simple_law(2, 1.0 / 3.0)
+    with pytest.raises(errors.CapacityExceeded):
+        walk_dist(law, 10**6, max_elements=200**2)
+    assert calls == []
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.CapacityExceeded):
+            walk_dist(law, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert calls == []
+    assert walk_dist(law, 99, max_elements=199**2).radius == (99, 99)
 
 
 def test_negative_steps_refused():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import pytest
@@ -210,6 +211,21 @@ class TestConfig:
             except BrwlltError:
                 pass
 
+    def test_probe_box_budget(self):
+        # A 2-d box of 40001^2 cells exceeds DEFAULT_ELEMENT_BUDGET; the
+        # config is refused at load time, before any box is allocated.
+        law_2d = {"d": 2, "zeta0": 0.2, "axes": [[0.4], [0.4]]}
+        tracemalloc.start()
+        try:
+            for experiment in ("llt-check", "coeff-fit"):
+                with pytest.raises(ConfigError, match="^n_values:"):
+                    load_config(base_doc(experiment, step_law=law_2d, n_values=[60, 20000], z_set=[[0, 0]]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert load_config(base_doc("llt-check", n_values=[60, 20000])).n_values == (60, 20000)
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(base_doc("identities")))
@@ -318,6 +334,25 @@ class TestCsvAndDeterminism:
         assert lines[6] == "identity,relative_error"
         assert len(lines) == 7 + 13
 
+    def test_llt_audit_header(self, tmp_path):
+        doc = base_doc("llt-check", n_values=[10, 20, 40], z_set=[[0], [1]])
+        texts = []
+        for tag in ("a", "b"):
+            cfg = load_config(json.loads(json.dumps(doc)))
+            path = tmp_path / f"{tag}.csv"
+            write_csv(cfg, run_experiment(cfg), path)
+            texts.append(path.read_text())
+        assert texts[0] == texts[1]
+        lines = texts[0].splitlines()
+        assert lines[5] == "# passed=True"
+        keys = [line[2:].partition("=")[0] for line in lines[6:9]]
+        assert keys == ["oracle_gap_max", "cf_negative_mass", "conv_mass_drift"]
+        gap, negative, drift = (float(line.partition("=")[2]) for line in lines[6:9])
+        assert 0.0 <= gap <= 1e-9
+        assert 0.0 <= negative <= 1e-12
+        assert abs(drift) <= 40 * 1e-12
+        assert lines[9] == "n,z1,exact,cf_invert,predicted,gamma"
+
     def test_repeated_runs_byte_identical(self, tmp_path):
         doc = base_doc(
             "brw-check",
@@ -415,7 +450,36 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.main(["run", path, "--override", "nonsense"])
 
-    def test_invalid_config_propagates(self, tmp_path):
+    def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, base_doc("identities", kappa=0.9))
-        with pytest.raises(ValueError):
-            cli.main(["validate", path])
+        assert cli.main(["validate", path]) == 2
+        assert capsys.readouterr().err == "brwllt: kappa: 0.9 outside (0, 1/6)\n"
+
+    @pytest.mark.parametrize("verb", ["validate", "run", "dump-dist"])
+    def test_package_error_one_line(self, tmp_path, capsys, verb):
+        # A BrwlltError ends every verb with one stderr line and exit code 2.
+        path = self.write_cfg(tmp_path, {"experiment": "llt-check", "step_law": {"d": 1}})
+        extra = ["--n", "3", "--output", str(tmp_path / "dist.csv")] if verb == "dump-dist" else []
+        assert cli.main([verb, path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "brwllt: step_law: missing key 'axes'\n"
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad")
+        for path in (str(bad), str(tmp_path / "missing.json")):
+            assert cli.main(["validate", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"brwllt: config file {path}: ")
+            assert err.count("\n") == 1
+
+    def test_dump_dist_budget(self, tmp_path, capsys):
+        doc = base_doc("identities", step_law={"d": 2, "zeta0": 0.2, "axes": [[0.4], [0.4]]}, z_set=[[0, 0]])
+        path = self.write_cfg(tmp_path, doc)
+        out = tmp_path / "dist.csv"
+        assert cli.main(["dump-dist", path, "--n", "20000", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("brwllt: 20000-step box (40001, 40001) exceeds element budget")
+        assert err.count("\n") == 1
+        assert not out.exists()
