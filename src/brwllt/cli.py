@@ -29,17 +29,20 @@ from .harness import load_config, run_experiment, write_csv
 
 def _apply_overrides(doc: dict, overrides) -> dict:
     for item in overrides or ():
-        if "=" not in item:
-            raise SystemExit(f"override {item!r} is not of the form key=value")
-        key, raw = item.split("=", 1)
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ConfigError(f"override {item!r} is not of the form key=value")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = doc
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
+        node, parts = doc, key.split(".")
+        for i, part in enumerate(parts):
+            if not isinstance(node, dict):
+                where = ".".join(parts[:i]) or "the config"
+                raise ConfigError(f"override {item!r}: {where} is not an object")
+            if i < len(parts) - 1:
+                node = node.setdefault(part, {})
         node[parts[-1]] = value
     return doc
 

@@ -13,6 +13,7 @@ second method.  Both check an element budget before they allocate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .errors import CapacityExceeded
 from .step_law import StepLaw
 
 DEFAULT_ELEMENT_BUDGET = 2**28
+DUMP_SLICE_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -190,13 +192,18 @@ def cf_invert_box(
 
 
 def dump_csv(dist: LatticeDist, path) -> None:
-    """Write rows (z_1, ..., z_d, probability) with 17 significant digits."""
+    """Write rows (z_1, ..., z_d, probability) of the nonzero cells, in C
+    order, with 17 significant digits.
+
+    The box is formatted ``DUMP_SLICE_CELLS`` flat cells at a time, so the
+    extra memory stays bounded whatever the size of the box.
+    """
+    flat = dist.mass.ravel()
+    row = ",".join(["%d"] * dist.d + ["%.17g"]) + "\n"
     with open(path, "w") as fh:
-        cols = ",".join(f"z{s + 1}" for s in range(dist.d))
-        fh.write(f"{cols},probability\n")
-        for idx in np.ndindex(*dist.mass.shape):
-            z = tuple(idx[s] - dist.radius[s] for s in range(dist.d))
-            p = dist.mass[idx]
-            if p != 0.0:
-                zs = ",".join(str(c) for c in z)
-                fh.write(f"{zs},{p:.17g}\n")
+        fh.write(",".join(f"z{s + 1}" for s in range(dist.d)) + ",probability\n")
+        for start in range(0, flat.size, DUMP_SLICE_CELLS):
+            cells = start + np.flatnonzero(flat[start : start + DUMP_SLICE_CELLS])
+            index = np.unravel_index(cells, dist.mass.shape)
+            cols = [(i - r).tolist() for i, r in zip(index, dist.radius)] + [flat[cells].tolist()]
+            fh.write((row * cells.size) % tuple(itertools.chain.from_iterable(zip(*cols))))

@@ -4,25 +4,23 @@ Each functional is a per-particle polynomial f(x, n) whose one-step
 annealed expectation over the step law reproduces f exactly (harmonicity);
 the normalized particle sums m^{-n} sum_u f(S_u, n) are then martingales
 and their limits feed the first- and second-order correction terms of the
-occupation-count expansion.
+occupation-count expansion.  One table of exact rational coefficients
+(``_polynomials``) defines all six: per-particle values and harmonicity
+defects evaluate it in float, ``readout`` exactly on integer power sums.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .gw_brw import GenerationState, SiteCounts
-from .llt import (
-    ExpansionConstants,
-    expansion_bracket,
-    leading_factor,
-    parity_matched,
-    quad_form,
-)
+from .llt import ExpansionConstants, leading_factor, parity_matched, quad_form
 from .step_law import Moments, StepLaw, WalkClass
 
 FUNCTIONALS = ("W", "N1", "N2", "N2z", "N3", "N4")
@@ -67,44 +65,91 @@ def freeze(readout: MartingaleReadout) -> LimitEstimates:
     )
 
 
-def _f_scalar(functional_id: str, mom: Moments, x, n: int, z) -> float:
-    """Per-particle value of a scalar functional."""
-    d = mom.d
-    if functional_id == "W":
-        return 1.0
-    if functional_id == "N2z":
-        gz = [float(z[s]) / mom.gamma2[s] for s in range(d)]
-        dot = math.fsum(gz[s] * float(x[s]) for s in range(d))
-        qz = math.fsum(gz[s] * float(z[s]) for s in range(d))
-        return dot * dot - n * qz
-    if functional_id == "N4":
-        q = math.fsum(float(x[s]) ** 2 / mom.gamma2[s] for s in range(d))
-        return (
-            q * q
-            - (4.0 + 2.0 * d) * n * q
-            + d * (d + 2) * (n * n + n)
-            - mom.tr_g4g2m2 * n
-        )
-    raise ValueError(f"not a scalar functional: {functional_id}")
+_SCALARS = ("W", "N2z", "N4")
 
 
-def _f_vector(functional_id: str, mom: Moments, x, n: int):
-    """Per-particle value of a vector functional."""
+class _Polynomial(NamedTuple):
+    """A functional as rows of exact coefficients, one row per component,
+    over the monomials x^alpha n^j written as (alpha_1, ..., alpha_d, j);
+    ``exps`` and ``fcoefs`` are the same table as float arrays."""
+
+    monomials: tuple
+    coefs: tuple
+    exps: np.ndarray
+    fcoefs: np.ndarray
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Float values at rows (x_1, ..., x_d, n), one column per component."""
+        return (points[:, np.newaxis, :] ** self.exps).prod(axis=2) @ self.fcoefs.T
+
+
+@functools.cache
+def _polynomials(mom: Moments, z) -> dict[str, _Polynomial]:
+    """The one definition of the six functionals.  With g_s = gamma2[s] and
+    q = sum_s x_s^2 / g_s:
+
+        W = 1,  N1_s = x_s,  N2_s = x_s^2 - n g_s,
+        N2z = (sum_s z_s x_s / g_s)^2 - n sum_s z_s^2 / g_s,
+        N3_s = (q - (d+2) n) x_s,
+        N4 = q^2 - (4+2d) n q + d(d+2)(n^2+n) - tr(G4 G2^-2) n.
+
+    Coefficients are exact rationals of the float moments, built once per
+    (moments, z) and cached; ``z`` is a tuple of ints, or None to leave
+    N2z out.
+    """
+    from fractions import Fraction
+
     d = mom.d
-    if functional_id == "N1":
-        return tuple(float(c) for c in x)
-    if functional_id == "N2":
-        return tuple(float(x[s]) ** 2 - n * mom.gamma2[s] for s in range(d))
-    if functional_id == "N3":
-        q = math.fsum(float(x[s]) ** 2 / mom.gamma2[s] for s in range(d))
-        return tuple((q - (d + 2) * n) * float(x[s]) for s in range(d))
-    raise ValueError(f"not a vector functional: {functional_id}")
+    inv = [1 / Fraction(g) for g in mom.gamma2]
+    pairs = [(s, t, 1 if s == t else 2) for s in range(d) for t in range(s, d)]
+
+    def x(*axes, n=0):
+        return tuple(map(axes.count, range(d))) + (n,)
+
+    q2 = {x(s, s, t, t): k * inv[s] * inv[t] for s, t, k in pairs}
+    nq = {x(s, s, n=1): -(4 + 2 * d) * inv[s] for s in range(d)}
+    rows = {
+        "W": [{x(): 1}],
+        "N1": [{x(s): 1} for s in range(d)],
+        "N2": [{x(s, s): 1, x(n=1): -Fraction(mom.gamma2[s])} for s in range(d)],
+        "N3": [{**{x(t, t, s): inv[t] for t in range(d)}, x(s, n=1): -(d + 2)} for s in range(d)],
+        "N4": [{**q2, **nq, x(n=2): d * (d + 2), x(n=1): d * (d + 2) - Fraction(mom.tr_g4g2m2)}],
+    }
+    if z is not None:
+        gz = [z[s] * inv[s] for s in range(d)]
+        zz = {x(s, t): k * gz[s] * gz[t] for s, t, k in pairs}
+        rows["N2z"] = [{**zz, x(n=1): -sum(gz[s] * z[s] for s in range(d))}]
+    table = {}
+    for fid, comps in rows.items():
+        monomials = tuple(sorted(set().union(*comps)))
+        coefs = tuple(tuple(c.get(mono, 0) for mono in monomials) for c in comps)
+        table[fid] = _Polynomial(monomials, coefs, np.array(monomials), np.array(coefs, dtype=float))
+    return table
+
+
+def _polynomial(functional_id: str, mom: Moments, z) -> _Polynomial:
+    if functional_id not in FUNCTIONALS:
+        raise ValueError(f"unknown functional: {functional_id}")
+    if functional_id == "N2z" and z is None:
+        raise ValueError("functional N2z needs a lattice point z")
+    return _polynomials(mom, None if z is None else _lattice_point(z))[functional_id]
+
+
+def _lattice_point(z) -> tuple[int, ...]:
+    point = tuple(map(int, z))
+    if point != tuple(z):
+        raise ValueError(f"z = {tuple(z)} is not a lattice point")
+    return point
+
+
+def _shape(functional_id: str, values):
+    """A float for a scalar functional, a tuple of floats otherwise."""
+    return float(values[0]) if functional_id in _SCALARS else tuple(map(float, values))
 
 
 def functional_value(functional_id: str, mom: Moments, x, n: int, z=None):
-    if functional_id in ("W", "N2z", "N4"):
-        return _f_scalar(functional_id, mom, x, n, z)
-    return _f_vector(functional_id, mom, x, n)
+    poly = _polynomial(functional_id, mom, z)
+    return _shape(functional_id, poly.evaluate(np.array([[*x, n]], dtype=float))[0])
 
 
 def _power_sums(box: SiteCounts, degree: int) -> dict:
@@ -144,46 +189,19 @@ def readout(
 
     Every functional is a polynomial of degree <= 4 in the position, so a
     generation enters only through its exact integer power sums
-    sum_u S_u^alpha, |alpha| <= 4.  These are combined with the float
-    coefficients in exact rational arithmetic; the only roundings are the
+    sum_u S_u^alpha, |alpha| <= 4.  These meet the exact coefficients of
+    the functional table in rational arithmetic; the only roundings are the
     final conversion to float and the m^{-n} scaling, so counts above 2^53
     lose nothing before that.
     """
-    from fractions import Fraction
-
-    d = mom.d
-    n = state.n
-    sums = _power_sums(SiteCounts.from_mapping(state.counts, d), 4)
-
-    def p(*axes):
-        return sums[tuple(axes.count(s) for s in range(d))]
-
-    g2 = [Fraction(g) for g in mom.gamma2]
-    gz = [z[s] / g2[s] for s in range(d)]
-    p0 = p()
-    n1 = [p(s) for s in range(d)]
-    q = sum(p(s, s) / g2[s] for s in range(d))
-    n2 = [p(s, s) - n * g2[s] * p0 for s in range(d)]
-    n2z = sum(gz[s] * gz[t] * p(s, t) for s in range(d) for t in range(d)) - n * sum(
-        gz[s] * z[s] for s in range(d)
-    ) * p0
-    n3 = [sum(p(t, t, s) / g2[t] for t in range(d)) - (d + 2) * n * n1[s] for s in range(d)]
-    n4 = (
-        sum(p(s, s, t, t) / (g2[s] * g2[t]) for s in range(d) for t in range(d))
-        - (4 + 2 * d) * n * q
-        + (d * (d + 2) * (n * n + n) - Fraction(mom.tr_g4g2m2) * n) * p0
-    )
-    scale = m ** (-n)
-    return MartingaleReadout(
-        n=n,
-        W=scale * float(p0),
-        N1=tuple(scale * float(v) for v in n1),
-        N2=tuple(scale * float(v) for v in n2),
-        N2z=scale * float(n2z),
-        N3=tuple(scale * float(v) for v in n3),
-        N4=scale * float(n4),
-        z=tuple(int(c) for c in z),
-    )
+    n, z = state.n, _lattice_point(z)
+    sums = _power_sums(SiteCounts.from_mapping(state.counts, mom.d), 4)
+    values = {}
+    for fid, poly in _polynomials(mom, z).items():
+        weights = [n ** mono[-1] * sums[mono[:-1]] for mono in poly.monomials]
+        exact = [sum(c * w for c, w in zip(row, weights)) for row in poly.coefs]
+        values[fid] = _shape(fid, [m ** (-n) * float(v) for v in exact])
+    return MartingaleReadout(n=n, z=z, **values)
 
 
 def harmonicity_defect(
@@ -194,24 +212,16 @@ def harmonicity_defect(
     n: int,
     z=None,
 ) -> float:
-    """sum_atoms P(L = l) f(x + l, n + 1) - f(x, n), by exact summation.
+    """sum_atoms P(L = l) f(x + l, n + 1) - f(x, n), evaluated in float.
 
     Zero up to rounding for every functional; vector functionals report
-    the largest componentwise defect.
+    the largest componentwise |defect|.
     """
-    if functional_id in ("W", "N2z", "N4"):
-        acc = [
-            p * _f_scalar(functional_id, mom, tuple(x[s] + a[s] for s in range(law.d)), n + 1, z)
-            for a, p in law.atoms()
-        ]
-        return math.fsum(acc) - _f_scalar(functional_id, mom, x, n, z)
-    comps = [[] for _ in range(law.d)]
-    for a, p in law.atoms():
-        val = _f_vector(functional_id, mom, tuple(x[s] + a[s] for s in range(law.d)), n + 1)
-        for s in range(law.d):
-            comps[s].append(p * val[s])
-    base = _f_vector(functional_id, mom, x, n)
-    return max(abs(math.fsum(comps[s]) - base[s]) for s in range(law.d))
+    poly = _polynomial(functional_id, mom, z)
+    steps, probs = zip(*law.atoms())
+    points = np.array([(*a, 1) for a in steps] + [(0,) * (law.d + 1)], dtype=float) + [*x, n]
+    defect = np.array([*probs, -1.0]) @ poly.evaluate(points)
+    return float(defect[0]) if functional_id in _SCALARS else float(np.abs(defect).max())
 
 
 def f1_eval(est: LimitEstimates, c: ExpansionConstants, mom: Moments, z) -> float:
@@ -342,5 +352,4 @@ __all__ = [
     "mu_sigma_d",
     "chi_sigma_d",
     "corollary_eval",
-    "expansion_bracket",
 ]

@@ -226,3 +226,48 @@ def test_dump_csv(tmp_path):
     assert lines[0] == "z1,probability"
     rows = {int(l.split(",")[0]): float(l.split(",")[1]) for l in lines[1:]}
     assert rows == {-2: 0.25, 0: 0.5, 2: 0.25}
+
+
+def dump_csv_cell_loop(dist, path):
+    """Reference writer: visit every cell of the box in C order."""
+    with open(path, "w") as fh:
+        cols = ",".join(f"z{s + 1}" for s in range(dist.d))
+        fh.write(f"{cols},probability\n")
+        for idx in np.ndindex(*dist.mass.shape):
+            z = tuple(idx[s] - dist.radius[s] for s in range(dist.d))
+            p = dist.mass[idx]
+            if p != 0.0:
+                zs = ",".join(str(c) for c in z)
+                fh.write(f"{zs},{p:.17g}\n")
+
+
+@pytest.mark.parametrize("slice_cells", [exact_dist.DUMP_SLICE_CELLS, 7])
+@pytest.mark.parametrize(
+    "law, n",
+    [(validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]]), 9), (lazy_simple_law(1, 1.0 / 3.0), 40)],
+    ids=["bipartite-2d", "lazy-1d"],
+)
+def test_dump_csv_matches_cell_loop(tmp_path, monkeypatch, law, n, slice_cells):
+    # a slice of 7 cells puts slice boundaries inside rows and zero runs
+    monkeypatch.setattr(exact_dist, "DUMP_SLICE_CELLS", slice_cells)
+    dist = walk_dist(law, n)
+    assert (dist.mass == 0.0).any() == (classify(law) is WalkClass.BIPARTITE)
+    dump_csv(dist, tmp_path / "fast.csv")
+    dump_csv_cell_loop(dist, tmp_path / "loop.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_dump_csv_memory_is_bounded(tmp_path, monkeypatch):
+    # 2^13 nonzero cells in slices of 2^10: formatting the whole box in one
+    # pass takes about 1 MiB of python objects, a slice about 0.15 MiB.
+    monkeypatch.setattr(exact_dist, "DUMP_SLICE_CELLS", 2**10)
+    cells = 2**13
+    dist = LatticeDist(n=0, d=1, radius=(cells // 2,), mass=np.full(cells + 1, 1.0 / cells))
+    tracemalloc.start()
+    try:
+        dump_csv(dist, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+    assert (tmp_path / "big.csv").read_text().count("\n") == cells + 2

@@ -445,10 +445,20 @@ class TestCli:
         assert "--n must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_override_form(self, tmp_path):
+    def test_bad_override_form(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, base_doc("identities"))
-        with pytest.raises(SystemExit):
-            cli.main(["run", path, "--override", "nonsense"])
+        assert cli.main(["run", path, "--override", "nonsense"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "brwllt: override 'nonsense' is not of the form key=value\n"
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_override_through_non_object(self, tmp_path, capsys, verb):
+        path = self.write_cfg(tmp_path, base_doc("identities"))
+        assert cli.main([verb, path, "--override", "step_law.d.x=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "brwllt: override 'step_law.d.x=1': step_law.d is not an object\n"
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, base_doc("identities", kappa=0.9))

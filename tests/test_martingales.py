@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from brwllt.llt import constants, constants_for, rw_expansion
 from brwllt.martingales import (
     FUNCTIONALS,
     LimitEstimates,
+    _polynomials,
     _power_sums,
     brw_residual,
     chi_sigma_d,
@@ -63,6 +65,51 @@ def random_law(rng):
     return validate(d, zeta0, [[w * scale for w in row] for row in raw])
 
 
+def site_values(mom, x, n, z, sign=-1):
+    """Exact per-particle values of the six functionals, written out from
+    their definitions, as tuples of Fractions.
+
+    With sign=+1 at (|x|, n, |z|) every term is added instead: a bound on
+    the sum of the absolute values of the expanded monomial terms, which
+    sets the scale of a float evaluation's rounding.
+    """
+    d = mom.d
+    g = [Fraction(v) for v in mom.gamma2]
+    q = sum(Fraction(x[s]) ** 2 / g[s] for s in range(d))
+    gz = [Fraction(z[s]) / g[s] for s in range(d)]
+    dot = sum(gz[s] * x[s] for s in range(d))
+    return {
+        "W": (Fraction(1),),
+        "N1": tuple(Fraction(x[s]) for s in range(d)),
+        "N2": tuple(Fraction(x[s]) ** 2 + sign * n * g[s] for s in range(d)),
+        "N2z": (dot * dot + sign * n * sum(gz[s] * z[s] for s in range(d)),),
+        "N3": tuple((q + sign * (d + 2) * n) * x[s] for s in range(d)),
+        "N4": (
+            q * q
+            + sign * (4 + 2 * d) * n * q
+            + d * (d + 2) * (n * n + n)
+            + sign * Fraction(mom.tr_g4g2m2) * n,
+        ),
+    }
+
+
+# Laws whose float moments are exact binary fractions.
+EXACT_LAWS = {
+    "simple-1d": SIMPLE,
+    "simple-2d": lazy_simple_law(2, 0.0),
+    "lazy-1d": lazy_simple_law(1, 0.5),
+    "lazy-2d": lazy_simple_law(2, 0.5),
+    "two-range-1d": validate(1, 0.375, [[0.5, 0.125]]),
+}
+
+
+def exact_value(poly, point):
+    """One functional of the table, evaluated exactly at (x_1, ..., x_d, n):
+    one value per component."""
+    basis = [math.prod(v**e for v, e in zip(point, mono)) for mono in poly.monomials]
+    return [sum(c * b for c, b in zip(row, basis)) for row in poly.coefs]
+
+
 class TestFunctionalValues:
     def test_initial_particle_all_zero(self):
         # at the origin in generation 0 every centered functional vanishes
@@ -74,6 +121,51 @@ class TestFunctionalValues:
     def test_n4_vanishes_first_generation(self):
         for x in ((1,), (-1,)):
             assert functional_value("N4", M1, x, 1) == 0.0
+
+    def test_functional_value_matches_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            law = random_law(rng)
+            mom = moments(law)
+            x = tuple(int(v) for v in rng.integers(-8, 9, size=law.d))
+            n = int(rng.integers(0, 60))
+            z = tuple(int(v) for v in rng.integers(-3, 4, size=law.d))
+            exact = site_values(mom, x, n, z)
+            size = site_values(mom, tuple(map(abs, x)), n, tuple(map(abs, z)), sign=1)
+            for fid in FUNCTIONALS:
+                got = functional_value(fid, mom, x, n, z=z)
+                assert isinstance(got, float) == (fid in ("W", "N2z", "N4")), fid
+                got = got if isinstance(got, tuple) else (got,)
+                assert len(got) == len(exact[fid]), fid
+                for v, e, bound in zip(got, exact[fid], size[fid]):
+                    assert abs(Fraction(v) - e) <= Fraction(1e-15) * bound, fid
+
+    def test_n2z_needs_z(self):
+        with pytest.raises(ValueError, match="N2z needs a lattice point z"):
+            functional_value("N2z", M1, (1,), 3)
+        with pytest.raises(ValueError, match="N2z needs a lattice point z"):
+            harmonicity_defect("N2z", SIMPLE, M1, (1,), 3, z=None)
+        # a z off the lattice is refused, not truncated to one on it
+        with pytest.raises(ValueError, match=r"z = \(0.5,\) is not a lattice point"):
+            functional_value("N2z", M1, (1,), 3, z=(0.5,))
+        with pytest.raises(ValueError, match="is not a lattice point"):
+            harmonicity_defect("N2z", SIMPLE, M1, (1,), 3, z=(0.5,))
+        with pytest.raises(ValueError, match="is not a lattice point"):
+            readout(initial_state(1), 2.0, M1, (0.5,))
+        assert functional_value("N2z", M1, (1,), 3, z=(2.0,)) == functional_value("N2z", M1, (1,), 3, z=(2,))
+
+    def test_table_built_once_per_law_and_point(self):
+        # however many points a run reads out, each (moments, z) pair is
+        # built once and then found again
+        zs = [(k, -k) for k in range(40)]
+        state = initial_state(2)
+        mom = moments(lazy_simple_law(2, 0.25))
+        _polynomials.cache_clear()
+        for _ in range(2):
+            for z in zs:
+                readout(state, 2.0, mom, z)
+        info = _polynomials.cache_info()
+        assert (info.misses, info.hits) == (len(zs), len(zs))
 
     def test_readout_single_ancestor(self):
         r = readout(initial_state(1), 2.0, M1, (0,))
@@ -100,22 +192,7 @@ class TestFunctionalValues:
         counts = {(-3, 1): 2**60 + 7, (2, 2): 2**55 + 1, (0, -4): 3, (5, 0): 2**80 + 11}
         state = GenerationState(n=7, d=2, counts=counts, total=sum(counts.values()))
         z = (1, -2)
-        g = [Fraction(v) for v in mom.gamma2]
-
-        def site_values(x, n):
-            q = sum(Fraction(x[s]) ** 2 / g[s] for s in range(2))
-            gz = [Fraction(z[s]) / g[s] for s in range(2)]
-            dot = sum(gz[s] * x[s] for s in range(2))
-            return {
-                "W": (Fraction(1),),
-                "N1": tuple(Fraction(x[s]) for s in range(2)),
-                "N2": tuple(Fraction(x[s]) ** 2 - n * g[s] for s in range(2)),
-                "N2z": (dot * dot - n * sum(gz[s] * z[s] for s in range(2)),),
-                "N3": tuple((q - 4 * n) * x[s] for s in range(2)),
-                "N4": (q * q - 8 * n * q + 8 * (n * n + n) - Fraction(mom.tr_g4g2m2) * n,),
-            }
-
-        values = {x: site_values(x, state.n) for x in counts}
+        values = {x: site_values(mom, x, state.n, z) for x in counts}
         scale = 2.0 ** (-state.n)
         r = readout(state, 2.0, mom, z)
         for fid in FUNCTIONALS:
@@ -182,6 +259,30 @@ class TestHarmonicity:
             ref = functional_value(fid, mom, x, n, z=z)
             scale = max(1.0, max(abs(v) for v in ref) if isinstance(ref, tuple) else abs(ref))
             assert abs(defect) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("name", sorted(EXACT_LAWS))
+    def test_exact_polynomial_identity(self, name):
+        # For each table row the defect sum_l P(L = l) f(x + l, n + 1) - f(x, n)
+        # is a polynomial of degree <= 4 in each x_s and <= 2 in n, so its
+        # zeros on the grid {-2..2}^d x {0, 1, 2} make it vanish for every x, n.
+        law = EXACT_LAWS[name]
+        mom = moments(law)
+        atoms = [(a, Fraction(p)) for a, p in law.atoms()]
+        g4 = [sum(p * a[s] ** 4 for a, p in atoms) for s in range(law.d)]
+        g2 = [sum(p * a[s] ** 2 for a, p in atoms) for s in range(law.d)]
+        assert [Fraction(v) for v in mom.gamma2] == g2
+        assert Fraction(mom.tr_g4g2m2) == sum(a / b**2 for a, b in zip(g4, g2))
+        table = _polynomials(mom, (2, -1)[: law.d])
+        assert sorted(table) == sorted(FUNCTIONALS)
+        for fid, poly in table.items():
+            assert all(sum(m[:-1]) <= 4 and m[-1] <= 2 for m in poly.monomials), fid
+            for x in itertools.product(range(-2, 3), repeat=law.d):
+                for n in (0, 1, 2):
+                    mean = [0] * len(poly.coefs)
+                    for a, p in atoms:
+                        shifted = exact_value(poly, (*(x[s] + a[s] for s in range(law.d)), n + 1))
+                        mean = [m + p * v for m, v in zip(mean, shifted)]
+                    assert mean == exact_value(poly, (*x, n)), (fid, x, n)
 
 
 class TestMartingaleProperty:
