@@ -42,13 +42,11 @@ from .gw_brw import (  # noqa: F401
     validate_offspring,
 )
 from .martingales import (  # noqa: F401
-    LimitEstimates,
     MartingaleReadout,
     brw_residual,
     corollary_eval,
     f1_eval,
     f2_eval,
-    freeze,
     harmonicity_defect,
     readout,
     theorem_prediction,

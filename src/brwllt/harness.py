@@ -37,14 +37,17 @@ from .llt import (
 from .martingales import (
     FUNCTIONALS,
     f1_eval,
-    freeze,
     functional_value,
     harmonicity_defect,
     readout,
 )
-from .step_law import StepLaw, WalkClass, classify, json_int, json_number, law_from_dict, moments
+from .step_law import StepLaw, WalkClass, classify, json_int, json_keys, json_number, law_from_dict, moments
 
 EXPERIMENTS = ("llt-check", "coeff-fit", "identities", "martingale-check", "brw-check")
+FIELDS = (
+    "experiment", "step_law", "offspring", "n_values", "z_set", "replicates", "base_seed",
+    "kappa", "z_radius_constant", "n_est", "count_width", "output", "thresholds",
+)
 
 # Version of the random streams behind every sampled figure; it changes
 # whenever the same config and seed would draw different numbers.  2: one
@@ -57,7 +60,6 @@ DEFAULT_THRESHOLDS = {
     "identity_rel_err": 1e-8,
     "harmonicity_rel": 1e-9,
     "c1_rel_err": 0.01,
-    "c2_rel_err": 0.05,
 }
 
 
@@ -124,6 +126,8 @@ def load_config(doc: dict) -> ExperimentConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(doc).__name__}")
+    with _field("config"):
+        json_keys(doc, FIELDS)
     for key in ("experiment", "step_law"):
         if key not in doc:
             raise ConfigError(f"{key}: required field missing")
@@ -155,6 +159,9 @@ def load_config(doc: dict) -> ExperimentConfig:
                 f"n_values: the {max(n_values)}-step box {shape} exceeds the "
                 f"element budget {DEFAULT_ELEMENT_BUDGET}"
             )
+    increasing = all(a < b for a, b in zip(n_values, n_values[1:]))
+    if experiment == "coeff-fit" and not (len(n_values) >= 3 and increasing):
+        raise ConfigError(f"n_values: coeff-fit needs 3 or more increasing probes, got {list(n_values)}")
     with _field("n_est"):
         n_est = json_int(doc["n_est"]) if "n_est" in doc else None
     if experiment == "brw-check" and n_est is not None and not 1 <= n_est <= max(n_values):
@@ -170,6 +177,9 @@ def load_config(doc: dict) -> ExperimentConfig:
     for z in z_set:
         if len(z) != law.d:
             raise ConfigError(f"z_set: z = {z} has wrong dimension, expected {law.d}")
+        mismatched = [n for n in n_values if not parity_matched(n, z)]
+        if experiment == "coeff-fit" and mismatched and classify(law) is WalkClass.BIPARTITE:
+            raise ConfigError(f"z_set: z = {z} is parity-incompatible with n = {mismatched[0]} (bipartite law)")
     with _field("count_width"):
         count_width = json_int(doc.get("count_width", 64))
     if count_width not in (64, 128):
@@ -179,6 +189,7 @@ def load_config(doc: dict) -> ExperimentConfig:
         given = doc.get("thresholds", {})
         if not isinstance(given, dict):
             raise TypeError(f"expected an object, got {type(given).__name__}")
+        json_keys(given, DEFAULT_THRESHOLDS)
         thresholds.update({key: _positive(value) for key, value in given.items()})
     with _field("base_seed"):
         base_seed = json_int(doc.get("base_seed", 0))
@@ -237,7 +248,6 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
     """
     m = moments(cfg.law)
     c = constants(m, classify(cfg.law))
-    bipartite = c.walk_class is WalkClass.BIPARTITE
     rows = []
     sup_gamma = {}
     gap_max = 0.0
@@ -257,10 +267,7 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
             exact = dist_at(dist, z)
             cf = dist_at(box, z)
             pred = rw_expansion(c, m, n, z)
-            if bipartite and not parity_matched(n, z):
-                gamma = 0.0
-            else:
-                gamma = n ** (cfg.law.d / 2.0 + 2.0) * (exact - pred)
+            gamma = n ** (cfg.law.d / 2.0 + 2.0) * (exact - pred)
             sup = max(sup, abs(gamma))
             gap_max = max(gap_max, abs(exact - cf))
             rows.append((n, *z, exact, cf, pred, gamma))
@@ -405,8 +412,7 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
         snaps = simulate(cfg.offspring, cfg.law, n_max, seed, schedule, cfg.count_width)
         by_n = {st.n: st for st in snaps}
         for z in cfg.z_set:
-            est_z = freeze(readout(by_n[n_est], mean, m, z))
-            f1_bands[z].append(f1_eval(est_z, c, m, z))
+            f1_bands[z].append(f1_eval(readout(by_n[n_est], mean, m, z), c, m))
             for n in probes:
                 st = by_n[n]
                 observed = mean ** (-n) * st.counts.get(z, 0)

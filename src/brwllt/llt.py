@@ -21,6 +21,9 @@ from .step_law import Moments, StepLaw, WalkClass, classify, moments
 # Gauss-Hermite nodes per axis: exact for degree <= 11 per axis, and the
 # identity integrands reach degree 8.
 IDENTITY_NODES = 6
+# Node-grid-sized float arrays an identity check holds at its peak, charged
+# against the element budget (tracemalloc measured 7 at d = 7 and 8).
+IDENTITY_GRID_ARRAYS = 7
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,18 @@ def quad_form(m: Moments, z) -> float:
     return math.fsum(float(zs) ** 2 / g for zs, g in zip(z, m.gamma2))
 
 
-def expansion_bracket(c: ExpansionConstants, m: Moments, n: int, z) -> float:
-    """1 + (1/n)[tau - q/2] + (1/n^2)[q^2/8 - <Lambda z,z> + chi]."""
+def bracket_coefficients(c: ExpansionConstants, m: Moments, z) -> tuple[float, float, float]:
+    """(c1, c2, c2 with Lambda flipped) at z, with q = <z, Gamma_2^{-1} z>:
+    c1 = tau - q/2 and c2 = q^2/8 -+ <Lambda z,z> + chi, the printed sign
+    first."""
     q = quad_form(m, z)
     lam_q = math.fsum(l * float(zs) ** 2 for l, zs in zip(c.lambda_d, z))
-    first = c.tau_d - 0.5 * q
-    second = q * q / 8.0 - lam_q + c.chi_d
+    return c.tau_d - 0.5 * q, q * q / 8.0 - lam_q + c.chi_d, q * q / 8.0 + lam_q + c.chi_d
+
+
+def expansion_bracket(c: ExpansionConstants, m: Moments, n: int, z) -> float:
+    """1 + c1/n + c2/n^2 with the printed Lambda sign."""
+    first, second, _ = bracket_coefficients(c, m, z)
     return 1.0 + first / n + second / n**2
 
 
@@ -139,13 +148,6 @@ class CoefficientFit:
     c2_flipped: float
 
 
-def second_order_candidates(c: ExpansionConstants, m: Moments, z) -> tuple[float, float]:
-    """The 1/n^2 bracket with the printed Lambda sign and with it flipped."""
-    q = quad_form(m, z)
-    lam_q = math.fsum(l * float(zs) ** 2 for l, zs in zip(c.lambda_d, z))
-    return q * q / 8.0 - lam_q + c.chi_d, q * q / 8.0 + lam_q + c.chi_d
-
-
 def fit_correction_coefficients(
     law: StepLaw,
     z,
@@ -173,8 +175,7 @@ def fit_correction_coefficients(
         for n in n_list:
             if not parity_matched(n, z):
                 raise ValueError(f"n={n} parity-incompatible with z={tuple(z)}")
-    c1_exact = c.tau_d - 0.5 * quad_form(m, z)
-    c2_theorem, c2_flipped = second_order_candidates(c, m, z)
+    c1_exact, c2_theorem, c2_flipped = bracket_coefficients(c, m, z)
 
     c1_seq, c2_seq = [], []
     for n in n_list:
@@ -194,77 +195,33 @@ def fit_correction_coefficients(
     )
 
 
-def _identity_closed_form(m: Moments, index: int, z) -> float:
-    """Closed form of Gaussian identity ``index``, without the common
-    (2 pi)^{d/2} (det Gamma_2)^{-1/2} factor."""
-    d = m.d
-    t4 = m.tr_g4g2m2
-    if index in (1, 2, 3, 4) and z is None:
-        raise ValueError(f"identity {index} needs a lattice point z")
-    if index == 1:
-        return quad_form(m, z)
-    if index == 2:
-        return 3.0 * quad_form(m, z) ** 2
-    if index == 3:
-        return (d + 2) * (d + 4) * quad_form(m, z)
-    if index == 4:
-        g4g2m3 = math.fsum(
-            float(zs) ** 2 * g4 / g2**3
-            for zs, g2, g4 in zip(z, m.gamma2, m.gamma4)
-        )
-        return 3.0 * (4.0 * g4g2m3 + t4 * quad_form(m, z))
-    if index == 5:
-        return 1.0
-    if index == 6:
-        return 3.0 * t4
-    if index == 7:
-        return float(d * (d + 2))
-    if index == 8:
-        return 3.0 * (d + 4) * t4
-    if index == 9:
-        return 15.0 * m.tr_g6g2m3
-    if index == 10:
-        return float(d * (d + 2) * (d + 4))
-    if index == 11:
-        return float(d * (d + 2) * (d + 4) * (d + 6))
-    if index == 12:
-        return 96.0 * m.tr_g4sq_g2m4 + 9.0 * t4**2
-    if index == 13:
-        return 3.0 * (d + 4) * (d + 6) * t4
-    raise ValueError(f"identity index must be 1..13, got {index}")
+def _g4g2m3(m: Moments, z) -> float:
+    """<z, Gamma_4 Gamma_2^{-3} z>."""
+    return math.fsum(float(zs) ** 2 * g4 / g2**3 for zs, g2, g4 in zip(z, m.gamma2, m.gamma4))
 
 
-def _identity_integrand(m: Moments, index: int, z, a2, a4, a6, tz):
-    """Polynomial factor of identity ``index`` from the precomputed sums
-    a2 = sum zeta_s(2) theta_s^2, a4 = sum zeta_s(4) theta_s^4,
-    a6 = sum zeta_s(6) theta_s^6 and tz = <theta, z>."""
-    if index == 1:
-        return tz**2
-    if index == 2:
-        return tz**4
-    if index == 3:
-        return a2**2 * tz**2
-    if index == 4:
-        return a4 * tz**2
-    if index == 5:
-        return np.ones_like(a2)
-    if index == 6:
-        return a4
-    if index == 7:
-        return a2**2
-    if index == 8:
-        return a2 * a4
-    if index == 9:
-        return a6
-    if index == 10:
-        return a2**3
-    if index == 11:
-        return a2**4
-    if index == 12:
-        return a4**2
-    if index == 13:
-        return a4 * a2**2
-    raise ValueError(f"identity index must be 1..13, got {index}")
+# Gaussian identity k is row k - 1: its polynomial factor in the sums
+# a2 = sum zeta_s(2) theta_s^2, a4, a6 (likewise) and tz = <theta, z>, and
+# its closed form without the common (2 pi)^{d/2} (det Gamma_2)^{-1/2}
+# factor.  Identities 1-4 need a lattice point z.
+_IDENTITIES = (
+    (lambda a2, a4, a6, tz: tz**2, lambda m, z: quad_form(m, z)),
+    (lambda a2, a4, a6, tz: tz**4, lambda m, z: 3.0 * quad_form(m, z) ** 2),
+    (lambda a2, a4, a6, tz: a2**2 * tz**2, lambda m, z: (m.d + 2) * (m.d + 4) * quad_form(m, z)),
+    (
+        lambda a2, a4, a6, tz: a4 * tz**2,
+        lambda m, z: 3.0 * (4.0 * _g4g2m3(m, z) + m.tr_g4g2m2 * quad_form(m, z)),
+    ),
+    (lambda a2, a4, a6, tz: np.ones_like(a2), lambda m, z: 1.0),
+    (lambda a2, a4, a6, tz: a4, lambda m, z: 3.0 * m.tr_g4g2m2),
+    (lambda a2, a4, a6, tz: a2**2, lambda m, z: float(m.d * (m.d + 2))),
+    (lambda a2, a4, a6, tz: a2 * a4, lambda m, z: 3.0 * (m.d + 4) * m.tr_g4g2m2),
+    (lambda a2, a4, a6, tz: a6, lambda m, z: 15.0 * m.tr_g6g2m3),
+    (lambda a2, a4, a6, tz: a2**3, lambda m, z: float(m.d * (m.d + 2) * (m.d + 4))),
+    (lambda a2, a4, a6, tz: a2**4, lambda m, z: float(m.d * (m.d + 2) * (m.d + 4) * (m.d + 6))),
+    (lambda a2, a4, a6, tz: a4**2, lambda m, z: 96.0 * m.tr_g4sq_g2m4 + 9.0 * m.tr_g4g2m2**2),
+    (lambda a2, a4, a6, tz: a4 * a2**2, lambda m, z: 3.0 * (m.d + 4) * (m.d + 6) * m.tr_g4g2m2),
+)
 
 
 @functools.cache
@@ -281,18 +238,21 @@ def gaussian_identity_check(m: Moments, identity_index: int, z=None) -> float:
     exp(-a2/2).  Gauss-Hermite nodes scaled by 1/sqrt(zeta_s(2)) have that
     Gaussian as their weight, so the rule is exact up to rounding; the result
     is compared to the displayed closed form.  Raises ``CapacityExceeded``,
-    before allocating, if the IDENTITY_NODES^d grid exceeds the element budget.
+    before allocating, if IDENTITY_GRID_ARRAYS arrays of IDENTITY_NODES^d
+    nodes exceed the element budget, that is for d >= 10.
     """
     d = m.d
-    if IDENTITY_NODES**d > DEFAULT_ELEMENT_BUDGET:
+    if IDENTITY_GRID_ARRAYS * IDENTITY_NODES**d > DEFAULT_ELEMENT_BUDGET:
         raise CapacityExceeded(
-            f"{IDENTITY_NODES}^{d} quadrature nodes exceed budget {DEFAULT_ELEMENT_BUDGET}"
+            f"{IDENTITY_GRID_ARRAYS} arrays of {IDENTITY_NODES}^{d} quadrature nodes "
+            f"exceed budget {DEFAULT_ELEMENT_BUDGET}"
         )
-    closed = (
-        (2.0 * math.pi) ** (d / 2.0)
-        / math.sqrt(m.det_gamma2)
-        * _identity_closed_form(m, identity_index, z)
-    )
+    if identity_index not in range(1, len(_IDENTITIES) + 1):
+        raise ValueError(f"identity index must be 1..{len(_IDENTITIES)}, got {identity_index}")
+    if identity_index <= 4 and z is None:
+        raise ValueError(f"identity {identity_index} needs a lattice point z")
+    integrand, closed_form = _IDENTITIES[identity_index - 1]
+    closed = (2.0 * math.pi) ** (d / 2.0) / math.sqrt(m.det_gamma2) * closed_form(m, z)
     nodes, weights = _hermite_rule()
     coords, weight = [], 1.0
     for s in range(d):
@@ -304,8 +264,8 @@ def gaussian_identity_check(m: Moments, identity_index: int, z=None) -> float:
     a2 = sum(m.gamma2[s] * coords[s] ** 2 for s in range(d))
     a4 = sum(m.gamma4[s] * coords[s] ** 4 for s in range(d))
     a6 = sum(m.gamma6[s] * coords[s] ** 6 for s in range(d))
-    tz = np.zeros_like(a2) if z is None else sum(float(z[s]) * coords[s] for s in range(d))
-    integral = float(np.sum(weight * _identity_integrand(m, identity_index, z, a2, a4, a6, tz)))
+    tz = 0.0 if z is None else sum(float(z[s]) * coords[s] for s in range(d))
+    integral = float(np.sum(weight * integrand(a2, a4, a6, tz)))
     if closed == 0.0:
         return abs(integral)
     return abs(integral - closed) / abs(closed)

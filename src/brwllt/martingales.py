@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gw_brw import GenerationState, SiteCounts
-from .llt import ExpansionConstants, leading_factor, parity_matched, quad_form
+from .llt import ExpansionConstants, bracket_coefficients, leading_factor, parity_matched, quad_form
 from .step_law import Moments, StepLaw, WalkClass
 
 FUNCTIONALS = ("W", "N1", "N2", "N2z", "N3", "N4")
@@ -28,7 +28,12 @@ FUNCTIONALS = ("W", "N1", "N2", "N2z", "N3", "N4")
 
 @dataclass(frozen=True)
 class MartingaleReadout:
-    """All martingale functionals evaluated on one generation."""
+    """All martingale functionals evaluated on one generation.
+
+    A readout of a late generation stands in for the martingale limits
+    (W_inf, V1, V2, V2z, V3, V4) in the correction terms; N2z, and with it
+    every prediction built from the readout, belongs to its point ``z``.
+    """
 
     n: int
     W: float
@@ -38,31 +43,6 @@ class MartingaleReadout:
     N3: tuple[float, ...]
     N4: float
     z: tuple[int, ...]  # designated point for N2z
-
-
-@dataclass(frozen=True)
-class LimitEstimates:
-    """A readout frozen at a late generation as a stand-in for the limits."""
-
-    V1: tuple[float, ...]
-    V2: tuple[float, ...]
-    V2z: float
-    V3: tuple[float, ...]
-    V4: float
-    W_inf: float
-    source_generation: int
-
-
-def freeze(readout: MartingaleReadout) -> LimitEstimates:
-    return LimitEstimates(
-        V1=readout.N1,
-        V2=readout.N2,
-        V2z=readout.N2z,
-        V3=readout.N3,
-        V4=readout.N4,
-        W_inf=readout.W,
-        source_generation=readout.n,
-    )
 
 
 _SCALARS = ("W", "N2z", "N4")
@@ -224,65 +204,52 @@ def harmonicity_defect(
     return float(defect[0]) if functional_id in _SCALARS else float(np.abs(defect).max())
 
 
-def f1_eval(est: LimitEstimates, c: ExpansionConstants, mom: Moments, z) -> float:
-    """First-order correction term of the occupation-count expansion."""
-    d = mom.d
-    q = quad_form(mom, z)
-    v1_term = math.fsum(est.V1[s] * float(z[s]) / mom.gamma2[s] for s in range(d))
-    v2_term = math.fsum(est.V2[s] / mom.gamma2[s] for s in range(d))
-    return (c.tau_d - 0.5 * q) * est.W_inf + v1_term - 0.5 * v2_term
+def f1_eval(ro: MartingaleReadout, c: ExpansionConstants, mom: Moments) -> float:
+    """First-order correction term of the occupation-count expansion at ``ro.z``."""
+    z = ro.z
+    c1, _, _ = bracket_coefficients(c, mom, z)
+    v1_term = math.fsum(ro.N1[s] * float(z[s]) / mom.gamma2[s] for s in range(mom.d))
+    v2_term = math.fsum(ro.N2[s] / mom.gamma2[s] for s in range(mom.d))
+    return c1 * ro.W + v1_term - 0.5 * v2_term
 
 
-def f2_eval(est: LimitEstimates, c: ExpansionConstants, mom: Moments, z) -> float:
-    """Second-order correction term of the occupation-count expansion.
+def f2_eval(ro: MartingaleReadout, c: ExpansionConstants, mom: Moments) -> float:
+    """Second-order correction term of the occupation-count expansion at ``ro.z``.
 
     The <Lambda z, z> contribution uses the printed Lambda; the exact
     arbiter (see the coefficient fit) endorses this sign against the
     alternative display.
     """
-    d = mom.d
+    z, lam = ro.z, c.lambda_d
     q = quad_form(mom, z)
-    lam = c.lambda_d
-    lam_q = math.fsum(lam[s] * float(z[s]) ** 2 for s in range(d))
-    w_term = (q * q / 8.0 - lam_q + c.chi_d) * est.W_inf
+    _, c2, _ = bracket_coefficients(c, mom, z)
     v1_term = math.fsum(
-        est.V1[s] * (2.0 * lam[s] - 0.5 * q / mom.gamma2[s]) * float(z[s])
-        for s in range(d)
+        ro.N1[s] * (2.0 * lam[s] - 0.5 * q / mom.gamma2[s]) * float(z[s])
+        for s in range(mom.d)
     )
-    v2_term = math.fsum(
-        est.V2[s] * (0.25 * q / mom.gamma2[s] - lam[s]) for s in range(d)
-    )
-    v3_term = math.fsum(est.V3[s] * float(z[s]) / mom.gamma2[s] for s in range(d))
-    return w_term + v1_term + v2_term + 0.5 * est.V2z - 0.5 * v3_term + 0.125 * est.V4
+    v2_term = math.fsum(ro.N2[s] * (0.25 * q / mom.gamma2[s] - lam[s]) for s in range(mom.d))
+    v3_term = math.fsum(ro.N3[s] * float(z[s]) / mom.gamma2[s] for s in range(mom.d))
+    return c2 * ro.W + v1_term + v2_term + 0.5 * ro.N2z - 0.5 * v3_term + 0.125 * ro.N4
 
 
-def theorem_prediction(
-    est: LimitEstimates,
-    c: ExpansionConstants,
-    mom: Moments,
-    n: int,
-    z,
-) -> float:
-    """Predicted m^{-n} Z_n(z); 0 on a bipartite parity mismatch."""
-    if c.walk_class is WalkClass.BIPARTITE and not parity_matched(n, z):
+def theorem_prediction(ro: MartingaleReadout, c: ExpansionConstants, mom: Moments, n: int) -> float:
+    """Predicted m^{-n} Z_n(ro.z); 0 on a bipartite parity mismatch."""
+    if c.walk_class is WalkClass.BIPARTITE and not parity_matched(n, ro.z):
         return 0.0
-    return leading_factor(c, n) * (
-        est.W_inf + f1_eval(est, c, mom, z) / n + f2_eval(est, c, mom, z) / n**2
-    )
+    return leading_factor(c, n) * (ro.W + f1_eval(ro, c, mom) / n + f2_eval(ro, c, mom) / n**2)
 
 
 def brw_residual(
     snapshot: GenerationState,
-    est: LimitEstimates,
+    ro: MartingaleReadout,
     c: ExpansionConstants,
     mom: Moments,
     m: float,
-    z,
 ) -> float:
-    """n^{d/2+2} * (observed normalized count - theorem prediction)."""
+    """n^{d/2+2} * (observed normalized count at ro.z - theorem prediction)."""
     n = snapshot.n
-    observed = m ** (-n) * snapshot.counts.get(tuple(int(s) for s in z), 0)
-    return n ** (mom.d / 2.0 + 2.0) * (observed - theorem_prediction(est, c, mom, n, z))
+    observed = m ** (-n) * snapshot.counts.get(ro.z, 0)
+    return n ** (mom.d / 2.0 + 2.0) * (observed - theorem_prediction(ro, c, mom, n))
 
 
 def mu_sigma_d(sigma: float, d: int) -> float:
@@ -304,30 +271,29 @@ def chi_sigma_d(sigma: float, d: int) -> float:
     )
 
 
-def corollary_eval(
-    sigma: float, d: int, est: LimitEstimates, z
-) -> tuple[float, float]:
-    """(H1, H2) of the lazy nearest-neighbour specialization, as printed.
+def corollary_eval(sigma: float, d: int, ro: MartingaleReadout) -> tuple[float, float]:
+    """(H1, H2) at ``ro.z`` of the lazy nearest-neighbour specialization, as printed.
 
-    ``est`` holds the general-normalization limits; the tilde limits of the
+    ``ro`` holds the general-normalization limits; the tilde limits of the
     specialization are recovered by scaling with powers of (1 - sigma)/d.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma = {sigma} outside [0, 1)")
     g = (1.0 - sigma) / d  # the common per-axis second moment
+    z = ro.z
     z2 = math.fsum(float(c) ** 2 for c in z)
-    v1z = math.fsum(est.V1[s] * float(z[s]) for s in range(d))
-    v2one = math.fsum(est.V2)
+    v1z = math.fsum(ro.N1[s] * float(z[s]) for s in range(d))
+    v2one = math.fsum(ro.N2)
     h1 = (1.0 / g) * (
-        (sigma * (d + 2) / 8.0 - 0.25 - 0.5 * z2) * est.W_inf + v1z - 0.5 * v2one
+        (sigma * (d + 2) / 8.0 - 0.25 - 0.5 * z2) * ro.W + v1z - 0.5 * v2one
     )
     mu = mu_sigma_d(sigma, d)
-    v2z_t = g * g * est.V2z
-    v3_t = tuple(g * v for v in est.V3)
-    v4_t = g * g * est.V4
+    v2z_t = g * g * ro.N2z
+    v3_t = tuple(g * v for v in ro.N3)
+    v4_t = g * g * ro.N4
     v3z = math.fsum(v3_t[s] * float(z[s]) for s in range(d))
     h2 = (1.0 / g) ** 2 * (
-        (z2 * z2 / 8.0 + mu * z2 + chi_sigma_d(sigma, d)) * est.W_inf
+        (z2 * z2 / 8.0 + mu * z2 + chi_sigma_d(sigma, d)) * ro.W
         + (2.0 * mu - 0.5 * z2) * v1z
         + (z2 / 4.0 - mu) * v2one
         + 0.5 * v2z_t
@@ -340,8 +306,6 @@ def corollary_eval(
 __all__ = [
     "FUNCTIONALS",
     "MartingaleReadout",
-    "LimitEstimates",
-    "freeze",
     "functional_value",
     "readout",
     "harmonicity_defect",

@@ -32,6 +32,13 @@ def json_number(value):
     return value
 
 
+def json_keys(doc: dict, known) -> None:
+    """Refuse the first key of ``doc`` that is not in ``known``, naming it."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}; expected one of {tuple(known)}")
+
+
 def json_int(value) -> int:
     """An integer config value; a float must be integral."""
     value = json_number(value)
@@ -88,19 +95,32 @@ class StepLaw:
 
 @dataclass(frozen=True)
 class Moments:
-    """Per-axis even moments of a step law and the derived trace scalars."""
+    """Per-axis even moments of a step law; the determinant and trace
+    scalars of the expansion constants are derived from them."""
 
     gamma2: tuple[float, ...]
     gamma4: tuple[float, ...]
     gamma6: tuple[float, ...]
-    det_gamma2: float
-    tr_g4g2m2: float
-    tr_g6g2m3: float
-    tr_g4sq_g2m4: float
 
     @property
     def d(self) -> int:
         return len(self.gamma2)
+
+    @property
+    def det_gamma2(self) -> float:
+        return math.prod(self.gamma2)
+
+    @property
+    def tr_g4g2m2(self) -> float:
+        return math.fsum(a / b**2 for a, b in zip(self.gamma4, self.gamma2))
+
+    @property
+    def tr_g6g2m3(self) -> float:
+        return math.fsum(a / b**3 for a, b in zip(self.gamma6, self.gamma2))
+
+    @property
+    def tr_g4sq_g2m4(self) -> float:
+        return math.fsum(a**2 / b**4 for a, b in zip(self.gamma4, self.gamma2))
 
 
 def validate(d: int, zeta0: float, weights) -> StepLaw:
@@ -182,19 +202,7 @@ def moments(law: StepLaw) -> Moments:
     def axis_moment(row, k):
         return math.fsum(w * float(r) ** k for r, w in enumerate(row, start=1))
 
-    g2 = tuple(axis_moment(row, 2) for row in law.weights)
-    g4 = tuple(axis_moment(row, 4) for row in law.weights)
-    g6 = tuple(axis_moment(row, 6) for row in law.weights)
-    det = math.prod(g2)
-    return Moments(
-        gamma2=g2,
-        gamma4=g4,
-        gamma6=g6,
-        det_gamma2=det,
-        tr_g4g2m2=math.fsum(a / b**2 for a, b in zip(g4, g2)),
-        tr_g6g2m3=math.fsum(a / b**3 for a, b in zip(g6, g2)),
-        tr_g4sq_g2m4=math.fsum(a**2 / b**4 for a, b in zip(g4, g2)),
-    )
+    return Moments(*(tuple(axis_moment(row, k) for row in law.weights) for k in (2, 4, 6)))
 
 
 def law_from_dict(spec: dict) -> StepLaw:
@@ -204,12 +212,14 @@ def law_from_dict(spec: dict) -> StepLaw:
 
     Raises:
         TypeError: ``spec`` is not a mapping, or a number is a bool or a str.
-        ValueError: ``d`` is not an integer.
+        ValueError: ``d`` is not an integer, or a key other than ``d``,
+            ``zeta0`` and ``axes`` is present.
         KeyError: ``d`` or ``axes`` is missing.
         plus everything ``validate`` raises.
     """
     if not isinstance(spec, dict):
         raise TypeError(f"expected an object with d, zeta0 and axes, got {type(spec).__name__}")
+    json_keys(spec, ("d", "zeta0", "axes"))
     weights = [[json_number(w) for w in axis] for axis in spec["axes"]]
     return validate(json_int(spec["d"]), json_number(spec.get("zeta0", 0.0)), weights)
 

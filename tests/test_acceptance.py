@@ -22,7 +22,7 @@ from brwllt.llt import (
 )
 from brwllt.martingales import (
     FUNCTIONALS,
-    LimitEstimates,
+    MartingaleReadout,
     corollary_eval,
     f1_eval,
     f2_eval,
@@ -49,16 +49,17 @@ def random_law(rng):
     return validate(d, zeta0, [[w * scale for w in row] for row in raw])
 
 
-def random_estimates(d, rng):
-    return LimitEstimates(
-        V1=tuple(rng.normal(size=d)),
-        V2=tuple(rng.normal(size=d)),
-        V2z=float(rng.normal()),
-        V3=tuple(rng.normal(size=d)),
-        V4=float(rng.normal()),
-        W_inf=float(rng.uniform(0.5, 1.5)),
-        source_generation=0,
+def random_readout(d, rng):
+    """Random limit values, then a random z, drawn from ``rng`` in that order."""
+    values = dict(
+        N1=tuple(rng.normal(size=d)),
+        N2=tuple(rng.normal(size=d)),
+        N2z=float(rng.normal()),
+        N3=tuple(rng.normal(size=d)),
+        N4=float(rng.normal()),
+        W=float(rng.uniform(0.5, 1.5)),
     )
+    return MartingaleReadout(n=0, z=tuple(int(v) for v in rng.integers(-3, 4, size=d)), **values)
 
 
 def test_criterion_01_dual_oracle_equivalence():
@@ -182,15 +183,7 @@ def test_criterion_07_gaussian_identities():
         g2 = tuple(rng.uniform(0.3, 2.0, size=d))
         g4 = tuple(rng.uniform(0.3, 3.0, size=d))
         g6 = tuple(rng.uniform(0.3, 4.0, size=d))
-        m = Moments(
-            gamma2=g2,
-            gamma4=g4,
-            gamma6=g6,
-            det_gamma2=math.prod(g2),
-            tr_g4g2m2=math.fsum(a / b**2 for a, b in zip(g4, g2)),
-            tr_g6g2m3=math.fsum(a / b**3 for a, b in zip(g6, g2)),
-            tr_g4sq_g2m4=math.fsum(a**2 / b**4 for a, b in zip(g4, g2)),
-        )
+        m = Moments(gamma2=g2, gamma4=g4, gamma6=g6)
         z = tuple(int(v) for v in rng.integers(-3, 4, size=d))
         for idx in range(1, 14):
             err = gaussian_identity_check(m, idx, z=z if idx <= 4 else None)
@@ -209,16 +202,15 @@ def test_criterion_08_corollary_theorem_consistency():
         c = constants(mom, classify(law))
         lam = c.lambda_d[0]
         for _ in range(20):
-            est = random_estimates(d, rng)
-            z = tuple(int(v) for v in rng.integers(-3, 4, size=d))
-            z2 = sum(v * v for v in z)
-            h1, h2 = corollary_eval(0.0, d, est, z)
+            ro = random_readout(d, rng)
+            z2 = sum(v * v for v in ro.z)
+            h1, h2 = corollary_eval(0.0, d, ro)
             worst_first = max(
-                worst_first, abs(f1_eval(est, c, mom, z) - h1) / max(1.0, abs(h1))
+                worst_first, abs(f1_eval(ro, c, mom) - h1) / max(1.0, abs(h1))
             )
-            gap = f2_eval(est, c, mom, z) - h2
-            expect = 2.0 * (d * (d + 4) / 8.0) * z2 * est.W_inf
-            assert abs(expect - (-2.0 * lam * z2 * est.W_inf)) <= 1e-12 * max(1.0, expect)
+            gap = f2_eval(ro, c, mom) - h2
+            expect = 2.0 * (d * (d + 4) / 8.0) * z2 * ro.W
+            assert abs(expect - (-2.0 * lam * z2 * ro.W)) <= 1e-12 * max(1.0, expect)
             worst_second = max(
                 worst_second, abs(gap - expect) / max(1.0, abs(h2))
             )

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from brwllt import errors
@@ -18,6 +20,7 @@ from brwllt.gw_brw import (
     validate_offspring,
 )
 from brwllt.exact_dist import dist_at, walk_dist
+from brwllt.harness import load_config, run_experiment
 from brwllt.step_law import lazy_simple_law, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
@@ -342,3 +345,38 @@ class TestDeterminism:
         assert a.total == b.total
         # The new box is sized from the occupied sites, not the old box.
         assert a.counts.radius == b.counts.radius
+
+
+@st.composite
+def offspring_tables(draw):
+    """A normalized offspring table, as a mapping or as a list for k = 1..K,
+    sometimes with one probability replaced by a zero, negative, too large
+    or non-finite value."""
+    keys = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
+    probs = [draw(st.floats(0.0, 1.0)) for _ in keys]
+    total = sum(probs)
+    if total > 0.0:
+        probs = [p / total for p in probs]
+    if draw(st.booleans()):
+        broken = st.sampled_from([0.0, -0.1, 0.7, float("nan"), float("inf")])
+        probs[draw(st.integers(0, len(probs) - 1))] = draw(broken)
+    if draw(st.booleans()):
+        dense = dict(zip(keys, probs))
+        return [dense.get(k, 0.0) for k in range(1, max(keys) + 1)]
+    return {str(k): p for k, p in zip(keys, probs)}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(table=offspring_tables())
+def test_validated_offspring_run(table):
+    # validate_offspring refuses a table with a package error, or the table
+    # runs a tiny brw-check to the end or stops with a package error.
+    try:
+        validate_offspring(table)
+    except errors.BrwlltError:
+        return
+    doc = {"experiment": "brw-check", "step_law": {"d": 1, "zeta0": 0.5, "axes": [[0.5]]}, "n_values": [2, 3]}
+    try:
+        run_experiment(load_config({**doc, "offspring": table, "z_set": [[0], [1]]}))
+    except errors.BrwlltError:
+        pass

@@ -157,6 +157,14 @@ class TestConfig:
             ("z_radius_constant", base_doc("identities", z_radius_constant=True)),
             ("offspring", base_doc("brw-check", offspring={"2": "1.0"}, n_values=[4])),
             ("offspring", base_doc("brw-check", offspring=[0.0, True], n_values=[4])),
+            ("n_values", base_doc("coeff-fit", n_values=[64, 128])),
+            ("n_values", base_doc("coeff-fit")),
+            ("n_values", base_doc("coeff-fit", n_values=[64, 256, 128])),
+            ("z_set", base_doc("coeff-fit", step_law=LAW_1D_SIMPLE, n_values=[64, 128, 256], z_set=[[0], [1]])),
+            ("config", base_doc("brw-check", offspring={"2": 1.0}, n_values=[4], replicats=16)),
+            ("step_law", base_doc("identities", step_law={"d": 1, "zeta": 0.5, "axes": [[0.5]]})),
+            ("thresholds", base_doc("identities", thresholds={"cf_agrement": 1e-30})),
+            ("thresholds", base_doc("coeff-fit", n_values=[64, 128, 256], thresholds={"c2_rel_err": 0.05})),
         ],
         ids=[
             "n_est_above_max",
@@ -187,11 +195,29 @@ class TestConfig:
             "bool_z_radius_constant",
             "str_offspring_probability",
             "bool_offspring_probability",
+            "coeff_fit_two_probes",
+            "coeff_fit_no_probes",
+            "coeff_fit_probes_not_increasing",
+            "coeff_fit_bipartite_parity",
+            "unknown_top_level_key",
+            "unknown_step_law_key",
+            "unknown_threshold_key",
+            "deleted_c2_threshold",
         ],
     )
     def test_config_error_names_field(self, field, doc):
         with pytest.raises(ConfigError, match=f"^{field}:"):
             load_config(doc)
+
+    def test_unknown_keys_are_named(self):
+        docs = {
+            "replicats": base_doc("identities", replicats=16),
+            "zeta": base_doc("identities", step_law={"d": 1, "zeta": 0.5, "axes": [[0.5]]}),
+            "cf_agrement": base_doc("identities", thresholds={"cf_agrement": 1e-30}),
+        }
+        for key, doc in docs.items():
+            with pytest.raises(ConfigError, match=key):
+                load_config(doc)
 
     def test_typed_errors_name_field(self):
         with pytest.raises(NonNormalized, match="^offspring:"):
@@ -459,6 +485,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "brwllt: override 'step_law.d.x=1': step_law.d is not an object\n"
+
+    def test_coeff_fit_refused_at_load(self, tmp_path, capsys):
+        doc = base_doc("coeff-fit", step_law=LAW_1D_SIMPLE, n_values=[32, 64, 128], z_set=[[1]])
+        for verb in ("validate", "run"):
+            assert cli.main([verb, self.write_cfg(tmp_path, doc)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("brwllt: z_set: z = (1,) is parity-incompatible with n = 32")
+            assert captured.err.count("\n") == 1
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, base_doc("identities", kappa=0.9))

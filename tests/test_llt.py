@@ -6,6 +6,7 @@ import pytest
 
 from brwllt.errors import CapacityExceeded
 from brwllt.llt import (
+    bracket_coefficients,
     constants,
     constants_for,
     expansion_bracket,
@@ -14,7 +15,6 @@ from brwllt.llt import (
     gaussian_identity_check,
     quad_form,
     rw_expansion,
-    second_order_candidates,
 )
 from brwllt.step_law import (
     Moments,
@@ -31,30 +31,14 @@ LAZY_HALF = validate(1, 0.5, [[0.5]])
 
 def identity_moments(d):
     ones = (1.0,) * d
-    return Moments(
-        gamma2=ones,
-        gamma4=ones,
-        gamma6=ones,
-        det_gamma2=1.0,
-        tr_g4g2m2=float(d),
-        tr_g6g2m3=float(d),
-        tr_g4sq_g2m4=float(d),
-    )
+    return Moments(gamma2=ones, gamma4=ones, gamma6=ones)
 
 
 def random_moments(d, rng):
     g2 = tuple(rng.uniform(0.3, 2.0, size=d))
     g4 = tuple(rng.uniform(0.3, 3.0, size=d))
     g6 = tuple(rng.uniform(0.3, 4.0, size=d))
-    return Moments(
-        gamma2=g2,
-        gamma4=g4,
-        gamma6=g6,
-        det_gamma2=math.prod(g2),
-        tr_g4g2m2=math.fsum(a / b**2 for a, b in zip(g4, g2)),
-        tr_g6g2m3=math.fsum(a / b**3 for a, b in zip(g6, g2)),
-        tr_g4sq_g2m4=math.fsum(a**2 / b**4 for a, b in zip(g4, g2)),
-    )
+    return Moments(gamma2=g2, gamma4=g4, gamma6=g6)
 
 
 class TestConstants:
@@ -72,15 +56,8 @@ class TestConstants:
         assert abs(c.chi_d - total) <= 1e-13
 
     def test_tau_d2_half_moments(self):
-        m = Moments(
-            gamma2=(0.5, 0.5),
-            gamma4=(0.5, 0.5),
-            gamma6=(0.5, 0.5),
-            det_gamma2=0.25,
-            tr_g4g2m2=4.0,
-            tr_g6g2m3=8.0,
-            tr_g4sq_g2m4=8.0,
-        )
+        m = Moments(gamma2=(0.5, 0.5), gamma4=(0.5, 0.5), gamma6=(0.5, 0.5))
+        assert (m.det_gamma2, m.tr_g4g2m2, m.tr_g6g2m3, m.tr_g4sq_g2m4) == (0.25, 4.0, 8.0, 8.0)
         c = constants(m, WalkClass.APERIODIC)
         assert abs(c.tau_d - (-0.5)) <= 1e-13
 
@@ -101,15 +78,7 @@ class TestConstants:
         # constants from step_law-built moments match hand-built moments bit-for-bit
         law = validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]])
         m = moments(law)
-        hand = Moments(
-            gamma2=m.gamma2,
-            gamma4=m.gamma4,
-            gamma6=m.gamma6,
-            det_gamma2=m.det_gamma2,
-            tr_g4g2m2=m.tr_g4g2m2,
-            tr_g6g2m3=m.tr_g6g2m3,
-            tr_g4sq_g2m4=m.tr_g4sq_g2m4,
-        )
+        hand = Moments(gamma2=m.gamma2, gamma4=m.gamma4, gamma6=m.gamma6)
         assert constants(m, WalkClass.APERIODIC) == constants(hand, WalkClass.APERIODIC)
 
 
@@ -235,9 +204,45 @@ class TestGaussianIdentities:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_second_order_candidates_differ_off_origin(self):
+    def test_identity_arrays_budget_checked_before_allocating(self):
+        # 6^10 nodes fit the element budget, but the arrays the check holds
+        # at its peak do not; d = 9 is the largest dimension it runs in.
+        m = random_moments(10, np.random.default_rng(10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match="arrays of 6\\^10"):
+                gaussian_identity_check(m, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_bad_index_and_missing_z(self):
+        m = identity_moments(2)
+        for idx in (0, 14):
+            with pytest.raises(ValueError, match="1..13"):
+                gaussian_identity_check(m, idx)
+        for idx in (1, 2, 3, 4):
+            with pytest.raises(ValueError, match="needs a lattice point z"):
+                gaussian_identity_check(m, idx)
+
+
+class TestBracketCoefficients:
+    def test_flipped_bracket_differs_off_origin(self):
         m = moments(SIMPLE)
         c = constants(m, WalkClass.BIPARTITE)
-        a, b = second_order_candidates(c, m, (2,))
+        _, a, b = bracket_coefficients(c, m, (2,))
         assert a != b
         assert abs((a - b) - 2 * (5 / 8) * 4) <= 1e-12  # 2*|Lambda|*z^2 at d=1
+
+    def test_one_helper_feeds_bracket_and_fit(self):
+        law = validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]])
+        m = moments(law)
+        c = constants(m, classify(law))
+        z, n = (1, -2), 40
+        c1, c2, c2_flipped = bracket_coefficients(c, m, z)
+        assert c1 == c.tau_d - 0.5 * quad_form(m, z)
+        assert abs(c2_flipped - c2 - 2 * math.fsum(l * v * v for l, v in zip(c.lambda_d, z))) <= 1e-12
+        assert expansion_bracket(c, m, n, z) == 1.0 + c1 / n + c2 / n**2
+        fit = fit_correction_coefficients(law, z, (10, 20, 40))
+        assert (fit.c1_exact, fit.c2_theorem, fit.c2_flipped) == (c1, c2, c2_flipped)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -13,10 +14,10 @@ from brwllt.gw_brw import (
     simulate,
     validate_offspring,
 )
-from brwllt.llt import constants, constants_for, rw_expansion
+from brwllt.llt import constants, constants_for, leading_factor, rw_expansion
 from brwllt.martingales import (
     FUNCTIONALS,
-    LimitEstimates,
+    MartingaleReadout,
     _polynomials,
     _power_sums,
     brw_residual,
@@ -24,7 +25,6 @@ from brwllt.martingales import (
     corollary_eval,
     f1_eval,
     f2_eval,
-    freeze,
     functional_value,
     harmonicity_defect,
     mu_sigma_d,
@@ -38,21 +38,22 @@ M1 = moments(SIMPLE)
 C1 = constants_for(SIMPLE)
 
 
-def make_estimates(d, rng=None, W=1.0):
+def make_readout(d, rng=None, W=1.0, z=None):
+    """A readout standing in for the limits: W alone at z (default the
+    origin), or random values and then a random z drawn from ``rng``."""
     if rng is None:
         zeros = (0.0,) * d
-        return LimitEstimates(
-            V1=zeros, V2=zeros, V2z=0.0, V3=zeros, V4=0.0, W_inf=W, source_generation=0
-        )
-    return LimitEstimates(
-        V1=tuple(rng.normal(size=d)),
-        V2=tuple(rng.normal(size=d)),
-        V2z=float(rng.normal()),
-        V3=tuple(rng.normal(size=d)),
-        V4=float(rng.normal()),
-        W_inf=float(rng.uniform(0.5, 1.5)),
-        source_generation=0,
+        z = (0,) * d if z is None else z
+        return MartingaleReadout(n=0, W=W, N1=zeros, N2=zeros, N2z=0.0, N3=zeros, N4=0.0, z=z)
+    values = dict(
+        N1=tuple(rng.normal(size=d)),
+        N2=tuple(rng.normal(size=d)),
+        N2z=float(rng.normal()),
+        N3=tuple(rng.normal(size=d)),
+        N4=float(rng.normal()),
+        W=float(rng.uniform(0.5, 1.5)),
     )
+    return MartingaleReadout(n=0, z=tuple(int(v) for v in rng.integers(-3, 4, size=d)), **values)
 
 
 def random_law(rng):
@@ -230,13 +231,14 @@ class TestFunctionalValues:
                 terms = [c * v for c, v in vals]
                 assert abs(got - scale * math.fsum(terms)) <= 1e-12 * scale * math.fsum(map(abs, terms))
 
-    def test_freeze_round_trip(self):
-        r = readout(initial_state(2), 3.0, moments(lazy_simple_law(2, 0.25)), (0, 0))
-        est = freeze(r)
-        assert est.W_inf == r.W
-        assert est.V1 == r.N1
-        assert est.V4 == r.N4
-        assert est.source_generation == 0
+    def test_readout_carries_its_z(self):
+        law = lazy_simple_law(1, 0.25)
+        mom = moments(law)
+        snap = simulate(validate_offspring({1: 0.5, 3: 0.5}), law, 6, ReplicateSeed(3, 0), [6])[0]
+        at0, at4 = readout(snap, 2.0, mom, (0,)), readout(snap, 2.0, mom, (4,))
+        assert (at0.z, at4.z, at4.n) == ((0,), (4,), 6)
+        assert at0.N2z != at4.N2z
+        assert dataclasses.replace(at4, N2z=at0.N2z, z=(0,)) == at0
 
 
 class TestHarmonicity:
@@ -308,55 +310,72 @@ class TestMartingaleProperty:
 
 class TestCorrectionTerms:
     def test_f1_arithmetic_example(self):
-        est = LimitEstimates(
-            V1=(0.3,), V2=(0.1,), V2z=0.0, V3=(0.0,), V4=0.0, W_inf=1.0, source_generation=0
-        )
+        ro = dataclasses.replace(make_readout(1, z=(2,)), N1=(0.3,), N2=(0.1,))
         # (tau - z^2/2) + V1 z - V2/2 = (-1/4 - 2) + 0.6 - 0.05
-        assert abs(f1_eval(est, C1, M1, (2,)) - (-1.7)) <= 1e-14
+        assert abs(f1_eval(ro, C1, M1) - (-1.7)) <= 1e-14
 
     def test_f2_v4_example(self):
-        est = LimitEstimates(
-            V1=(0.0,), V2=(0.0,), V2z=0.0, V3=(0.0,), V4=8.0, W_inf=1.0, source_generation=0
-        )
-        assert abs(f2_eval(est, C1, M1, (0,)) - (1.0 / 32.0 + 1.0)) <= 1e-14
+        ro = dataclasses.replace(make_readout(1), N4=8.0)
+        assert abs(f2_eval(ro, C1, M1) - (1.0 / 32.0 + 1.0)) <= 1e-14
 
     def test_f2_v2_example(self):
-        est = LimitEstimates(
-            V1=(0.0,), V2=(2.0,), V2z=0.0, V3=(0.0,), V4=0.0, W_inf=0.0, source_generation=0
-        )
+        ro = dataclasses.replace(make_readout(1, W=0.0), N2=(2.0,))
         # V2 coefficient at z=0 is -lambda = 5/8
-        assert abs(f2_eval(est, C1, M1, (0,)) - 1.25) <= 1e-14
+        assert abs(f2_eval(ro, C1, M1) - 1.25) <= 1e-14
 
     def test_prediction_reduces_to_walk_expansion(self):
-        est = make_estimates(1)
         for n in (10, 100):
             for z in ((0,), (2,), (-4,)):
-                assert (
-                    abs(theorem_prediction(est, C1, M1, n, z) - rw_expansion(C1, M1, n, z))
-                    <= 1e-15
-                )
+                ro = make_readout(1, z=z)
+                assert abs(theorem_prediction(ro, C1, M1, n) - rw_expansion(C1, M1, n, z)) <= 1e-15
 
     def test_prediction_parity_zero(self):
-        est = make_estimates(1)
-        assert theorem_prediction(est, C1, M1, 5, (0,)) == 0.0
+        assert theorem_prediction(make_readout(1), C1, M1, 5) == 0.0
 
     def test_brw_residual_parity_zero(self):
         snap = GenerationState(n=4, d=1, counts={(0,): 5, (2,): 3}, total=8)
-        est = make_estimates(1)
-        assert brw_residual(snap, est, C1, M1, 2.0, (1,)) == 0.0
+        assert brw_residual(snap, make_readout(1, z=(1,)), C1, M1, 2.0) == 0.0
+
+    def test_f2_and_prediction_use_readout_z(self):
+        # Readouts of one snapshot at z = 0 and z = 4: F2 and the prediction
+        # at 4 take N2z at 4, never the N2z read at 0.
+        off = validate_offspring({2: 1.0})
+        snap = simulate(off, SIMPLE, 48, ReplicateSeed(12345, 0), [48])[0]
+        at0, at4 = readout(snap, off.mean, M1, (0,)), readout(snap, off.mean, M1, (4,))
+        assert at4.N2z != at0.N2z
+        z, lam, g = 4.0, C1.lambda_d[0], M1.gamma2[0]
+        q = z * z / g
+        f2 = (
+            (q * q / 8.0 - lam * z * z + C1.chi_d) * at4.W
+            + at4.N1[0] * (2.0 * lam - 0.5 * q / g) * z
+            + at4.N2[0] * (0.25 * q / g - lam)
+            + 0.5 * at4.N2z
+            - 0.5 * at4.N3[0] * z / g
+            + 0.125 * at4.N4
+        )
+        assert abs(f2_eval(at4, C1, M1) - f2) <= 1e-12 * max(1.0, abs(f2))
+        wrong_z = dataclasses.replace(at4, N2z=at0.N2z)
+        shift = f2_eval(at4, C1, M1) - f2_eval(wrong_z, C1, M1)
+        assert abs(shift - 0.5 * (at4.N2z - at0.N2z)) <= 1e-9
+        n = 48
+        pred = theorem_prediction(at4, C1, M1, n)
+        expect = leading_factor(C1, n) * (at4.W + f1_eval(at4, C1, M1) / n + f2 / n**2)
+        assert abs(pred - expect) <= 1e-12 * expect
+        observed = off.mean**-n * snap.counts.get((4,), 0)
+        assert brw_residual(snap, at4, C1, M1, off.mean) == n**2.5 * (observed - pred)
 
 
 class TestCorollary:
     def test_frozen_values_sigma0_d1(self):
         assert mu_sigma_d(0.0, 1) == -0.625
         assert abs(chi_sigma_d(0.0, 1) - 1.0 / 32.0) <= 1e-15
-        h1, h2 = corollary_eval(0.0, 1, make_estimates(1), (0,))
+        h1, h2 = corollary_eval(0.0, 1, make_readout(1))
         assert abs(h1 - (-0.25)) <= 1e-15
         assert abs(h2 - 1.0 / 32.0) <= 1e-15
 
     def test_sigma_gate(self):
         with pytest.raises(ValueError):
-            corollary_eval(1.0, 1, make_estimates(1), (0,))
+            corollary_eval(1.0, 1, make_readout(1))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.5])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -366,10 +385,9 @@ class TestCorollary:
         mom = moments(law)
         c = constants(mom, classify(law))
         for _ in range(10):
-            est = make_estimates(d, rng)
-            z = tuple(int(v) for v in rng.integers(-3, 4, size=d))
-            h1, _ = corollary_eval(sigma, d, est, z)
-            assert abs(f1_eval(est, c, mom, z) - h1) <= 1e-12 * max(1.0, abs(h1))
+            ro = make_readout(d, rng)
+            h1, _ = corollary_eval(sigma, d, ro)
+            assert abs(f1_eval(ro, c, mom) - h1) <= 1e-12 * max(1.0, abs(h1))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.5])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -382,12 +400,11 @@ class TestCorollary:
         c = constants(mom, classify(law))
         lam = c.lambda_d[0]
         for _ in range(10):
-            est = make_estimates(d, rng)
-            z = tuple(int(v) for v in rng.integers(-3, 4, size=d))
-            z2 = sum(v * v for v in z)
-            _, h2 = corollary_eval(sigma, d, est, z)
-            gap = f2_eval(est, c, mom, z) - h2
-            expect = -2.0 * lam * z2 * est.W_inf
+            ro = make_readout(d, rng)
+            z2 = sum(v * v for v in ro.z)
+            _, h2 = corollary_eval(sigma, d, ro)
+            gap = f2_eval(ro, c, mom) - h2
+            expect = -2.0 * lam * z2 * ro.W
             assert abs(gap - expect) <= 1e-10 * max(1.0, abs(h2))
 
     def test_lambda_mu_identity(self):

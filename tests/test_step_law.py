@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brwllt import errors, step_law
+from brwllt.harness import load_config, run_experiment
 from brwllt.step_law import WalkClass, classify, lazy_simple_law, moments, validate
 
 
@@ -101,6 +106,16 @@ def test_moments_direct_summation_agrees():
     assert m.det_gamma2 == m.gamma2[0] * m.gamma2[1]
 
 
+def test_moments_derive_traces():
+    # only the three moment tuples are stored; the scalars follow from them
+    m = moments(validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]]))
+    assert [f.name for f in dataclasses.fields(m)] == ["gamma2", "gamma4", "gamma6"]
+    g2, g4, g6 = m.gamma2, m.gamma4, m.gamma6
+    assert abs(m.tr_g4g2m2 - sum(a / b**2 for a, b in zip(g4, g2))) <= 1e-15 * m.tr_g4g2m2
+    assert abs(m.tr_g6g2m3 - sum(a / b**3 for a, b in zip(g6, g2))) <= 1e-15 * m.tr_g6g2m3
+    assert abs(m.tr_g4sq_g2m4 - sum(a**2 / b**4 for a, b in zip(g4, g2))) <= 1e-15 * m.tr_g4sq_g2m4
+
+
 def test_gamma2_leq_gamma4():
     law = validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]])
     m = moments(law)
@@ -130,3 +145,49 @@ def test_round_trip_dict():
     law = lazy_simple_law(2, 0.25)
     again = step_law.law_from_dict(step_law.law_to_dict(law))
     assert again == law
+
+
+def test_law_from_dict_refuses_unknown_key():
+    with pytest.raises(ValueError, match="unknown key 'zeta'"):
+        step_law.law_from_dict({"d": 1, "zeta": 0.5, "axes": [[0.5]]})
+
+
+BROKEN = st.sampled_from([0.0, 1e-16, 1e-14, -0.1, 0.7, float("nan"), float("inf")])
+
+
+@st.composite
+def law_candidates(draw):
+    """(d, zeta0, weights), normalized, sometimes with one entry replaced
+    by a zero, tiny, negative, too large or non-finite value."""
+    d = draw(st.integers(1, 2))
+    rows = [draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)) for _ in range(d)]
+    zeta0 = draw(st.floats(0.0, 1.0))
+    total = zeta0 + sum(map(sum, rows))
+    if total > 0.0:
+        zeta0, rows = zeta0 / total, [[w / total for w in row] for row in rows]
+    if draw(st.booleans()):
+        s = draw(st.integers(-1, d - 1))
+        if s < 0:
+            zeta0 = draw(BROKEN)
+        else:
+            rows[s][draw(st.integers(0, len(rows[s]) - 1))] = draw(BROKEN)
+    return d, zeta0, rows
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(candidate=law_candidates())
+def test_validated_laws_run(candidate):
+    # validate refuses a candidate with a package error, or its law runs a
+    # tiny llt-check to the end or stops with a package error.
+    d, zeta0, rows = candidate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # weights below ZERO_WEIGHT_TOL
+        try:
+            law = validate(d, zeta0, rows)
+        except errors.BrwlltError:
+            return
+    doc = {"experiment": "llt-check", "step_law": step_law.law_to_dict(law), "n_values": [1, 2, 3]}
+    try:
+        run_experiment(load_config({**doc, "z_set": [[0] * d, [1] + [0] * (d - 1)]}))
+    except errors.BrwlltError:
+        pass
