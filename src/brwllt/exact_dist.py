@@ -8,7 +8,7 @@ z_s >= 0 and mirrors them into the full box.  The characteristic-function
 route samples psi(phi)^n on a uniform torus grid and inverts it with one
 FFT; the integrand is a trigonometric polynomial of known degree, so the
 grid rule is exact up to rounding and serves as a genuinely independent
-second method.  Both check an element budget before they allocate.
+second method.  Both charge the element budget before they allocate.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import numpy as np
 from .errors import CapacityExceeded
 from .step_law import StepLaw
 
-DEFAULT_ELEMENT_BUDGET = 2**28
+# The one memory policy of every dense array in the package, in elements;
+# ``charge`` reads it at call time.
+ELEMENT_BUDGET = 2**28
 DUMP_SLICE_CELLS = 2**14
 
 
@@ -55,9 +57,11 @@ def box_shape(law: StepLaw, n: int) -> tuple[int, ...]:
     return tuple(2 * n * t + 1 for t in law.ranges)
 
 
-def _check_budget(what: str, shape: tuple[int, ...], max_elements: int) -> None:
-    if math.prod(shape) > max_elements:
-        raise CapacityExceeded(f"{what} {shape} exceeds element budget {max_elements}")
+def charge(what: str, elements: int) -> None:
+    """Refuse, before anything is allocated, ``elements`` dense elements
+    that exceed ``ELEMENT_BUDGET``; ``what`` names them in the message."""
+    if elements > ELEMENT_BUDGET:
+        raise CapacityExceeded(f"{what} exceeds element budget {ELEMENT_BUDGET} ({elements} elements)")
 
 
 def _unfold(orthant: np.ndarray, radius: tuple[int, ...]) -> np.ndarray:
@@ -75,11 +79,7 @@ def _unfold(orthant: np.ndarray, radius: tuple[int, ...]) -> np.ndarray:
     return full
 
 
-def convolve_step(
-    dist: LatticeDist,
-    law: StepLaw,
-    max_elements: int = DEFAULT_ELEMENT_BUDGET,
-) -> LatticeDist:
+def convolve_step(dist: LatticeDist, law: StepLaw) -> LatticeDist:
     """One step of the walk: convolve the stored pmf with the step law.
 
     Orthant + mirror.  Every step law puts w/2 on each of +-r*e_s, so the
@@ -91,13 +91,13 @@ def convolve_step(
     zeta0*m(z) + sum (w/2)*(m(z - r*e_s) + m(z + r*e_s)) over the new
     orthant in a fixed order (axis-major, increasing r), and mirrors the
     result into the full box, which grows by t_s per axis.  Mirroring makes
-    the symmetry hold bit-exactly.  The output box is checked against
-    ``max_elements`` before anything is allocated.
+    the symmetry hold bit-exactly.  The output box is charged to the
+    element budget before anything is allocated.
     """
     t = law.ranges
     d = law.d
     radius = tuple(dist.radius[s] + t[s] for s in range(d))
-    _check_budget("output tensor", tuple(2 * r + 1 for r in radius), max_elements)
+    charge("output tensor", math.prod(2 * r + 1 for r in radius))
     # Padded orthant: axis s holds z_s = -t_s .. radius[s] + t_s.
     padded = np.zeros(tuple(r + 1 + 2 * ts for r, ts in zip(radius, t)))
     padded[tuple(slice(ts, ts + r + 1) for r, ts in zip(dist.radius, t))] = dist.mass[
@@ -122,21 +122,18 @@ def convolve_step(
     return LatticeDist(n=dist.n + 1, d=d, radius=radius, mass=_unfold(out, radius))
 
 
-def walk_dist(
-    law: StepLaw,
-    n: int,
-    max_elements: int = DEFAULT_ELEMENT_BUDGET,
-) -> LatticeDist:
+def walk_dist(law: StepLaw, n: int) -> LatticeDist:
     """The n-step distribution, built by repeated convolution.
 
-    The n-step box is checked against ``max_elements`` before the first step.
+    The n-step box is charged to the element budget before the first step.
     """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
-    _check_budget(f"{n}-step box", box_shape(law, n), max_elements)
+    shape = box_shape(law, n)
+    charge(f"{n}-step box {shape}", math.prod(shape))
     dist = delta_dist(law)
     for _ in range(n):
-        dist = convolve_step(dist, law, max_elements=max_elements)
+        dist = convolve_step(dist, law)
     return dist
 
 
@@ -166,11 +163,7 @@ def _psi_grid(law: StepLaw, phis) -> np.ndarray:
     return out
 
 
-def cf_invert_box(
-    law: StepLaw,
-    n: int,
-    max_elements: int = DEFAULT_ELEMENT_BUDGET,
-) -> LatticeDist:
+def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
     """All of P(S_n = .) on the reachable box, by inverting the sampled CF.
 
     psi^n is a trigonometric polynomial of degree n*t_s in phi_s, so its
@@ -182,7 +175,7 @@ def cf_invert_box(
         raise ValueError(f"number of steps must be >= 0, got {n}")
     radius = tuple(n * t for t in law.ranges)
     panel_counts = box_shape(law, n)
-    _check_budget("CF grid", panel_counts, max_elements)
+    charge("CF grid", math.prod(panel_counts))
     phis = [2.0 * np.pi * np.arange(m) / m for m in panel_counts]
     psi = _psi_grid(law, phis)
     vals = np.fft.ifftn(psi**n).real

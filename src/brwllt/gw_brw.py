@@ -22,16 +22,15 @@ in int64; independent blocks realize the exact law of the whole count.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityExceeded, CountOverflow, HasExtinction, NonNormalized, SubcriticalOrCritical
-from .exact_dist import DEFAULT_ELEMENT_BUDGET
-from .step_law import StepLaw, json_number
+from .exact_dist import charge
+from .step_law import NORMALIZATION_TOL, StepLaw, json_number
 
-_NORMALIZATION_TOL = 1e-12
 # An offspring table longer than this is refused: every occupied cell
 # draws one count per offspring value.
 MAX_OFFSPRING = 2**16
@@ -74,8 +73,8 @@ class SiteCounts(Mapping):
 
         Raises:
             ValueError: a negative count.
-            CapacityExceeded: the box's digits exceed
-                ``DEFAULT_ELEMENT_BUDGET``; raised before allocating.
+            CapacityExceeded: the box's digits exceed the element
+                budget; raised before allocating.
         """
         if isinstance(counts, SiteCounts):
             return counts
@@ -84,8 +83,7 @@ class SiteCounts(Mapping):
             raise ValueError("particle counts must be nonnegative")
         radius = tuple(max((abs(site[s]) for site in occupied), default=0) for s in range(d))
         n_digits = max(1, -(-max(occupied.values(), default=0).bit_length() // _DIGIT))
-        if n_digits * math.prod(2 * r + 1 for r in radius) > DEFAULT_ELEMENT_BUDGET:
-            raise CapacityExceeded(f"a box of radius {radius} exceeds the element budget")
+        charge(f"a box of radius {radius}", n_digits * math.prod(2 * r + 1 for r in radius))
         digits = np.zeros((n_digits, *(2 * r + 1 for r in radius)), dtype=np.int64)
         for site, c in occupied.items():
             cell = tuple(x + r for x, r in zip(site, radius))
@@ -101,15 +99,14 @@ class SiteCounts(Mapping):
         """Bit length of the largest count."""
         return _DIGIT * (len(self.digits) - 1) + int(self.digits[-1].max()).bit_length()
 
-    def pieces(self, width: int) -> list[tuple[int, np.ndarray]]:
+    def pieces(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
         """The counts cut into int64 arrays of at most ``width`` bits:
-        pairs (shift, piece) whose sum of piece * 2**shift is every count."""
+        yields pairs (shift, piece) whose sum of piece * 2**shift is every
+        count, one piece at a time."""
         width = min(width, _DIGIT)
-        return [
-            (_DIGIT * k + j, (digit >> j) & ((1 << width) - 1))
-            for k, digit in enumerate(self.digits)
-            for j in range(0, _DIGIT, width)
-        ]
+        for k, digit in enumerate(self.digits):
+            for j in range(0, _DIGIT, width):
+                yield _DIGIT * k + j, (digit >> j) & ((1 << width) - 1)
 
     def _occupied(self) -> np.ndarray:
         return np.flatnonzero(self.digits.any(axis=0))
@@ -209,7 +206,7 @@ def validate_offspring(raw) -> OffspringLaw:
     if any(p < 0.0 for p in probs):
         raise NonNormalized("offspring probabilities must be nonnegative")
     total = math.fsum(probs)
-    if not abs(total - 1.0) <= _NORMALIZATION_TOL:  # also refuses NaN entries
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # also refuses NaN entries
         raise NonNormalized(f"offspring probabilities sum to {total!r}")
     probs = [p / total for p in probs]
     mean = math.fsum(k * p for k, p in enumerate(probs, start=1))
@@ -236,14 +233,14 @@ def derive_stream(seed: ReplicateSeed, generation: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _blocks(digits: np.ndarray, s: int, max_blocks: int):
+def _blocks(digits: np.ndarray, s: int, per_block: int, reserved: int):
     """Counts, given as base-2^32 digits of shape (digits, cells), cut into
     blocks of at most 2^s particles, 32 <= s < 63.
 
     A count q * 2^s + r becomes q blocks of 2^s and, if r > 0, one of r.
     Returns the block sizes cell after cell and the index of each cell's
-    first block.  Raises ``CapacityExceeded`` before allocating the blocks
-    if there are more than ``max_blocks``.
+    first block.  Each block is charged ``per_block`` elements on top of
+    ``reserved`` ones, before the blocks are allocated.
     """
     bits = _DIGIT * (len(digits) - 1) + int(digits[-1].max(initial=0)).bit_length()
     if bits - s > _DIGIT:
@@ -258,8 +255,7 @@ def _blocks(digits: np.ndarray, s: int, max_blocks: int):
     has_rest = rest > 0
     n_blocks = full + has_rest
     total = int(n_blocks.sum())
-    if total > max_blocks:
-        raise CapacityExceeded(f"{total} count blocks exceed the {max_blocks} the element budget leaves")
+    charge("the next generation's box and count blocks", reserved + total * per_block)
     starts = np.cumsum(n_blocks) - n_blocks
     sizes = np.full(total, 1 << s, dtype=np.int64)
     sizes[(starts + full)[has_rest]] = rest[has_rest]
@@ -308,7 +304,7 @@ def evolve_generation(
             not fit a signed ``count_width``-bit integer.
         CapacityExceeded: a count needs 2^32 blocks or more, or the blocks
             times the larger of the offspring and atom numbers, plus the
-            cells of the new box, exceed ``DEFAULT_ELEMENT_BUDGET``; raised
+            cells of the new box, exceed the element budget; raised
             before the blocks are allocated.  With binary offspring that is
             about 2^27 blocks of 2^61 particles, enough for counts near
             2^80 on each of 150 sites.  The new box alone must fit the
@@ -326,11 +322,10 @@ def evolve_generation(
     sites = [c - r for c, r in zip(np.unravel_index(occupied, box.digits.shape[1:]), box.radius)]
     radius = tuple(int(np.abs(x).max(initial=0)) + t for x, t in zip(sites, law.ranges))
     shape = tuple(2 * r + 1 for r in radius)
-    if math.prod(shape) > DEFAULT_ELEMENT_BUDGET:
-        raise CapacityExceeded(f"the {shape} box of generation {state.n + 1} exceeds the element budget")
-    max_blocks = (DEFAULT_ELEMENT_BUDGET - math.prod(shape)) // max(n_values, len(atoms))
+    charge("the next generation's box", math.prod(shape))
     # Blocks of 2^s <= (2^63 - 1) // K particles: a block's offspring fit int64.
-    sizes, starts = _blocks(digits[:, occupied], (_INT64_MAX // n_values).bit_length() - 1, max_blocks)
+    block_bits = (_INT64_MAX // n_values).bit_length() - 1
+    sizes, starts = _blocks(digits[:, occupied], block_bits, max(n_values, len(atoms)), math.prod(shape))
 
     rng = derive_stream(seed, state.n)
     per_value = rng.multinomial(sizes, off.probs)

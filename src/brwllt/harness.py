@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import BrwlltError, ConfigError
-from .exact_dist import DEFAULT_ELEMENT_BUDGET, box_shape, cf_invert_box, convolve_step, delta_dist, dist_at
+from .errors import BrwlltError, CapacityExceeded, ConfigError
+from .exact_dist import box_shape, cf_invert_box, charge, convolve_step, delta_dist, dist_at
 from .gw_brw import (
     OffspringLaw,
     ReplicateSeed,
@@ -31,7 +31,7 @@ from .llt import (
     fit_correction_coefficients,
     gaussian_identity_check,
     leading_factor,
-    parity_matched,
+    parity_forbidden,
     rw_expansion,
 )
 from .martingales import (
@@ -41,7 +41,7 @@ from .martingales import (
     harmonicity_defect,
     readout,
 )
-from .step_law import StepLaw, WalkClass, classify, json_int, json_keys, json_number, law_from_dict, moments
+from .step_law import StepLaw, classify, json_int, json_keys, json_number, law_from_dict, moments
 
 EXPERIMENTS = ("llt-check", "coeff-fit", "identities", "martingale-check", "brw-check")
 FIELDS = (
@@ -154,11 +154,10 @@ def load_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"n_values: every probe n must be >= 1, got {list(n_values)}")
     if experiment in ("llt-check", "coeff-fit") and n_values:
         shape = box_shape(law, max(n_values))
-        if math.prod(shape) > DEFAULT_ELEMENT_BUDGET:
-            raise ConfigError(
-                f"n_values: the {max(n_values)}-step box {shape} exceeds the "
-                f"element budget {DEFAULT_ELEMENT_BUDGET}"
-            )
+        try:
+            charge(f"the {max(n_values)}-step box {shape}", math.prod(shape))
+        except CapacityExceeded as exc:
+            raise ConfigError(f"n_values: {exc}") from None
     increasing = all(a < b for a, b in zip(n_values, n_values[1:]))
     if experiment == "coeff-fit" and not (len(n_values) >= 3 and increasing):
         raise ConfigError(f"n_values: coeff-fit needs 3 or more increasing probes, got {list(n_values)}")
@@ -174,11 +173,12 @@ def load_config(doc: dict) -> ExperimentConfig:
         z_set = tuple(tuple(json_int(c) for c in _list(z)) for z in _list(doc.get("z_set", [[0] * law.d])))
     if not z_set:
         raise ConfigError("z_set: needs at least one lattice point")
+    walk_class = classify(law)
     for z in z_set:
         if len(z) != law.d:
             raise ConfigError(f"z_set: z = {z} has wrong dimension, expected {law.d}")
-        mismatched = [n for n in n_values if not parity_matched(n, z)]
-        if experiment == "coeff-fit" and mismatched and classify(law) is WalkClass.BIPARTITE:
+        mismatched = [n for n in n_values if parity_forbidden(walk_class, n, z)]
+        if experiment == "coeff-fit" and mismatched:
             raise ConfigError(f"z_set: z = {z} is parity-incompatible with n = {mismatched[0]} (bipartite law)")
     with _field("count_width"):
         count_width = json_int(doc.get("count_width", 64))
@@ -418,7 +418,7 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
                 observed = mean ** (-n) * st.counts.get(z, 0)
                 lead = leading_factor(c, n)
                 w_n = st.total / mean**n
-                if c.walk_class is WalkClass.BIPARTITE and not parity_matched(n, z):
+                if parity_forbidden(c.walk_class, n, z):
                     ratio = 0.0
                 else:
                     ratio = observed / lead - w_n

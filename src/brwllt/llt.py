@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded
-from .exact_dist import DEFAULT_ELEMENT_BUDGET, cf_invert_box, dist_at, walk_dist
+from .exact_dist import cf_invert_box, charge, dist_at, walk_dist
 from .step_law import Moments, StepLaw, WalkClass, classify, moments
 
 # Gauss-Hermite nodes per axis: exact for degree <= 11 per axis, and the
 # identity integrands reach degree 8.
 IDENTITY_NODES = 6
-# Node-grid-sized float arrays an identity check holds at its peak, charged
-# against the element budget (tracemalloc measured 7 at d = 7 and 8).
+# Node-grid-sized float arrays charged to the element budget per identity
+# check: an upper bound on what one holds at its peak (tracemalloc measured
+# at most 5 at d = 7).
 IDENTITY_GRID_ARRAYS = 7
 
 
@@ -78,6 +78,11 @@ def parity_matched(n: int, z) -> bool:
     return (n - sum(int(zs) for zs in z)) % 2 == 0
 
 
+def parity_forbidden(walk_class: WalkClass, n: int, z) -> bool:
+    """P(S_n = z) = 0 by parity: a bipartite walk cannot reach z in n steps."""
+    return walk_class is WalkClass.BIPARTITE and not parity_matched(n, z)
+
+
 def quad_form(m: Moments, z) -> float:
     """<z, Gamma_2^{-1} z>."""
     return math.fsum(float(zs) ** 2 / g for zs, g in zip(z, m.gamma2))
@@ -105,24 +110,18 @@ def leading_factor(c: ExpansionConstants, n: int) -> float:
 
 def rw_expansion(c: ExpansionConstants, m: Moments, n: int, z) -> float:
     """Predicted P(S_n = z) to second order; 0 on a bipartite parity mismatch."""
-    if c.walk_class is WalkClass.BIPARTITE and not parity_matched(n, z):
+    if parity_forbidden(c.walk_class, n, z):
         return 0.0
     return leading_factor(c, n) * expansion_bracket(c, m, n, z)
 
 
-def gamma_residual(
-    law: StepLaw,
-    n: int,
-    z,
-    dist=None,
-    max_elements: int = DEFAULT_ELEMENT_BUDGET,
-) -> float:
+def gamma_residual(law: StepLaw, n: int, z, dist=None) -> float:
     """n^{d/2+2} * (exact probability - second-order prediction).
 
     ``dist`` may carry a precomputed n-step distribution for the same law.
     """
     if dist is None:
-        dist = walk_dist(law, n, max_elements=max_elements)
+        dist = walk_dist(law, n)
     m = moments(law)
     c = constants(m, classify(law))
     exact = dist_at(dist, z)
@@ -148,17 +147,12 @@ class CoefficientFit:
     c2_flipped: float
 
 
-def fit_correction_coefficients(
-    law: StepLaw,
-    z,
-    n_list,
-    max_elements: int = DEFAULT_ELEMENT_BUDGET,
-) -> CoefficientFit:
+def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
     """Estimate the correction coefficients from exact probabilities.
 
     Each probe n is read from its own CF box (:func:`cf_invert_box`), so
     the cost follows the probes, not every n up to the largest; raises
-    ``CapacityExceeded`` when a box exceeds ``max_elements``.  For
+    ``CapacityExceeded`` when a box exceeds the element budget.  For
     bipartite laws every n in ``n_list`` must be parity-compatible
     with z.  Needs at least 3 entries in increasing order.
     """
@@ -171,15 +165,14 @@ def fit_correction_coefficients(
         raise ValueError(f"every probe n must be >= 1, got {n_list[0]}")
     m = moments(law)
     c = constants(m, classify(law))
-    if c.walk_class is WalkClass.BIPARTITE:
-        for n in n_list:
-            if not parity_matched(n, z):
-                raise ValueError(f"n={n} parity-incompatible with z={tuple(z)}")
+    for n in n_list:
+        if parity_forbidden(c.walk_class, n, z):
+            raise ValueError(f"n={n} parity-incompatible with z={tuple(z)}")
     c1_exact, c2_theorem, c2_flipped = bracket_coefficients(c, m, z)
 
     c1_seq, c2_seq = [], []
     for n in n_list:
-        p = dist_at(cf_invert_box(law, n, max_elements=max_elements), z)
+        p = dist_at(cf_invert_box(law, n), z)
         rho = p / leading_factor(c, n) - 1.0
         c1_seq.append(n * rho)
         c2_seq.append(n * n * (rho - c1_exact / n))
@@ -200,28 +193,28 @@ def _g4g2m3(m: Moments, z) -> float:
     return math.fsum(float(zs) ** 2 * g4 / g2**3 for zs, g2, g4 in zip(z, m.gamma2, m.gamma4))
 
 
-# Gaussian identity k is row k - 1: its polynomial factor in the sums
+# Gaussian identity k is row k - 1: the exponents (p2, p4, p6, pz) of its
+# polynomial factor a2^p2 a4^p4 a6^p6 tz^pz in the sums
 # a2 = sum zeta_s(2) theta_s^2, a4, a6 (likewise) and tz = <theta, z>, and
 # its closed form without the common (2 pi)^{d/2} (det Gamma_2)^{-1/2}
 # factor.  Identities 1-4 need a lattice point z.
 _IDENTITIES = (
-    (lambda a2, a4, a6, tz: tz**2, lambda m, z: quad_form(m, z)),
-    (lambda a2, a4, a6, tz: tz**4, lambda m, z: 3.0 * quad_form(m, z) ** 2),
-    (lambda a2, a4, a6, tz: a2**2 * tz**2, lambda m, z: (m.d + 2) * (m.d + 4) * quad_form(m, z)),
-    (
-        lambda a2, a4, a6, tz: a4 * tz**2,
-        lambda m, z: 3.0 * (4.0 * _g4g2m3(m, z) + m.tr_g4g2m2 * quad_form(m, z)),
-    ),
-    (lambda a2, a4, a6, tz: np.ones_like(a2), lambda m, z: 1.0),
-    (lambda a2, a4, a6, tz: a4, lambda m, z: 3.0 * m.tr_g4g2m2),
-    (lambda a2, a4, a6, tz: a2**2, lambda m, z: float(m.d * (m.d + 2))),
-    (lambda a2, a4, a6, tz: a2 * a4, lambda m, z: 3.0 * (m.d + 4) * m.tr_g4g2m2),
-    (lambda a2, a4, a6, tz: a6, lambda m, z: 15.0 * m.tr_g6g2m3),
-    (lambda a2, a4, a6, tz: a2**3, lambda m, z: float(m.d * (m.d + 2) * (m.d + 4))),
-    (lambda a2, a4, a6, tz: a2**4, lambda m, z: float(m.d * (m.d + 2) * (m.d + 4) * (m.d + 6))),
-    (lambda a2, a4, a6, tz: a4**2, lambda m, z: 96.0 * m.tr_g4sq_g2m4 + 9.0 * m.tr_g4g2m2**2),
-    (lambda a2, a4, a6, tz: a4 * a2**2, lambda m, z: 3.0 * (m.d + 4) * (m.d + 6) * m.tr_g4g2m2),
+    ((0, 0, 0, 2), lambda m, z: quad_form(m, z)),
+    ((0, 0, 0, 4), lambda m, z: 3.0 * quad_form(m, z) ** 2),
+    ((2, 0, 0, 2), lambda m, z: (m.d + 2) * (m.d + 4) * quad_form(m, z)),
+    ((0, 1, 0, 2), lambda m, z: 3.0 * (4.0 * _g4g2m3(m, z) + m.tr_g4g2m2 * quad_form(m, z))),
+    ((0, 0, 0, 0), lambda m, z: 1.0),
+    ((0, 1, 0, 0), lambda m, z: 3.0 * m.tr_g4g2m2),
+    ((2, 0, 0, 0), lambda m, z: float(m.d * (m.d + 2))),
+    ((1, 1, 0, 0), lambda m, z: 3.0 * (m.d + 4) * m.tr_g4g2m2),
+    ((0, 0, 1, 0), lambda m, z: 15.0 * m.tr_g6g2m3),
+    ((3, 0, 0, 0), lambda m, z: float(m.d * (m.d + 2) * (m.d + 4))),
+    ((4, 0, 0, 0), lambda m, z: float(m.d * (m.d + 2) * (m.d + 4) * (m.d + 6))),
+    ((0, 2, 0, 0), lambda m, z: 96.0 * m.tr_g4sq_g2m4 + 9.0 * m.tr_g4g2m2**2),
+    ((2, 1, 0, 0), lambda m, z: 3.0 * (m.d + 4) * (m.d + 6) * m.tr_g4g2m2),
 )
+# Power of theta_s in each term of a2, a4, a6 and tz.
+_SUM_DEGREES = (2, 4, 6, 1)
 
 
 @functools.cache
@@ -237,21 +230,19 @@ def gaussian_identity_check(m: Moments, identity_index: int, z=None) -> float:
     The integrand is a polynomial of degree <= 8 per axis times
     exp(-a2/2).  Gauss-Hermite nodes scaled by 1/sqrt(zeta_s(2)) have that
     Gaussian as their weight, so the rule is exact up to rounding; the result
-    is compared to the displayed closed form.  Raises ``CapacityExceeded``,
-    before allocating, if IDENTITY_GRID_ARRAYS arrays of IDENTITY_NODES^d
-    nodes exceed the element budget, that is for d >= 10.
+    is compared to the displayed closed form.  Only the sums the identity's
+    factor reads are built.  Raises ``CapacityExceeded``, before
+    allocating, if IDENTITY_GRID_ARRAYS arrays of IDENTITY_NODES^d nodes
+    exceed the element budget, that is for d >= 10.
     """
     d = m.d
-    if IDENTITY_GRID_ARRAYS * IDENTITY_NODES**d > DEFAULT_ELEMENT_BUDGET:
-        raise CapacityExceeded(
-            f"{IDENTITY_GRID_ARRAYS} arrays of {IDENTITY_NODES}^{d} quadrature nodes "
-            f"exceed budget {DEFAULT_ELEMENT_BUDGET}"
-        )
+    grids = f"{IDENTITY_GRID_ARRAYS} arrays of {IDENTITY_NODES}^{d} quadrature nodes"
+    charge(grids, IDENTITY_GRID_ARRAYS * IDENTITY_NODES**d)
     if identity_index not in range(1, len(_IDENTITIES) + 1):
         raise ValueError(f"identity index must be 1..{len(_IDENTITIES)}, got {identity_index}")
     if identity_index <= 4 and z is None:
         raise ValueError(f"identity {identity_index} needs a lattice point z")
-    integrand, closed_form = _IDENTITIES[identity_index - 1]
+    exponents, closed_form = _IDENTITIES[identity_index - 1]
     closed = (2.0 * math.pi) ** (d / 2.0) / math.sqrt(m.det_gamma2) * closed_form(m, z)
     nodes, weights = _hermite_rule()
     coords, weight = [], 1.0
@@ -261,11 +252,14 @@ def gaussian_identity_check(m: Moments, identity_index: int, z=None) -> float:
         scale = 1.0 / math.sqrt(m.gamma2[s])
         coords.append((nodes * scale).reshape(shape))
         weight = weight * (weights * scale).reshape(shape)
-    a2 = sum(m.gamma2[s] * coords[s] ** 2 for s in range(d))
-    a4 = sum(m.gamma4[s] * coords[s] ** 4 for s in range(d))
-    a6 = sum(m.gamma6[s] * coords[s] ** 6 for s in range(d))
-    tz = 0.0 if z is None else sum(float(z[s]) * coords[s] for s in range(d))
-    integral = float(np.sum(weight * integrand(a2, a4, a6, tz)))
+    coefs = (m.gamma2, m.gamma4, m.gamma6, z)
+    factors = [
+        sum(float(coefs[k][s]) * coords[s] ** _SUM_DEGREES[k] for s in range(d)) ** p
+        for k, p in enumerate(exponents)
+        if p
+    ]
+    # At most two factors: their product does not depend on their order.
+    integral = float(np.sum(weight * math.prod(factors)))
     if closed == 0.0:
         return abs(integral)
     return abs(integral - closed) / abs(closed)

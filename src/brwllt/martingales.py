@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gw_brw import GenerationState, SiteCounts
-from .llt import ExpansionConstants, bracket_coefficients, leading_factor, parity_matched, quad_form
-from .step_law import Moments, StepLaw, WalkClass
+from .llt import ExpansionConstants, bracket_coefficients, leading_factor, parity_forbidden, quad_form
+from .step_law import Moments, StepLaw
 
 FUNCTIONALS = ("W", "N1", "N2", "N2z", "N3", "N4")
 
@@ -234,7 +234,7 @@ def f2_eval(ro: MartingaleReadout, c: ExpansionConstants, mom: Moments) -> float
 
 def theorem_prediction(ro: MartingaleReadout, c: ExpansionConstants, mom: Moments, n: int) -> float:
     """Predicted m^{-n} Z_n(ro.z); 0 on a bipartite parity mismatch."""
-    if c.walk_class is WalkClass.BIPARTITE and not parity_matched(n, ro.z):
+    if parity_forbidden(c.walk_class, n, ro.z):
         return 0.0
     return leading_factor(c, n) * (ro.W + f1_eval(ro, c, mom) / n + f2_eval(ro, c, mom) / n**2)
 

@@ -13,7 +13,10 @@ from brwllt.exact_dist import (
     dump_csv,
     walk_dist,
 )
-from brwllt.step_law import WalkClass, classify, lazy_simple_law, validate
+from brwllt.gw_brw import GenerationState, ReplicateSeed, SiteCounts, evolve_generation, validate_offspring
+from brwllt.harness import load_config
+from brwllt.llt import fit_correction_coefficients, gamma_residual, gaussian_identity_check
+from brwllt.step_law import WalkClass, classify, law_to_dict, lazy_simple_law, moments, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
 LAZY = validate(1, 0.5, [[0.5]])
@@ -137,9 +140,10 @@ def test_bipartite_parity_zero_pattern():
         assert np.all(dist.mass[~wrong & (np.abs(z1 - dist.radius[0]) <= 1)] > 0.0)
 
 
-def test_capacity_budget():
+def test_capacity_budget(monkeypatch):
+    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 10)
     with pytest.raises(errors.CapacityExceeded):
-        walk_dist(SIMPLE, 10, max_elements=10)
+        walk_dist(SIMPLE, 10)
 
 
 def test_walk_budget_checked_before_first_step(monkeypatch):
@@ -148,8 +152,10 @@ def test_walk_budget_checked_before_first_step(monkeypatch):
     real = exact_dist.convolve_step
     monkeypatch.setattr(exact_dist, "convolve_step", lambda *a, **k: calls.append(1) or real(*a, **k))
     law = lazy_simple_law(2, 1.0 / 3.0)
-    with pytest.raises(errors.CapacityExceeded):
-        walk_dist(law, 10**6, max_elements=200**2)
+    with monkeypatch.context() as budget:
+        budget.setattr(exact_dist, "ELEMENT_BUDGET", 200**2)
+        with pytest.raises(errors.CapacityExceeded):
+            walk_dist(law, 10**6)
     assert calls == []
     tracemalloc.start()
     try:
@@ -160,7 +166,50 @@ def test_walk_budget_checked_before_first_step(monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert calls == []
-    assert walk_dist(law, 99, max_elements=199**2).radius == (99, 99)
+    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 199**2)
+    assert walk_dist(law, 99).radius == (99, 99)
+
+
+def test_one_budget_governs_every_dense_path(monkeypatch):
+    # Lowering the one constant once reaches every budgeted entry point,
+    # and each refuses its over-budget input before allocating it.
+    law = lazy_simple_law(2, 1.0 / 3.0)
+    dist = walk_dist(law, 150)
+    wide = SiteCounts.from_mapping({(x, y): 1 for x, y in ((-127, 0), (127, 0), (0, -127), (0, 127))}, 2)
+    binary = validate_offspring({2: 1.0})
+    # (what the refusal names, as a regex; call of a budgeted entry point)
+    calls = [
+        (r"200-step box \(401, 401\)", lambda: walk_dist(law, 200)),
+        ("output tensor", lambda: convolve_step(dist, law)),
+        ("CF grid", lambda: cf_invert_box(law, 200)),
+        ("CF grid", lambda: fit_correction_coefficients(law, (0, 0), (2, 4, 200))),
+        (r"200-step box \(401, 401\)", lambda: gamma_residual(law, 200, (0, 0))),
+        (r"7 arrays of 6\^6 quadrature nodes", lambda: gaussian_identity_check(moments(lazy_simple_law(6, 0.5)), 5)),
+        (r"a box of radius \(200, 200\)", lambda: SiteCounts.from_mapping({(200, 0): 1, (0, 200): 1}, 2)),
+        (
+            "the next generation's box",
+            lambda: evolve_generation(GenerationState(0, 2, wide, 4), binary, law, ReplicateSeed(0, 0)),
+        ),
+        (
+            "the next generation's box and count blocks",
+            lambda: evolve_generation(
+                GenerationState(0, 1, {(0,): 2**77}, 2**77), binary, SIMPLE, ReplicateSeed(0, 0), 128
+            ),
+        ),
+    ]
+    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2**16)
+    tracemalloc.start()
+    try:
+        refusal = r" exceeds element budget 65536 \(\d+ elements\)$"
+        for what, call in calls:
+            with pytest.raises(errors.CapacityExceeded, match="^" + what + refusal):
+                call()
+        with pytest.raises(errors.ConfigError, match=r"^n_values: the 200-step box \(401, 401\)" + refusal):
+            load_config({"experiment": "llt-check", "step_law": law_to_dict(law), "n_values": [200]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_negative_steps_refused():
@@ -182,7 +231,7 @@ def test_cf_invert_parity_zero():
     assert abs(dist_at(cf_invert_box(SIMPLE, 3), (0,))) <= 1e-10
 
 
-def test_cf_budget_checked_before_allocating():
+def test_cf_budget_checked_before_allocating(monkeypatch):
     # A (2*10^5 + 1)^2 grid exceeds the element budget; the check must come first.
     law = lazy_simple_law(2, 1.0 / 3.0)
     tracemalloc.start()
@@ -193,8 +242,9 @@ def test_cf_budget_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 10)
     with pytest.raises(errors.CapacityExceeded):
-        cf_invert_box(SIMPLE, 10, max_elements=10)
+        cf_invert_box(SIMPLE, 10)
 
 
 @pytest.mark.parametrize("d", [1, 2])

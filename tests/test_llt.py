@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from brwllt import exact_dist
 from brwllt.errors import CapacityExceeded
 from brwllt.llt import (
     bracket_coefficients,
@@ -164,9 +165,10 @@ class TestCoefficientFit:
         with pytest.raises(ValueError):
             fit_correction_coefficients(SIMPLE, (0,), (0, 2, 4))
 
-    def test_element_budget(self):
+    def test_element_budget(self, monkeypatch):
+        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 10)
         with pytest.raises(CapacityExceeded):
-            fit_correction_coefficients(SIMPLE, (0,), (64, 128, 256), max_elements=10)
+            fit_correction_coefficients(SIMPLE, (0,), (64, 128, 256))
 
 
 class TestGaussianIdentities:

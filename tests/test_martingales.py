@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,19 @@ class TestFunctionalValues:
         assert SiteCounts.from_mapping(counts, 1).radius == (radius,)
         sums = _power_sums(SiteCounts.from_mapping(counts, 1), 4)
         assert sums == {(k,): sum(c * x[0] ** k for x, c in counts.items()) for k in range(5)}
+
+    def test_power_sums_hold_one_piece(self):
+        # A 3-digit 301 x 301 box is cut into six 16-bit pieces of 0.69 MiB;
+        # the sums hold one piece at a time, not all six.
+        rng = np.random.default_rng(5)
+        box = SiteCounts((150, 150), rng.integers(0, 2**32, size=(3, 301, 301), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            _power_sums(box, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * box.digits[0].nbytes
 
     def test_readout_matches_site_sum(self):
         law = lazy_simple_law(2, 0.25)
