@@ -16,6 +16,7 @@ from .step_law import (  # noqa: F401
 )
 from .exact_dist import (  # noqa: F401
     LatticeDist,
+    axis_mixture,
     cf_invert_box,
     convolve_step,
     delta_dist,

@@ -1,14 +1,19 @@
-"""Exact n-step distributions by dense lattice convolution and CF inversion.
+"""Exact n-step distributions: the stepped oracle, the axis mixture and CF.
 
-Both routes return the probability mass function of the n-step walk on
-the solid box it can reach.  Convolution steps the walk n times and is
-the oracle.  It uses the per-axis reflection symmetry of every n-step
-law (orthant + mirror): each step computes only the cells with every
-z_s >= 0 and mirrors them into the full box.  The characteristic-function
-route samples psi(phi)^n on a uniform torus grid and inverts it with one
-FFT; the integrand is a trigonometric polynomial of known degree, so the
-grid rule is exact up to rounding and serves as a genuinely independent
-second method.  Both charge the element budget before they allocate.
+Three routes give P(S_n = z).  The stepped oracle (``convolve_step``,
+``walk_dist``) convolves the whole reachable box n times.  It uses the
+per-axis reflection symmetry of every n-step law (orthant + mirror): each
+step computes only the cells with every z_s >= 0 and mirrors them into
+the full box.  The axis mixture (``axis_mixture``) reads a few points
+without the box: a step moves along one axis or stays put, so P(S_n = z)
+is a binomial mixture of 1-d k-step laws, each stepped by the same
+``convolve_step``; every term is nonnegative, so its error is relative in
+every cell.  The characteristic-function route (``cf_invert_box``) samples
+psi(phi)^n on a uniform torus grid and inverts it with one real FFT over
+half the spectrum; the integrand is a trigonometric polynomial of known
+degree, so the grid rule is exact up to rounding and serves as a
+genuinely independent second method.  Every route charges the element
+budget before it allocates.
 """
 
 from __future__ import annotations
@@ -137,6 +142,77 @@ def walk_dist(law: StepLaw, n: int) -> LatticeDist:
     return dist
 
 
+def _axis_step(law: StepLaw, s: int) -> tuple[float, StepLaw]:
+    """The probability p_s that a step falls on axis s, the lazy atom
+    counting for axis 0, and the 1-d law of such a step."""
+    stay = law.zeta0 if s == 0 else 0.0
+    p = math.fsum((stay, *law.weights[s]))
+    return p, StepLaw(d=1, zeta0=stay / p, weights=(tuple(w / p for w in law.weights[s]),))
+
+
+def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
+    """P(S_n = z) for every probe n and point z, without the d-dim box.
+
+    Given how many of the n steps fall on each axis, the axes move
+    independently, so P(S_n = z) is the mixture over k_0 + ... + k_{d-1} = n
+    of prod_s P(X_s^(k_s) = z_s), X_s the walk of axis s's 1-d law
+    (``_axis_step``), with multinomial weights.  Each axis is stepped once
+    with ``convolve_step``, up to the largest probe, recording at each k
+    only the cells at the points and the row total.  The axes are then
+    mixed one at a time, last first: axis s takes k of the m steps left to
+    axes s.. with weight C(m, k) a^k b^(m-k), a = p_s / sum_{t>=s} p_t and
+    b = sum_{t>s} p_t / sum_{t>=s} p_t, built by the Pascal recurrence
+    W[m, k] = a W[m-1, k-1] + b W[m-1, k], which never overflows.  Cost
+    O(n^2) per point on each inner axis, O(n) on axis 0.
+
+    Returns ``(mass, total)``: ``mass[i, j]`` is P(S_n = points[j]) at
+    n = probes[i], and ``total[i]`` the mixture's whole mass at probes[i],
+    mixed from the row totals.  The recorded tables are charged to the
+    element budget before the first step.
+    """
+    probes = [int(n) for n in probes]
+    if any(n < 0 for n in probes):
+        raise ValueError(f"numbers of steps must be >= 0, got {probes}")
+    points = [tuple(int(c) for c in z) for z in points]
+    if any(len(z) != law.d for z in points):
+        raise ValueError(f"every point needs {law.d} coordinates")
+    n_max = max(probes, default=0)
+    cols = len(points) + 1
+    charge(f"axis tables for {n_max} steps", law.d * (n_max + 1) * cols)
+    p, tables = [], []
+    for s in range(law.d):
+        p_s, axis = _axis_step(law, s)
+        at = np.array([abs(z[s]) for z in points], dtype=np.int64)
+        table = np.empty((n_max + 1, cols))
+        dist = delta_dist(axis)
+        for k in range(n_max + 1):
+            if k:
+                dist = convolve_step(dist, axis)
+            r = dist.radius[0]
+            table[k, :-1] = np.where(at <= r, dist.mass[r + np.minimum(at, r)], 0.0)
+            table[k, -1] = dist.total()
+        p.append(p_s)
+        tables.append(table)
+    # mixed[m]: the law of the steps on axes s.., given that m steps fall there.
+    mixed = tables[-1]
+    for s in range(law.d - 2, -1, -1):
+        tail = math.fsum(p[s:])
+        a, b = p[s] / tail, math.fsum(p[s + 1 :]) / tail
+        wanted = set(probes) if s == 0 else range(n_max + 1)
+        out = np.zeros((n_max + 1, cols))
+        weights = np.ones(1)
+        for m in range(n_max + 1):
+            if m:
+                step = np.zeros(m + 1)
+                step[:-1] = b * weights
+                step[1:] += a * weights
+                weights = step
+            if m in wanted:
+                out[m] = (weights[:, None] * tables[s][: m + 1] * mixed[m::-1]).sum(axis=0)
+        mixed = out
+    return mixed[probes, :-1], mixed[probes, -1]
+
+
 def dist_at(dist: LatticeDist, z) -> float:
     """P(S_n = z); exactly 0 outside the stored box."""
     idx = []
@@ -168,8 +244,10 @@ def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
 
     psi^n is a trigonometric polynomial of degree n*t_s in phi_s, so its
     samples at 2*n*t_s + 1 points per axis determine every coefficient and
-    an inverse DFT returns them exactly up to rounding.  The error is
-    absolute, about 1e-16, so far-tail cells are not relatively accurate.
+    an inverse DFT returns them exactly up to rounding.  psi is evaluated
+    on the half phi_d <= pi of the last axis only, and ``irfftn`` inverts
+    it; the full grid is charged.  The error is absolute, about 1e-16, so
+    far-tail cells are not relatively accurate.
     """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
@@ -177,8 +255,11 @@ def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
     panel_counts = box_shape(law, n)
     charge("CF grid", math.prod(panel_counts))
     phis = [2.0 * np.pi * np.arange(m) / m for m in panel_counts]
+    # psi is real and even, so the half phi_d <= pi of the last axis
+    # determines the rest of the spectrum.
+    phis[-1] = phis[-1][: panel_counts[-1] // 2 + 1]
     psi = _psi_grid(law, phis)
-    vals = np.fft.ifftn(psi**n).real
+    vals = np.fft.irfftn(psi**n, s=panel_counts, axes=tuple(range(law.d)))
     # DFT index k corresponds to lattice point k mod M, centered by roll.
     vals = np.roll(vals, radius, axis=tuple(range(law.d)))
     return LatticeDist(n=n, d=law.d, radius=radius, mass=vals)

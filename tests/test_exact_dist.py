@@ -6,6 +6,8 @@ import pytest
 from brwllt import errors, exact_dist
 from brwllt.exact_dist import (
     LatticeDist,
+    axis_mixture,
+    box_shape,
     cf_invert_box,
     convolve_step,
     delta_dist,
@@ -123,6 +125,47 @@ def test_matches_full_box_reference(law, n_max):
         assert rel.max() <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "law, n_max",
+    [
+        (LAWS[1], 40),
+        (SIMPLE, 40),
+        (LAWS[2], 30),
+        (lazy_simple_law(2, 1.0 / 3.0), 30),
+        (validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]]), 30),
+        (validate(2, 0.04, [[0.5, 0.05], [0.41]]), 30),
+        (LAWS[3], 10),
+    ],
+    ids=["multi-1d", "simple-1d", "multi-2d", "lazy-2d", "bipartite-2d", "small-atoms-2d", "multi-3d"],
+)
+def test_axis_mixture_matches_convolution(law, n_max):
+    # Every cell of the n_max box, at unsorted and repeated probes and n = 0:
+    # the cells convolution leaves exactly 0.0 (parity, reach) are exactly
+    # 0.0, and every other cell is within 1e-12 relative.
+    probes = [n_max, 0, 7, n_max, 3]
+    top = walk_dist(law, n_max)
+    points = [tuple(i - r for i, r in zip(idx, top.radius)) for idx in np.ndindex(*top.mass.shape)]
+    mass, total = axis_mixture(law, probes, points)
+    assert mass.shape == (len(probes), len(points))
+    for i, n in enumerate(probes):
+        dist = walk_dist(law, n)
+        ref = np.zeros_like(top.mass)
+        ref[tuple(slice(R - r, R + r + 1) for R, r in zip(top.radius, dist.radius))] = dist.mass
+        ref = ref.ravel()
+        nonzero = ref != 0.0
+        assert np.array_equal(mass[i] != 0.0, nonzero)
+        assert (np.abs(mass[i][nonzero] - ref[nonzero]) / ref[nonzero]).max() <= 1e-12
+        assert abs(total[i] - 1.0) <= 1e-12
+    assert mass[1, points.index((0,) * law.d)] == 1.0
+
+
+def test_axis_mixture_refuses_bad_input():
+    with pytest.raises(ValueError):
+        axis_mixture(SIMPLE, [3, -1], [(0,)])
+    with pytest.raises(ValueError):
+        axis_mixture(SIMPLE, [3], [(0, 0)])
+
+
 def test_bipartite_parity_zero_pattern():
     assert classify(SIMPLE) is WalkClass.BIPARTITE
     d = walk_dist(SIMPLE, 9)
@@ -180,6 +223,7 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
     # (what the refusal names, as a regex; call of a budgeted entry point)
     calls = [
         (r"200-step box \(401, 401\)", lambda: walk_dist(law, 200)),
+        ("axis tables for 100000 steps", lambda: axis_mixture(law, [10**5], [(0, 0)])),
         ("output tensor", lambda: convolve_step(dist, law)),
         ("CF grid", lambda: cf_invert_box(law, 200)),
         ("CF grid", lambda: fit_correction_coefficients(law, (0, 0), (2, 4, 200))),
@@ -245,6 +289,33 @@ def test_cf_budget_checked_before_allocating(monkeypatch):
     monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 10)
     with pytest.raises(errors.CapacityExceeded):
         cf_invert_box(SIMPLE, 10)
+
+
+@pytest.mark.parametrize(
+    "law, n",
+    [
+        (LAWS[1], 40),
+        (SIMPLE, 41),
+        (LAWS[2], 20),
+        (validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]]), 15),
+        (LAWS[3], 8),
+    ],
+    ids=["multi-1d", "simple-1d", "multi-2d", "bipartite-2d", "multi-3d"],
+)
+def test_half_spectrum_cf_matches_full_spectrum(law, n):
+    # Reference: psi on the whole torus grid and the complex inverse FFT.
+    shape = tuple(2 * n * t + 1 for t in law.ranges)
+    psi = np.full((1,) * law.d, law.zeta0)
+    for s, m in enumerate(shape):
+        phi = 2.0 * np.pi * np.arange(m) / m
+        axis = sum(w * np.cos(r * phi) for r, w in enumerate(law.weights[s], start=1) if w > 0.0)
+        psi = psi + axis.reshape([m if t == s else 1 for t in range(law.d)])
+    radius = tuple(n * t for t in law.ranges)
+    ref = np.roll(np.fft.ifftn(psi**n).real, radius, axis=tuple(range(law.d)))
+    box = cf_invert_box(law, n)
+    assert box.radius == radius
+    assert box.mass.shape == shape == box_shape(law, n)
+    assert np.abs(box.mass - ref).max() <= 1e-15
 
 
 @pytest.mark.parametrize("d", [1, 2])

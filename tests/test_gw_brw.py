@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from brwllt import errors
+from brwllt import errors, exact_dist, gw_brw
 from brwllt.gw_brw import (
     GenerationState,
     ReplicateSeed,
@@ -254,6 +254,29 @@ class TestEvolve:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
+
+    def test_box_charged_before_blocks(self, monkeypatch):
+        # Four single particles 127 sites out on each axis: the next box is
+        # 257^2 = 66049 cells and the blocks add 4 * 5 elements.  A budget
+        # the box alone exceeds is refused before any block is cut.
+        calls = []
+        real = gw_brw._blocks
+        monkeypatch.setattr(gw_brw, "_blocks", lambda *a: calls.append(a) or real(*a))
+        far = SiteCounts.from_mapping({(x, y): 1 for x, y in ((-127, 0), (127, 0), (0, -127), (0, 127))}, 2)
+        state = GenerationState(0, 2, far, 4)
+        off = validate_offspring({2: 1.0})
+        law = lazy_simple_law(2, 1.0 / 3.0)
+        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2 - 1)
+        with pytest.raises(errors.CapacityExceeded, match=r"^the next generation's box exceeds"):
+            evolve_generation(state, off, law, ReplicateSeed(0, 0))
+        assert calls == []
+        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2)
+        with pytest.raises(errors.CapacityExceeded, match=r"^the next generation's box and count blocks exceeds"):
+            evolve_generation(state, off, law, ReplicateSeed(0, 0))
+        assert len(calls) == 1
+        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2 + 20)
+        assert evolve_generation(state, off, law, ReplicateSeed(0, 0)).total == 8
+        assert len(calls) == 2
 
     def test_multinomial_placement_mean(self):
         off = validate_offspring({2: 1.0})

@@ -372,7 +372,7 @@ class TestCsvAndDeterminism:
         lines = texts[0].splitlines()
         assert lines[5] == "# passed=True"
         keys = [line[2:].partition("=")[0] for line in lines[6:9]]
-        assert keys == ["oracle_gap_max", "cf_negative_mass", "conv_mass_drift"]
+        assert keys == ["oracle_gap_max", "cf_negative_mass", "exact_mass_drift"]
         gap, negative, drift = (float(line.partition("=")[2]) for line in lines[6:9])
         assert 0.0 <= gap <= 1e-9
         assert 0.0 <= negative <= 1e-12
