@@ -9,11 +9,13 @@ without the box: a step moves along one axis or stays put, so P(S_n = z)
 is a binomial mixture of 1-d k-step laws, each stepped by the same
 ``convolve_step``; every term is nonnegative, so its error is relative in
 every cell.  The characteristic-function route (``cf_invert_box``) samples
-psi(phi)^n on a uniform torus grid and inverts it with one real FFT over
-half the spectrum; the integrand is a trigonometric polynomial of known
-degree, so the grid rule is exact up to rounding and serves as a
-genuinely independent second method.  Every route charges the element
-budget before it allocates.
+psi(phi)^n on a uniform torus grid of least 5-smooth size >= 2*n*t_s + 1
+per axis (``cf_grid``), on the orthant phi_s <= pi only, raises it to the
+n-th power by repeated squaring, and inverts it with a real FFT per axis;
+the integrand is a trigonometric polynomial of known degree, so the grid
+rule is exact up to rounding and serves as a genuinely independent second
+method.  Every route charges the element budget before it allocates; the
+CF route charges its whole grid.
 """
 
 from __future__ import annotations
@@ -239,30 +241,67 @@ def _psi_grid(law: StepLaw, phis) -> np.ndarray:
     return out
 
 
+def _smooth(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m, a size the FFT factors into radix 2/3/5 passes."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < m:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def cf_grid(law: StepLaw, n: int) -> tuple[int, ...]:
+    """Shape of the torus grid ``cf_invert_box`` samples: the least 5-smooth
+    size >= 2*n*t_s + 1 per axis."""
+    return tuple(_smooth(m) for m in box_shape(law, n))
+
+
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n by repeated squaring, overwriting x; one more array of x's size
+    holds the base when n is not a power of 2."""
+    if n == 0:
+        x.fill(1.0)
+        return x
+    base = x.copy() if n & (n - 1) else None
+    for bit in bin(n)[3:]:
+        np.multiply(x, x, out=x)
+        if bit == "1":
+            np.multiply(x, base, out=x)
+    return x
+
+
 def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
     """All of P(S_n = .) on the reachable box, by inverting the sampled CF.
 
     psi^n is a trigonometric polynomial of degree n*t_s in phi_s, so its
-    samples at 2*n*t_s + 1 points per axis determine every coefficient and
-    an inverse DFT returns them exactly up to rounding.  psi is evaluated
-    on the half phi_d <= pi of the last axis only, and ``irfftn`` inverts
-    it; the full grid is charged.  The error is absolute, about 1e-16, so
+    samples at any M_s >= 2*n*t_s + 1 points per axis determine every
+    coefficient, with lattice point k at DFT index k mod M_s, and an
+    inverse DFT returns them exactly up to rounding.  M_s is the least
+    5-smooth such size (``cf_grid``), which the FFT factors into small
+    radices.  Orthant + mirror, as in ``convolve_step``: psi is real and
+    even in each phi_s, so its samples with every phi_s <= pi determine the
+    grid and are raised to the n-th power by repeated squaring; each axis
+    in turn is inverted by a real FFT (``irfft``) and cut to the lattice
+    points 0 <= z_s <= n*t_s, and the orthant is mirrored into the box.
+    The full grid is charged.  The error is absolute, about 1e-16, so
     far-tail cells are not relatively accurate.
     """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
     radius = tuple(n * t for t in law.ranges)
-    panel_counts = box_shape(law, n)
-    charge("CF grid", math.prod(panel_counts))
-    phis = [2.0 * np.pi * np.arange(m) / m for m in panel_counts]
-    # psi is real and even, so the half phi_d <= pi of the last axis
-    # determines the rest of the spectrum.
-    phis[-1] = phis[-1][: panel_counts[-1] // 2 + 1]
-    psi = _psi_grid(law, phis)
-    vals = np.fft.irfftn(psi**n, s=panel_counts, axes=tuple(range(law.d)))
-    # DFT index k corresponds to lattice point k mod M, centered by roll.
-    vals = np.roll(vals, radius, axis=tuple(range(law.d)))
-    return LatticeDist(n=n, d=law.d, radius=radius, mass=vals)
+    grid = cf_grid(law, n)
+    charge("CF grid", math.prod(grid))
+    vals = _power(_psi_grid(law, [2.0 * np.pi * np.arange(m // 2 + 1) / m for m in grid]), n)
+    for s, (m, r) in enumerate(zip(grid, radius)):
+        vals = np.fft.irfft(vals, n=m, axis=s)[(slice(None),) * s + (slice(r + 1),)]
+    return LatticeDist(n=n, d=law.d, radius=radius, mass=_unfold(vals, radius))
 
 
 def dump_csv(dist: LatticeDist, path) -> None:

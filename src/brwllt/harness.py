@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BrwlltError, CapacityExceeded, ConfigError
-from .exact_dist import axis_mixture, box_shape, cf_invert_box, charge, dist_at
+from .exact_dist import axis_mixture, cf_grid, cf_invert_box, charge, dist_at
 from .gw_brw import (
     OffspringLaw,
     ReplicateSeed,
@@ -153,9 +153,9 @@ def load_config(doc: dict) -> ExperimentConfig:
     if any(n < 1 for n in n_values):
         raise ConfigError(f"n_values: every probe n must be >= 1, got {list(n_values)}")
     if experiment in ("llt-check", "coeff-fit") and n_values:
-        shape = box_shape(law, max(n_values))
+        shape = cf_grid(law, max(n_values))
         try:
-            charge(f"the {max(n_values)}-step box {shape}", math.prod(shape))
+            charge(f"the {max(n_values)}-step CF grid {shape}", math.prod(shape))
         except CapacityExceeded as exc:
             raise ConfigError(f"n_values: {exc}") from None
     increasing = all(a < b for a, b in zip(n_values, n_values[1:]))

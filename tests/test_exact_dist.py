@@ -8,6 +8,7 @@ from brwllt.exact_dist import (
     LatticeDist,
     axis_mixture,
     box_shape,
+    cf_grid,
     cf_invert_box,
     convolve_step,
     delta_dist,
@@ -159,6 +160,28 @@ def test_axis_mixture_matches_convolution(law, n_max):
     assert mass[1, points.index((0,) * law.d)] == 1.0
 
 
+def leaky_step(monkeypatch, q):
+    """Make every ``convolve_step`` keep only the fraction q of the mass."""
+    real = exact_dist.convolve_step
+
+    def step(dist, law):
+        out = real(dist, law)
+        return LatticeDist(n=out.n, d=out.d, radius=out.radius, mass=q * out.mass)
+
+    monkeypatch.setattr(exact_dist, "convolve_step", step)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_axis_mixture_total_is_mixed_from_row_totals(monkeypatch, d):
+    # A step that keeps half the mass leaves q^k on every k-step 1-d row, so
+    # the mixture's whole mass at n is q^n, not the constant 1.
+    q = 0.5
+    leaky_step(monkeypatch, q)
+    probes = [0, 5, 9]
+    _, total = axis_mixture(LAWS[d], probes, [(0,) * d])
+    assert np.allclose(total, [q**n for n in probes], rtol=1e-12, atol=0.0)
+
+
 def test_axis_mixture_refuses_bad_input():
     with pytest.raises(ValueError):
         axis_mixture(SIMPLE, [3, -1], [(0,)])
@@ -248,7 +271,7 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
         for what, call in calls:
             with pytest.raises(errors.CapacityExceeded, match="^" + what + refusal):
                 call()
-        with pytest.raises(errors.ConfigError, match=r"^n_values: the 200-step box \(401, 401\)" + refusal):
+        with pytest.raises(errors.ConfigError, match=r"^n_values: the 200-step CF grid \(405, 405\)" + refusal):
             load_config({"experiment": "llt-check", "step_law": law_to_dict(law), "n_values": [200]})
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -291,6 +314,51 @@ def test_cf_budget_checked_before_allocating(monkeypatch):
         cf_invert_box(SIMPLE, 10)
 
 
+def test_cf_grid_is_least_5_smooth():
+    # Brute force: the sizes 2^a 3^b 5^c up to 15001, the largest 2*n*t + 1
+    # below, and for each axis the least of them >= 2*n*t_s + 1.
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6) if 2**a * 3**b * 5**c <= 15001
+    )
+    assert smooth[-1] == 15000
+    law = validate(3, 0.1, [[0.3], [0.2, 0.1], [0.1, 0.1, 0.1]])
+    for n in range(2500):
+        want = tuple(next(m for m in smooth if m >= 2 * n * t + 1) for t in law.ranges)
+        assert cf_grid(law, n) == want
+    assert cf_grid(LAZY, 120) == (243,)
+    assert cf_grid(LAZY, 4096) == (8640,)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 240, 4096])
+def test_power_by_squaring_matches_pow(n):
+    # Within (n+1)*eps of x**n, relative to the result or, where it is
+    # subnormal, to the smallest normal number.
+    rng = np.random.default_rng(n)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 4000), 1.0 - rng.uniform(0.0, 1e-2, 4000), [-1.0, 0.0, 1.0]])
+    ref = x**n
+    got = exact_dist._power(x.copy(), n)
+    info = np.finfo(float)
+    assert np.all(np.abs(got - ref) <= (n + 1) * info.eps * np.maximum(np.abs(ref), info.tiny))
+
+
+@pytest.mark.parametrize(
+    "law, n",
+    [(LAZY, 120), (lazy_simple_law(2, 1.0 / 3.0), 48), (LAWS[2], 24), (LAWS[3], 8)],
+    ids=["lazy-1d-241", "lazy-2d-97", "multi-2d-97", "multi-3d"],
+)
+def test_cf_on_padded_grid_matches_convolution(law, n):
+    # 2*n*t_s + 1 is not 5-smooth on any axis, so the CF grid is padded and
+    # the box is cut from it; every cell within 1e-15 of convolution, and
+    # symmetric under each axis reflection bit for bit.
+    assert all(m > b for m, b in zip(cf_grid(law, n), box_shape(law, n)))
+    box = cf_invert_box(law, n)
+    dist = walk_dist(law, n)
+    assert box.radius == dist.radius
+    assert np.abs(box.mass - dist.mass).max() <= 1e-15
+    for s in range(law.d):
+        assert np.array_equal(box.mass, np.flip(box.mass, axis=s))
+
+
 @pytest.mark.parametrize(
     "law, n",
     [
@@ -303,7 +371,8 @@ def test_cf_budget_checked_before_allocating(monkeypatch):
     ids=["multi-1d", "simple-1d", "multi-2d", "bipartite-2d", "multi-3d"],
 )
 def test_half_spectrum_cf_matches_full_spectrum(law, n):
-    # Reference: psi on the whole torus grid and the complex inverse FFT.
+    # Reference: psi on the whole odd torus grid of 2*n*t_s + 1 points and
+    # the complex inverse FFT; ``cf_invert_box`` samples a padded grid.
     shape = tuple(2 * n * t + 1 for t in law.ranges)
     psi = np.full((1,) * law.d, law.zeta0)
     for s, m in enumerate(shape):

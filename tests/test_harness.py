@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brwllt import cli
+from brwllt import cli, exact_dist
 from brwllt.errors import BrwlltError, ConfigError, NonNormalized
 from brwllt.harness import (
     DEFAULT_THRESHOLDS,
@@ -238,8 +238,8 @@ class TestConfig:
                 pass
 
     def test_probe_box_budget(self):
-        # A 2-d box of 40001^2 cells exceeds DEFAULT_ELEMENT_BUDGET; the
-        # config is refused at load time, before any box is allocated.
+        # A 2-d CF grid of 40500^2 cells exceeds ELEMENT_BUDGET; the config
+        # is refused at load time, before any grid is allocated.
         law_2d = {"d": 2, "zeta0": 0.2, "axes": [[0.4], [0.4]]}
         tracemalloc.start()
         try:
@@ -251,6 +251,20 @@ class TestConfig:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert load_config(base_doc("llt-check", n_values=[60, 20000])).n_values == (60, 20000)
+
+    @pytest.mark.parametrize("experiment, n_values", [("llt-check", [200]), ("coeff-fit", [50, 100, 200])])
+    def test_cf_grid_budget_at_the_edge(self, monkeypatch, experiment, n_values):
+        # At n = 200 the lazy 2-d box is 401^2 cells and its CF grid 405^2.
+        # A budget that holds the box but not the grid refuses the config at
+        # load time; one that holds the grid loads it, and the run's CF boxes
+        # fit.
+        law_2d = {"d": 2, "zeta0": 0.2, "axes": [[0.4], [0.4]]}
+        doc = base_doc(experiment, step_law=law_2d, n_values=n_values, z_set=[[0, 0]])
+        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 405**2 - 1)
+        with pytest.raises(ConfigError, match=r"^n_values: the 200-step CF grid \(405, 405\) exceeds element budget"):
+            load_config(doc)
+        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 405**2)
+        assert run_experiment(load_config(doc)).rows
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -378,6 +392,22 @@ class TestCsvAndDeterminism:
         assert 0.0 <= negative <= 1e-12
         assert abs(drift) <= 40 * 1e-12
         assert lines[9] == "n,z1,exact,cf_invert,predicted,gamma"
+
+    def test_exact_mass_drift_reads_the_mixture(self, monkeypatch):
+        # A convolution step that keeps half the mass leaves q^n in the axis
+        # mixture at n, so the audit line reads 1 - q^n at the largest probe.
+        q = 0.5
+        real = exact_dist.convolve_step
+
+        def leaky(dist, law):
+            out = real(dist, law)
+            return exact_dist.LatticeDist(n=out.n, d=out.d, radius=out.radius, mass=q * out.mass)
+
+        monkeypatch.setattr(exact_dist, "convolve_step", leaky)
+        for law, z in ((LAW_1D_LAZY, [0]), ({"d": 2, "zeta0": 0.2, "axes": [[0.3, 0.1], [0.4]]}, [0, 0])):
+            cfg = load_config(base_doc("llt-check", step_law=law, n_values=[4, 10, 8], z_set=[z]))
+            drift = run_experiment(cfg).audit["exact_mass_drift"]
+            assert drift == pytest.approx(1.0 - q**10, rel=1e-12, abs=0.0)
 
     def test_repeated_runs_byte_identical(self, tmp_path):
         doc = base_doc(
