@@ -26,7 +26,8 @@ class DegenerateLazy(BrwlltError):
 
 
 class CapacityExceeded(BrwlltError):
-    """A dense distribution tensor would exceed the element budget."""
+    """A box, axis or CF table, or BRW count block would exceed the element
+    budget, or an offspring table would exceed ``MAX_OFFSPRING`` entries."""
 
 
 class SubcriticalOrCritical(BrwlltError):

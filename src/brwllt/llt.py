@@ -2,8 +2,9 @@
 
 Provides the expansion constants, the predicted point probability, the
 scaled residual against the exact distribution, an empirical fit of the
-1/n and 1/n^2 correction coefficients, and exact Gauss-Hermite quadrature
-checks of the Gaussian moment identities behind the expansion.
+1/n and 1/n^2 correction coefficients, and the Gaussian moment identities
+behind the expansion, checked in any dimension by one exact Gauss-Hermite
+rule per axis whose moment tables are multiplied as truncated power series.
 """
 
 from __future__ import annotations
@@ -14,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_dist import cf_invert_box, charge, dist_at, walk_dist
+from .exact_dist import cf_invert_box, dist_at, walk_dist
 from .step_law import Moments, StepLaw, WalkClass, classify, moments
-
-# Gauss-Hermite nodes per axis: exact for degree <= 11 per axis, and the
-# identity integrands reach degree 8.
-IDENTITY_NODES = 6
-# Node-grid-sized float arrays charged to the element budget per identity
-# check: an upper bound on what one holds at its peak (tracemalloc measured
-# at most 5 at d = 7).
-IDENTITY_GRID_ARRAYS = 7
 
 
 @dataclass(frozen=True)
@@ -118,10 +111,13 @@ def rw_expansion(c: ExpansionConstants, m: Moments, n: int, z) -> float:
 def gamma_residual(law: StepLaw, n: int, z, dist=None) -> float:
     """n^{d/2+2} * (exact probability - second-order prediction).
 
-    ``dist`` may carry a precomputed n-step distribution for the same law.
+    ``dist`` may carry a precomputed n-step distribution for the same law;
+    one of another n or d raises ``ValueError``.
     """
     if dist is None:
         dist = walk_dist(law, n)
+    elif (dist.n, dist.d) != (n, law.d):
+        raise ValueError(f"dist is the {dist.n}-step law in d={dist.d}, but n={n} and d={law.d}")
     m = moments(law)
     c = constants(m, classify(law))
     exact = dist_at(dist, z)
@@ -196,8 +192,8 @@ def _g4g2m3(m: Moments, z) -> float:
 # Gaussian identity k is row k - 1: the exponents (p2, p4, p6, pz) of its
 # polynomial factor a2^p2 a4^p4 a6^p6 tz^pz in the sums
 # a2 = sum zeta_s(2) theta_s^2, a4, a6 (likewise) and tz = <theta, z>, and
-# its closed form without the common (2 pi)^{d/2} (det Gamma_2)^{-1/2}
-# factor.  Identities 1-4 need a lattice point z.
+# its closed form, the factor's expectation when theta has density
+# proportional to exp(-a2/2).  Identities 1-4 read the lattice point z.
 _IDENTITIES = (
     ((0, 0, 0, 2), lambda m, z: quad_form(m, z)),
     ((0, 0, 0, 4), lambda m, z: 3.0 * quad_form(m, z) ** 2),
@@ -215,51 +211,68 @@ _IDENTITIES = (
 )
 # Power of theta_s in each term of a2, a4, a6 and tz.
 _SUM_DEGREES = (2, 4, 6, 1)
+# The highest power of each sum that an identity reads; the moment table's shape is _TOP + 1.
+_TOP = tuple(max(exponents[k] for exponents, _ in _IDENTITIES) for k in range(len(_SUM_DEGREES)))
 
 
 @functools.cache
 def _hermite_rule():
+    """The standard normal's 6-node Gauss-Hermite rule, exact to degree 11."""
     from numpy.polynomial.hermite_e import hermegauss  # imported on first use only
 
-    return hermegauss(IDENTITY_NODES)
+    nodes, weights = hermegauss(6)
+    return nodes, weights / weights.sum()
 
 
-def gaussian_identity_check(m: Moments, identity_index: int, z=None) -> float:
-    """Relative error of one Gaussian moment identity under product quadrature.
+@functools.cache
+def _moment_table():
+    """The moment table's fixed layout: (row, col, lag), the flat cells with
+    exponents row = col + lag, so that the truncated product of tables t and
+    u sums t[lag] * u[col] into row; j_1! j_2! j_3! j_4! of each cell j; and
+    the cell each identity reads.  A flat cell is linear in its exponents,
+    so lag = row - col."""
+    shape = tuple(p + 1 for p in _TOP)
+    row = col = np.zeros(1, dtype=int)
+    factorials = np.ones(1)
+    for n in shape:
+        j, l = np.tril_indices(n)
+        row, col = (row[:, None] * n + j).ravel(), (col[:, None] * n + l).ravel()
+        factorials = np.outer(factorials, [math.factorial(i) for i in range(n)]).ravel()
+    read = np.ravel_multi_index(tuple(np.transpose([exponents for exponents, _ in _IDENTITIES])), shape)
+    return row, col, row - col, factorials, read
 
-    The integrand is a polynomial of degree <= 8 per axis times
-    exp(-a2/2).  Gauss-Hermite nodes scaled by 1/sqrt(zeta_s(2)) have that
-    Gaussian as their weight, so the rule is exact up to rounding; the result
-    is compared to the displayed closed form.  Only the sums the identity's
-    factor reads are built.  Raises ``CapacityExceeded``, before
-    allocating, if IDENTITY_GRID_ARRAYS arrays of IDENTITY_NODES^d nodes
-    exceed the element budget, that is for d >= 10.
+
+def identity_expectations(m: Moments, z) -> np.ndarray:
+    """E[a2^p2 a4^p4 a6^p6 tz^pz] of each identity, in ``_IDENTITIES`` order.
+
+    The theta_s are independent N(0, 1/zeta_s(2)) and each sum adds one term
+    X_{s,k} = c_{k,s} theta_s^{deg_k} per axis, so the expectation over p!
+    is the t^p coefficient of prod_s E[exp(sum_k t_k X_{s,k})].  Each axis's
+    table of E[X_s^j] / j!, j <= _TOP, comes from the 6-node rule, and the
+    tables are multiplied as power series truncated at _TOP.  The cells the
+    identities read, and those that feed them, have per-axis degree <= 8, so
+    they are exact up to rounding; the unread top cells are not.  Memory
+    does not grow with d.
     """
-    d = m.d
-    grids = f"{IDENTITY_GRID_ARRAYS} arrays of {IDENTITY_NODES}^{d} quadrature nodes"
-    charge(grids, IDENTITY_GRID_ARRAYS * IDENTITY_NODES**d)
-    if identity_index not in range(1, len(_IDENTITIES) + 1):
-        raise ValueError(f"identity index must be 1..{len(_IDENTITIES)}, got {identity_index}")
-    if identity_index <= 4 and z is None:
-        raise ValueError(f"identity {identity_index} needs a lattice point z")
-    exponents, closed_form = _IDENTITIES[identity_index - 1]
-    closed = (2.0 * math.pi) ** (d / 2.0) / math.sqrt(m.det_gamma2) * closed_form(m, z)
     nodes, weights = _hermite_rule()
-    coords, weight = [], 1.0
-    for s in range(d):
-        shape = [1] * d
-        shape[s] = IDENTITY_NODES
-        scale = 1.0 / math.sqrt(m.gamma2[s])
-        coords.append((nodes * scale).reshape(shape))
-        weight = weight * (weights * scale).reshape(shape)
-    coefs = (m.gamma2, m.gamma4, m.gamma6, z)
-    factors = [
-        sum(float(coefs[k][s]) * coords[s] ** _SUM_DEGREES[k] for s in range(d)) ** p
-        for k, p in enumerate(exponents)
-        if p
-    ]
-    # At most two factors: their product does not depend on their order.
-    integral = float(np.sum(weight * math.prod(factors)))
-    if closed == 0.0:
-        return abs(integral)
-    return abs(integral - closed) / abs(closed)
+    row, col, lag, factorials, read = _moment_table()
+    table = np.eye(1, factorials.size).ravel()
+    for s in range(m.d):
+        theta = nodes / math.sqrt(m.gamma2[s])
+        powers = [
+            (float(c[s]) * theta**deg)[:, None] ** np.arange(p + 1)
+            for c, deg, p in zip((m.gamma2, m.gamma4, m.gamma6, z), _SUM_DEGREES, _TOP)
+        ]
+        axis = np.einsum("i,ia,ib,ic,ie->abce", weights, *powers).ravel() / factorials
+        table = np.bincount(row, axis[lag] * table[col], table.size)
+    return (table * factorials)[read]
+
+
+def gaussian_identity_check(m: Moments, z) -> tuple[float, ...]:
+    """Relative errors of the Gaussian moment identities, in ``_IDENTITIES``
+    order: each :func:`identity_expectations` entry against its closed form,
+    or its absolute value where the closed form is 0."""
+    return tuple(
+        abs(value - closed) / abs(closed) if closed else abs(value)
+        for value, closed in zip(identity_expectations(m, z).tolist(), (form(m, z) for _, form in _IDENTITIES))
+    )

@@ -1,5 +1,5 @@
 """Each demo script runs to completion against the package in this tree,
-and each llt-check demo config writes the same CSV twice."""
+and each llt-check and identities demo config writes the same CSV twice."""
 
 import json
 import os
@@ -26,10 +26,10 @@ def test_demo_runs(demo, tmp_path):
 
 
 CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.json"))
-LLT_CONFIGS = [p for p in CONFIGS if json.loads(p.read_text())["experiment"] == "llt-check"]
+DETERMINISTIC_CONFIGS = [p for p in CONFIGS if json.loads(p.read_text())["experiment"] in ("llt-check", "identities")]
 
 
-@pytest.mark.parametrize("config", LLT_CONFIGS, ids=[p.name for p in LLT_CONFIGS])
+@pytest.mark.parametrize("config", DETERMINISTIC_CONFIGS, ids=[p.name for p in DETERMINISTIC_CONFIGS])
 def test_llt_demo_config_repeats_byte_identical(config, tmp_path):
     # What the CI workflow checks with the installed script: each run
     # passes, and two runs write the same bytes.

@@ -18,8 +18,8 @@ from brwllt.exact_dist import (
 )
 from brwllt.gw_brw import GenerationState, ReplicateSeed, SiteCounts, evolve_generation, validate_offspring
 from brwllt.harness import load_config
-from brwllt.llt import fit_correction_coefficients, gamma_residual, gaussian_identity_check
-from brwllt.step_law import WalkClass, classify, law_to_dict, lazy_simple_law, moments, validate
+from brwllt.llt import fit_correction_coefficients, gamma_residual
+from brwllt.step_law import WalkClass, classify, law_to_dict, lazy_simple_law, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
 LAZY = validate(1, 0.5, [[0.5]])
@@ -251,7 +251,6 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
         ("CF grid", lambda: cf_invert_box(law, 200)),
         ("CF grid", lambda: fit_correction_coefficients(law, (0, 0), (2, 4, 200))),
         (r"200-step box \(401, 401\)", lambda: gamma_residual(law, 200, (0, 0))),
-        (r"7 arrays of 6\^6 quadrature nodes", lambda: gaussian_identity_check(moments(lazy_simple_law(6, 0.5)), 5)),
         (r"a box of radius \(200, 200\)", lambda: SiteCounts.from_mapping({(200, 0): 1, (0, 200): 1}, 2)),
         (
             "the next generation's box",

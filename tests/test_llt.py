@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from brwllt import exact_dist
 from brwllt.errors import CapacityExceeded
 from brwllt.llt import (
+    _IDENTITIES,
     bracket_coefficients,
     constants,
     constants_for,
@@ -14,6 +16,7 @@ from brwllt.llt import (
     fit_correction_coefficients,
     gamma_residual,
     gaussian_identity_check,
+    identity_expectations,
     quad_form,
     rw_expansion,
 )
@@ -132,6 +135,15 @@ class TestGammaResidual:
     def test_parity_mismatch_residual_zero(self):
         assert gamma_residual(SIMPLE, 4, (1,)) == 0.0
 
+    def test_dist_of_another_n_or_d_refused(self):
+        law = lazy_simple_law(1, 0.5)
+        with pytest.raises(ValueError, match="64-step law in d=1, but n=128"):
+            gamma_residual(law, 128, (0,), dist=exact_dist.walk_dist(law, 64))
+        with pytest.raises(ValueError, match="d=2, but n=8 and d=1"):
+            gamma_residual(law, 8, (0,), dist=exact_dist.walk_dist(lazy_simple_law(2, 0.5), 8))
+        dist = exact_dist.walk_dist(law, 128)
+        assert gamma_residual(law, 128, (0,), dist=dist) == gamma_residual(law, 128, (0,))
+
 
 class TestCoefficientFit:
     def test_simple_walk_z0(self):
@@ -171,62 +183,74 @@ class TestCoefficientFit:
             fit_correction_coefficients(SIMPLE, (0,), (64, 128, 256))
 
 
+def grid_expectations(m, z):
+    """Reference for :func:`identity_expectations`: each identity's factor
+    summed over the 6^d product grid of the per-axis Gauss-Hermite rule."""
+    nodes, weights = hermegauss(6)
+    weights = weights / weights.sum()
+    d = m.d
+    coords, weight = [], 1.0
+    for s in range(d):
+        shape = [1] * d
+        shape[s] = 6
+        coords.append((nodes / math.sqrt(m.gamma2[s])).reshape(shape))
+        weight = weight * weights.reshape(shape)
+    sums = [
+        sum(float(c[s]) * coords[s] ** deg for s in range(d))
+        for c, deg in zip((m.gamma2, m.gamma4, m.gamma6, z), (2, 4, 6, 1))
+    ]
+    return [float(np.sum(weight * math.prod(a**p for a, p in zip(sums, exps)))) for exps, _ in _IDENTITIES]
+
+
 class TestGaussianIdentities:
     @pytest.mark.parametrize("idx", range(1, 14))
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 10, 11, 40])
     def test_randomized(self, idx, d):
         rng = np.random.default_rng(100 * d + idx)
         m = random_moments(d, rng)
-        z = tuple(int(v) for v in rng.integers(-3, 4, size=d)) if idx <= 4 else None
-        assert gaussian_identity_check(m, idx, z=z) <= 1e-8
+        z = tuple(int(v) for v in rng.integers(-3, 4, size=d))
+        assert gaussian_identity_check(m, z)[idx - 1] <= 1e-8
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_product_grid(self, d):
+        rng = np.random.default_rng(40 + d)
+        m = random_moments(d, rng)
+        z = tuple(int(v) for v in rng.integers(-3, 4, size=d))
+        np.testing.assert_allclose(identity_expectations(m, z), grid_expectations(m, z), rtol=1e-13, atol=0.0)
+
+    def test_one_error_per_identity(self):
+        errs = gaussian_identity_check(identity_moments(3), (1, 0, -2))
+        assert len(errs) == len(_IDENTITIES) == 13
 
     def test_identity5_pure_mass(self):
         rng = np.random.default_rng(9)
-        assert gaussian_identity_check(random_moments(2, rng), 5) <= 1e-8
+        assert gaussian_identity_check(random_moments(2, rng), (0, 0))[4] <= 1e-8
 
     def test_identity7_d1_closed_form(self):
-        # brute 4th moment: integral = 3 sqrt(2 pi)
+        # brute 4th moment: E[theta^4] = 3
         m = identity_moments(1)
-        err = gaussian_identity_check(m, 7)
+        err = gaussian_identity_check(m, (0,))[6]
         assert err <= 1e-10
 
     def test_identity1_z0(self):
         m = identity_moments(2)
-        assert gaussian_identity_check(m, 1, z=(0, 0)) <= 1e-12
+        assert gaussian_identity_check(m, (0, 0))[0] <= 1e-12
 
-    def test_grid_budget_checked_before_allocating(self):
-        # 6^11 nodes exceed the element budget; the check must come first.
-        m = random_moments(11, np.random.default_rng(11))
+    def test_large_d_in_constant_memory(self):
+        # The lazy simple walk's moments in d = 200: det Gamma_2 underflows to
+        # 0, which the moment table never reads, and its arrays do not grow
+        # with d (one 6^6 grid alone would hold 373 kB).
+        m = Moments(gamma2=(1 / 400,) * 200, gamma4=(1 / 400,) * 200, gamma6=(1 / 400,) * 200)
+        assert m.det_gamma2 == 0.0
+        gaussian_identity_check(identity_moments(1), (0,))  # builds the cached rule and layout
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityExceeded):
-                gaussian_identity_check(m, 5)
+            errs = gaussian_identity_check(m, (1, -2) * 100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_identity_arrays_budget_checked_before_allocating(self):
-        # 6^10 nodes fit the element budget, but the arrays the check holds
-        # at its peak do not; d = 9 is the largest dimension it runs in.
-        m = random_moments(10, np.random.default_rng(10))
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityExceeded, match="arrays of 6\\^10"):
-                gaussian_identity_check(m, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_bad_index_and_missing_z(self):
-        m = identity_moments(2)
-        for idx in (0, 14):
-            with pytest.raises(ValueError, match="1..13"):
-                gaussian_identity_check(m, idx)
-        for idx in (1, 2, 3, 4):
-            with pytest.raises(ValueError, match="needs a lattice point z"):
-                gaussian_identity_check(m, idx)
+        assert max(errs) <= 1e-8
+        assert peak < 1 << 18
 
 
 class TestBracketCoefficients:
