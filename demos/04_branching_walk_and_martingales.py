@@ -26,7 +26,7 @@ m = moments(law)
 c = constants_for(law)
 
 seed = ReplicateSeed(base_seed=12345, replicate_index=0)
-snaps = simulate(off, law, 48, seed, probe_schedule=[8, 16, 32, 48])
+(snaps,) = simulate(off, law, 48, [seed], probe_schedule=[8, 16, 32, 48])
 
 print("martingale readouts (should fluctuate around their limits):")
 for st in snaps:

@@ -13,6 +13,14 @@ Cells are drawn in lexicographic order of their coordinates, so a step
 depends only on which sites hold how many particles, not on the box that
 stores them.
 
+Independent replicates are stepped together: their boxes share one
+bounding box behind a leading replicate axis, and everything but the two
+multinomial draws (occupancy, blocks, shifts, carries and width checks)
+runs once for all of them.  Each replicate still draws its own cells, in
+lexicographic order, from its own stream, so a replicate's counts do not
+depend on which replicates share its box; this is stream version 2, the
+same draws as stepping each replicate alone.
+
 Counts are exact at any size.  A box keeps every count as base-2^32
 digits, and a count too large for one int64 draw is split into blocks of
 2^s particles, with s chosen so that the offspring of a block still fit
@@ -21,12 +29,14 @@ in int64; independent blocks realize the exact law of the whole count.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact_dist
 from .errors import CapacityExceeded, CountOverflow, HasExtinction, NonNormalized, SubcriticalOrCritical
 from .exact_dist import charge
 from .step_law import NORMALIZATION_TOL, StepLaw, json_number
@@ -57,14 +67,16 @@ class SiteCounts(Mapping):
     count of a cell is sum_k digits[k] * 2**(32 k), 0 <= digits[k] < 2**32;
     the lattice origin sits at index ``radius`` on each axis.  As a mapping
     it reads site tuple -> exact int over the occupied sites, in
-    lexicographic order; empty sites are absent.
+    lexicographic order; empty sites are absent.  A box is never changed
+    after construction, so what is derived from it is kept.
     """
 
-    __slots__ = ("radius", "digits")
+    __slots__ = ("radius", "digits", "_sums")
 
     def __init__(self, radius, digits: np.ndarray):
         self.radius = tuple(int(r) for r in radius)
         self.digits = digits
+        self._sums = {}
 
     @classmethod
     def from_mapping(cls, counts, d: int) -> SiteCounts:
@@ -97,16 +109,41 @@ class SiteCounts(Mapping):
 
     def bit_length(self) -> int:
         """Bit length of the largest count."""
-        return _DIGIT * (len(self.digits) - 1) + int(self.digits[-1].max()).bit_length()
+        return _bit_length(self.digits)
 
-    def pieces(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
-        """The counts cut into int64 arrays of at most ``width`` bits:
-        yields pairs (shift, piece) whose sum of piece * 2**shift is every
-        count, one piece at a time."""
-        width = min(width, _DIGIT)
+    def power_sums(self, degree: int) -> dict:
+        """Exact sums sum_x c(x) x^alpha over the box, as python ints, for every
+        multi-index alpha with |alpha| <= degree; computed once per degree.
+
+        The counts are cut into pieces narrow enough that every needed sum of
+        piece * x^alpha over the box fits int64; the sums are contracted one
+        axis at a time and recombined as python ints.  Entries with |alpha| >
+        degree may wrap, but they never feed a needed one.  A box too wide for
+        even one-bit pieces is summed in python ints throughout.
+        """
+        if degree in self._sums:
+            return self._sums[degree]
+        width = 62 - (self.digits[0].size * max(max(self.radius), 1) ** degree).bit_length()
+        dtype = np.int64 if width >= 1 else object
+        width = min(width, _DIGIT) if width >= 1 else _DIGIT
+        powers = [
+            np.arange(-r, r + 1).astype(dtype)[:, np.newaxis] ** np.arange(degree + 1).astype(dtype)
+            for r in self.radius
+        ]
+        alphas = [a for a in itertools.product(range(degree + 1), repeat=len(self.radius)) if sum(a) <= degree]
+        sums = dict.fromkeys(alphas, 0)
         for k, digit in enumerate(self.digits):
             for j in range(0, _DIGIT, width):
-                yield _DIGIT * k + j, (digit >> j) & ((1 << width) - 1)
+                piece = (digit >> j) & ((1 << width) - 1)
+                if not piece.any():
+                    continue
+                piece = piece.astype(dtype, copy=False)
+                for v in powers:
+                    piece = np.tensordot(piece, v, axes=([0], [0]))
+                for a in alphas:
+                    sums[a] += int(piece[a]) << (_DIGIT * k + j)
+        self._sums[degree] = sums
+        return sums
 
     def _occupied(self) -> np.ndarray:
         return np.flatnonzero(self.digits.any(axis=0))
@@ -154,7 +191,8 @@ class GenerationState:
     """Exact site occupancy of one generation.
 
     ``counts`` maps lattice tuples to exact int counts: any mapping, such
-    as a dict, or the ``SiteCounts`` box that ``evolve_generation`` returns.
+    as a dict, or the ``SiteCounts`` box of a state that ``simulate``
+    returns.
     """
 
     n: int
@@ -233,6 +271,22 @@ def derive_stream(seed: ReplicateSeed, generation: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _bit_length(digits: np.ndarray) -> int:
+    """Bit length of the largest count held as base-2^32 digits along axis 0,
+    read from the highest digit that is nonzero anywhere."""
+    for k in range(len(digits) - 1, -1, -1):
+        top = int(digits[k].max(initial=0))
+        if top:
+            return _DIGIT * k + top.bit_length()
+    return 0
+
+
+def _block_bits(n_values: int) -> int:
+    """s of the blocks of 2^s <= (2^63 - 1) // K particles: a block's
+    offspring fit int64."""
+    return (_INT64_MAX // n_values).bit_length() - 1
+
+
 def _blocks(digits: np.ndarray, s: int, per_block: int, reserved: int):
     """Counts, given as base-2^32 digits of shape (digits, cells), cut into
     blocks of at most 2^s particles, 32 <= s < 63.
@@ -242,7 +296,7 @@ def _blocks(digits: np.ndarray, s: int, per_block: int, reserved: int):
     first block.  Each block is charged ``per_block`` elements on top of
     ``reserved`` ones, before the blocks are allocated.
     """
-    bits = _DIGIT * (len(digits) - 1) + int(digits[-1].max(initial=0)).bit_length()
+    bits = _bit_length(digits)
     if bits - s > _DIGIT:
         raise CapacityExceeded(f"counts of {bits} bits need over 2^32 blocks each")
     rest = digits[0]
@@ -278,12 +332,84 @@ def _carry(parts) -> np.ndarray:
     return np.stack(digits)
 
 
-def _check_width(counts: SiteCounts, count_width: int, generation: int) -> None:
-    bits = counts.bit_length()
+def _check_width(digits: np.ndarray, count_width: int, generation: int) -> None:
+    bits = _bit_length(digits)
     if bits >= count_width:
         raise CountOverflow(
             f"a count of {bits} bits exceeds the signed {count_width}-bit limit in generation {generation}"
         )
+
+
+def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, seeds, count_width: int):
+    """Generation ``n`` -> ``n + 1`` of ``len(seeds)`` replicates held in one box.
+
+    ``digits`` has shape (digits, replicates, *cells): replicate r's counts,
+    digit by digit as in ``SiteCounts``, on the box of ``radius``.  Returns
+    the radius and digits of the next generation in the same layout; the
+    new box is the bounding box of every replicate's occupied sites grown by
+    one step, whatever box holds them now.  Replicate r draws its offspring
+    and displacement splits from ``derive_stream(seeds[r], n)``.
+    """
+    _check_width(digits, count_width, n)
+    n_values = len(off.probs)
+    atoms = list(law.atoms())
+    # Occupied cells in lexicographic order of (replicate, site): each
+    # replicate's cells, and so its blocks, form one run in site order.
+    rep, *cells = np.nonzero(digits.any(axis=0))
+    sites = [c - r for c, r in zip(cells, radius)]
+    radius = tuple(int(np.abs(x).max(initial=0)) + t for x, t in zip(sites, law.ranges))
+    shape = (len(seeds), *(2 * r + 1 for r in radius))
+    charge("the next generation's box", math.prod(shape))
+    sizes, starts = _blocks(
+        digits[(slice(None), rep, *cells)], _block_bits(n_values), max(n_values, len(atoms)), math.prod(shape)
+    )
+    bounds = np.append(starts, len(sizes))[np.searchsorted(rep, np.arange(len(seeds) + 1))]
+
+    values = np.arange(1, n_values + 1, dtype=np.int64)
+    probs = [p for _, p in atoms]
+    placed = np.empty((len(sizes), len(atoms)), dtype=np.int64)
+    for seed, lo, hi in zip(seeds, bounds[:-1], bounds[1:]):
+        rng = derive_stream(seed, n)
+        offspring = rng.multinomial(sizes[lo:hi], off.probs) @ values
+        placed[lo:hi] = rng.multinomial(offspring, probs)
+
+    # Each displaced block count (< 2^63) enters as two base-2^32 digits,
+    # summed per cell far below 2^63 and carried at the end.  Shifting the
+    # box by an atom shifts every flat index of the new box by one offset.
+    high = np.add.reduceat(placed >> _DIGIT, starts, axis=0)
+    placed &= _DIGIT_MASK
+    low = np.add.reduceat(placed, starts, axis=0)
+    origin = np.ravel_multi_index((rep, *(x + r for x, r in zip(sites, radius))), shape)
+    strides = [math.prod(shape[s + 1 :]) for s in range(1, len(shape))]
+    parts = np.zeros((2, math.prod(shape)), dtype=np.int64)
+    for a, (point, _) in enumerate(atoms):
+        dest = origin + sum(p * st for p, st in zip(point, strides))
+        parts[0, dest] += low[:, a]
+        parts[1, dest] += high[:, a]
+    digits = _carry(parts.reshape(2, *shape))
+    _check_width(digits, count_width, n + 1)
+    return radius, digits
+
+
+def _batch_size(box: SiteCounts, steps: int, off: OffspringLaw, law: StepLaw, count_width: int) -> int:
+    """How many replicates of ``box`` one batch can step ``steps``
+    generations on within the element budget.
+
+    A step charges each replicate at most the cells it can reach, C =
+    prod_s (2 (radius_s + steps t_s) + 1), plus max(K, atoms) elements per
+    count block: at most one block per occupied cell plus total // 2^s, the
+    total being at most box.total() K^(steps - 1) and below C 2^count_width.
+    A batch holds the budget's worth of that bound, and at least one
+    replicate, which is charged only what it uses.
+    """
+    cells = math.prod(2 * (r + steps * t) + 1 for r, t in zip(box.radius, law.ranges))
+    n_values = len(off.probs)
+    # From this exponent on, K^e >= 2^e exceeds C 2^count_width.
+    e = min(steps - 1, count_width + cells.bit_length())
+    total = min(box.total() * n_values**e, cells << count_width)
+    blocks = cells + (total >> _block_bits(n_values))
+    per_replicate = cells + max(n_values, len(list(law.atoms()))) * blocks
+    return max(1, exact_dist.ELEMENT_BUDGET // per_replicate)
 
 
 def evolve_generation(
@@ -293,7 +419,8 @@ def evolve_generation(
     seed: ReplicateSeed,
     count_width: int = 64,
 ) -> GenerationState:
-    """One branching-and-displacement step.
+    """One branching-and-displacement step: ``simulate`` of one replicate
+    for one generation from ``state``.
 
     Offspring and displacement splits of every occupied block are drawn
     from the generation's stream in lexicographic site order.  The new
@@ -311,43 +438,8 @@ def evolve_generation(
             budget too: in d = 5 an occupied reach of 22 per axis is the
             most a nearest-neighbour walk can step from.
     """
-    box = SiteCounts.from_mapping(state.counts, state.d)
-    _check_width(box, count_width, state.n)
-    n_values = len(off.probs)
-    atoms = list(law.atoms())
-    digits = box.digits.reshape(len(box.digits), -1)
-    occupied = np.flatnonzero(digits.any(axis=0))
-    # The new box is the bounding box of the occupied sites grown by one
-    # step, whatever box holds them now.
-    sites = [c - r for c, r in zip(np.unravel_index(occupied, box.digits.shape[1:]), box.radius)]
-    radius = tuple(int(np.abs(x).max(initial=0)) + t for x, t in zip(sites, law.ranges))
-    shape = tuple(2 * r + 1 for r in radius)
-    charge("the next generation's box", math.prod(shape))
-    # Blocks of 2^s <= (2^63 - 1) // K particles: a block's offspring fit int64.
-    block_bits = (_INT64_MAX // n_values).bit_length() - 1
-    sizes, starts = _blocks(digits[:, occupied], block_bits, max(n_values, len(atoms)), math.prod(shape))
-
-    rng = derive_stream(seed, state.n)
-    per_value = rng.multinomial(sizes, off.probs)
-    offspring = per_value @ np.arange(1, n_values + 1, dtype=np.int64)
-    placed = rng.multinomial(offspring, [p for _, p in atoms])
-
-    # Each displaced block count (< 2^63) enters as two base-2^32 digits,
-    # summed per cell far below 2^63 and carried at the end.  Shifting the
-    # box by an atom shifts every flat index of the new box by one offset.
-    low = np.add.reduceat(placed & _DIGIT_MASK, starts, axis=0)
-    high = np.add.reduceat(placed >> _DIGIT, starts, axis=0)
-    origin = np.ravel_multi_index(tuple(x + r for x, r in zip(sites, radius)), shape)
-    strides = [math.prod(shape[s + 1 :]) for s in range(len(shape))]
-    parts = np.zeros((2, math.prod(shape)), dtype=np.int64)
-    for a, (point, _) in enumerate(atoms):
-        dest = origin + sum(p * st for p, st in zip(point, strides))
-        parts[0, dest] += low[:, a]
-        parts[1, dest] += high[:, a]
-    parts = parts.reshape(2, *shape)
-    counts = SiteCounts(radius, _carry(parts))
-    _check_width(counts, count_width, state.n + 1)
-    return GenerationState(n=state.n + 1, d=state.d, counts=counts, total=counts.total())
+    ((new,),) = simulate(off, law, state.n + 1, [seed], [state.n + 1], count_width, start=state)
+    return new
 
 
 def initial_state(d: int) -> GenerationState:
@@ -360,20 +452,45 @@ def simulate(
     off: OffspringLaw,
     law: StepLaw,
     n_max: int,
-    seed: ReplicateSeed,
+    seeds: Sequence[ReplicateSeed],
     probe_schedule,
     count_width: int = 64,
-) -> list[GenerationState]:
-    """Run to generation ``n_max`` and snapshot the scheduled generations."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    start: GenerationState | None = None,
+) -> list[list[GenerationState]]:
+    """Run one replicate per seed from ``start`` (by default a single
+    ancestor at the origin) to generation ``n_max``, and return per seed
+    its snapshots of the scheduled generations.
+
+    The replicates are stepped together, in batches sized up front so that
+    every step of a batch fits the element budget (``_batch_size``); a
+    replicate's snapshots do not depend on the batching.  Each snapshot
+    keeps only its replicate's nonzero digits, on the batch's box.
+
+    Raises:
+        ValueError: ``n_max`` does not exceed the start generation.
+        CountOverflow, CapacityExceeded: as ``evolve_generation``.
+    """
+    if start is None:
+        start = initial_state(law.d)
+    if n_max <= start.n:
+        raise ValueError(f"n_max must exceed the start generation {start.n}")
+    seeds = list(seeds)
     probes = set(int(n) for n in probe_schedule)
-    state = initial_state(law.d)
-    out = []
-    if 0 in probes:
-        out.append(state)
-    for _ in range(n_max):
-        state = evolve_generation(state, off, law, seed, count_width=count_width)
-        if state.n in probes:
-            out.append(state)
-    return out
+    box = SiteCounts.from_mapping(start.counts, law.d)
+    batch = _batch_size(box, n_max - start.n, off, law, count_width)
+    runs = []
+    for lo in range(0, len(seeds), batch):
+        chunk = seeds[lo : lo + batch]
+        snaps = [[start] if start.n in probes else [] for _ in chunk]
+        radius = box.radius
+        digits = np.broadcast_to(box.digits[:, np.newaxis], (len(box.digits), len(chunk), *box.digits.shape[1:]))
+        for n in range(start.n, n_max):
+            radius, digits = _step(radius, digits, n, off, law, chunk, count_width)
+            if n + 1 not in probes:
+                continue
+            nonzero = digits.reshape(len(digits), len(chunk), -1).any(axis=2)
+            for r, run in enumerate(snaps):
+                counts = SiteCounts(radius, digits[: max(np.flatnonzero(nonzero[:, r]), default=0) + 1, r])
+                run.append(GenerationState(n=n + 1, d=law.d, counts=counts, total=counts.total()))
+        runs.extend(snaps)
+    return runs

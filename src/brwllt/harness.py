@@ -18,13 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import BrwlltError, CapacityExceeded, ConfigError
 from .exact_dist import axis_mixture, cf_grid, cf_invert_box, charge, dist_at
-from .gw_brw import (
-    OffspringLaw,
-    ReplicateSeed,
-    evolve_generation,
-    simulate,
-    validate_offspring,
-)
+from .gw_brw import OffspringLaw, ReplicateSeed, simulate, validate_offspring
 from .llt import (
     constants,
     fit_correction_coefficients,
@@ -172,6 +166,8 @@ def load_config(doc: dict) -> ExperimentConfig:
         z_set = tuple(tuple(json_int(c) for c in _list(z)) for z in _list(doc.get("z_set", [[0] * law.d])))
     if not z_set:
         raise ConfigError("z_set: needs at least one lattice point")
+    if experiment in ("identities", "martingale-check") and len(z_set) > 1:
+        raise ConfigError(f"z_set: {experiment} checks one lattice point, got {len(z_set)}")
     walk_class = classify(law)
     for z in z_set:
         if len(z) != law.d:
@@ -314,7 +310,7 @@ def run_coeff_fit(cfg: ExperimentConfig) -> RunResult:
 
 
 def run_identities(cfg: ExperimentConfig) -> RunResult:
-    """Relative errors of the Gaussian moment identities at the first z."""
+    """Relative errors of the Gaussian moment identities at the config's z."""
     errs = gaussian_identity_check(moments(cfg.law), cfg.z_set[0])
     limit = cfg.thresholds["identity_rel_err"]
     ok = all(e <= limit for e in errs)
@@ -347,14 +343,16 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
 
     # (b) one-step annealed martingale check by Monte Carlo.
     if cfg.offspring is not None:
-        (base,) = simulate(cfg.offspring, cfg.law, 4, ReplicateSeed(cfg.base_seed, 0), (4,), cfg.count_width)
+        ((base,),) = simulate(
+            cfg.offspring, cfg.law, 4, [ReplicateSeed(cfg.base_seed, 0)], (4,), cfg.count_width
+        )
         parent = readout(base, cfg.offspring.mean, m, z)
         samples = {fid: [] for fid in ("W", "N2z", "N4")}
         reps = max(cfg.replicates, 200)
-        for r in range(1, reps + 1):
-            child_state = evolve_generation(
-                base, cfg.offspring, cfg.law, ReplicateSeed(cfg.base_seed, r), cfg.count_width
-            )
+        seeds = [ReplicateSeed(cfg.base_seed, r) for r in range(1, reps + 1)]
+        for (child_state,) in simulate(
+            cfg.offspring, cfg.law, base.n + 1, seeds, (base.n + 1,), cfg.count_width, start=base
+        ):
             child = readout(child_state, cfg.offspring.mean, m, z)
             for fid, vals in samples.items():
                 vals.append(getattr(child, fid))
@@ -370,7 +368,8 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
         # (c) readout trajectory for visual convergence.
         n_max = max(cfg.n_values) if cfg.n_values else 30
         seed = ReplicateSeed(cfg.base_seed, 10**6)
-        for state in simulate(cfg.offspring, cfg.law, n_max, seed, range(1, n_max + 1), cfg.count_width):
+        (states,) = simulate(cfg.offspring, cfg.law, n_max, [seed], range(1, n_max + 1), cfg.count_width)
+        for state in states:
             ro = readout(state, cfg.offspring.mean, m, z)
             rows.append(("trajectory", "all", *(("",) * cfg.law.d), ro.n, ro.W, ro.N4))
     cols = ("kind", "functional", *(f"x{s + 1}" for s in range(cfg.law.d)), "n", "value", "aux")
@@ -391,9 +390,8 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
     per_probe: dict = {(n, z): [] for n in probes for z in cfg.z_set}
     f1_bands: dict = {z: [] for z in cfg.z_set}
     mean = cfg.offspring.mean
-    for rep in range(cfg.replicates):
-        seed = ReplicateSeed(cfg.base_seed, rep)
-        snaps = simulate(cfg.offspring, cfg.law, n_max, seed, schedule, cfg.count_width)
+    seeds = [ReplicateSeed(cfg.base_seed, rep) for rep in range(cfg.replicates)]
+    for rep, snaps in enumerate(simulate(cfg.offspring, cfg.law, n_max, seeds, schedule, cfg.count_width)):
         by_n = {st.n: st for st in snaps}
         for z in cfg.z_set:
             f1_bands[z].append(f1_eval(readout(by_n[n_est], mean, m, z), c, m))

@@ -12,7 +12,6 @@ defects evaluate it in float, ``readout`` exactly on integer power sums.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -132,36 +131,6 @@ def functional_value(functional_id: str, mom: Moments, x, n: int, z=None):
     return _shape(functional_id, poly.evaluate(np.array([[*x, n]], dtype=float))[0])
 
 
-def _power_sums(box: SiteCounts, degree: int) -> dict:
-    """Exact sums sum_x c(x) x^alpha over the box, as python ints, for every
-    multi-index alpha with |alpha| <= degree.
-
-    The counts are cut into pieces narrow enough that every needed sum of
-    piece * x^alpha over the box fits int64; the sums are contracted one
-    axis at a time and recombined as python ints.  Entries with |alpha| >
-    degree may wrap, but they never feed a needed one.  A box too wide for
-    even one-bit pieces is summed in python ints throughout.
-    """
-    d = len(box.radius)
-    width = 62 - (box.digits[0].size * max(max(box.radius), 1) ** degree).bit_length()
-    dtype = np.int64 if width >= 1 else object
-    powers = [
-        np.arange(-r, r + 1).astype(dtype)[:, np.newaxis] ** np.arange(degree + 1).astype(dtype)
-        for r in box.radius
-    ]
-    alphas = [a for a in itertools.product(range(degree + 1), repeat=d) if sum(a) <= degree]
-    sums = dict.fromkeys(alphas, 0)
-    for shift, piece in box.pieces(width if width >= 1 else 64):
-        if not piece.any():
-            continue
-        piece = piece.astype(dtype, copy=False)
-        for v in powers:
-            piece = np.tensordot(piece, v, axes=([0], [0]))
-        for a in alphas:
-            sums[a] += int(piece[a]) << shift
-    return sums
-
-
 def readout(
     state: GenerationState, m: float, mom: Moments, z
 ) -> MartingaleReadout:
@@ -169,13 +138,14 @@ def readout(
 
     Every functional is a polynomial of degree <= 4 in the position, so a
     generation enters only through its exact integer power sums
-    sum_u S_u^alpha, |alpha| <= 4.  These meet the exact coefficients of
+    sum_u S_u^alpha, |alpha| <= 4, which a ``SiteCounts`` box computes once
+    for all readouts of it, at any z.  These meet the exact coefficients of
     the functional table in rational arithmetic; the only roundings are the
     final conversion to float and the m^{-n} scaling, so counts above 2^53
     lose nothing before that.
     """
     n, z = state.n, _lattice_point(z)
-    sums = _power_sums(SiteCounts.from_mapping(state.counts, mom.d), 4)
+    sums = SiteCounts.from_mapping(state.counts, mom.d).power_sums(4)
     values = {}
     for fid, poly in _polynomials(mom, z).items():
         weights = [n ** mono[-1] * sums[mono[:-1]] for mono in poly.monomials]

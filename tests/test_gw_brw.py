@@ -201,14 +201,14 @@ class TestEvolve:
 
     def test_binary_total_deterministic(self):
         off = validate_offspring({2: 1.0})
-        snaps = simulate(off, SIMPLE, 10, ReplicateSeed(11, 0), [10])
+        (snaps,) = simulate(off, SIMPLE, 10, [ReplicateSeed(11, 0)], [10])
         assert snaps[0].total == 1024
 
     def test_deep_binary_total_exact(self):
         # The largest site counts pass 2^61, the block size for binary
         # offspring, in the last generations: the block split runs.
         off = validate_offspring({2: 1.0})
-        snaps = simulate(off, SIMPLE, 72, ReplicateSeed(11, 0), [72], count_width=128)
+        (snaps,) = simulate(off, SIMPLE, 72, [ReplicateSeed(11, 0)], [72], count_width=128)
         assert snaps[0].total == 2**72
         assert sum(snaps[0].counts.values()) == 2**72
         assert max(snaps[0].counts.values()).bit_length() > 63
@@ -296,8 +296,7 @@ class TestEvolve:
         step = walk_dist(law, 1)
         reps = 3000
         acc = Counter()
-        for r in range(reps):
-            new = evolve_generation(base, off, law, ReplicateSeed(16, r))
+        for (new,) in simulate(off, law, 1, [ReplicateSeed(16, r) for r in range(reps)], [1], start=base):
             for site, c in new.counts.items():
                 acc[site] += c
         for z in [(-1,), (0,), (1,), (2,)]:
@@ -310,19 +309,98 @@ class TestEvolve:
             assert abs(observed - expect) <= 4 * se
 
 
+class TestBatchedStep:
+    """Replicates stepped together in one box draw what each draws alone."""
+
+    def test_bit_length_reads_highest_nonzero_digit(self):
+        # A count of 5 stored with zero upper digits is 3 bits wide, not 64
+        # or 96, for the width check and for the block cut alike.
+        off = validate_offspring({2: 1.0})
+        for planes, width in ((3, 64), (4, 128)):
+            box = SiteCounts((0,), np.array([[5]] + [[0]] * (planes - 1), dtype=np.int64))
+            assert box.bit_length() == 3
+            new = evolve_generation(GenerationState(0, 1, box, 5), off, SIMPLE, ReplicateSeed(0, 0), width)
+            assert new.total == 10
+            assert len(new.counts.digits) == 1
+
+    @pytest.mark.parametrize(
+        "law, offspring, n, width",
+        [
+            # Counts pass 2^62 and are cut into several blocks.
+            (SIMPLE, {2: 1.0}, 72, 128),
+            # The replicates' own bounding boxes differ.
+            (lazy_simple_law(2, 0.25), {1: 0.5, 3: 0.5}, 12, 64),
+        ],
+        ids=["deep-1d", "lazy-2d"],
+    )
+    def test_batch_matches_each_seed_alone(self, law, offspring, n, width):
+        off = validate_offspring(offspring)
+        seeds = [ReplicateSeed(41, r) for r in range(8)]
+        probes = [n // 3, n]
+        runs = simulate(off, law, n, seeds, probes, width)
+        radii = set()
+        for seed, run in zip(seeds, runs):
+            state = initial_state(law.d)
+            alone = []
+            for _ in range(n):
+                state = evolve_generation(state, off, law, seed, width)
+                if state.n in probes:
+                    alone.append(state)
+            assert [(st.n, st.total, st.counts) for st in run] == [(st.n, st.total, st.counts) for st in alone]
+            assert [len(st.counts.digits) for st in run] == [len(st.counts.digits) for st in alone]
+            radii.add(alone[-1].counts.radius)
+        if law.d == 1:
+            assert max(c for run in runs for c in run[-1].counts.values()).bit_length() > 63
+        else:
+            assert len(radii) > 1
+
+    def test_batches_fit_budget(self, monkeypatch):
+        # A budget that holds one replicate's steps but not eight at once
+        # splits the replicates into batches, and the rows do not change.
+        doc = {
+            "experiment": "brw-check",
+            "step_law": {"d": 1, "zeta0": 0.0, "axes": [[1.0]]},
+            "offspring": {"2": 1.0},
+            "replicates": 8,
+            "n_values": [24, 48, 72],
+            "n_est": 72,
+            "z_set": [[0], [4], [-4]],
+            "count_width": 128,
+            "base_seed": 3,
+        }
+        charged, batches = [], []
+        real_charge, real_step = gw_brw.charge, gw_brw._step
+        monkeypatch.setattr(gw_brw, "charge", lambda what, n: charged.append(n) or real_charge(what, n))
+        monkeypatch.setattr(gw_brw, "_step", lambda *a: batches.append(len(a[5])) or real_step(*a))
+
+        def largest_charge(replicates):
+            charged.clear()
+            rows = run_experiment(load_config({**doc, "replicates": replicates})).rows
+            return max(charged), rows
+
+        one, _ = largest_charge(1)
+        eight, rows = largest_charge(8)
+        assert set(batches) == {1, 8}
+        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 3 * one)
+        assert one <= exact_dist.ELEMENT_BUDGET < eight
+        batches.clear()
+        assert run_experiment(load_config(doc)).rows == rows
+        assert 1 <= max(batches) < 8
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         off = validate_offspring({1: 0.5, 3: 0.5})
-        a = simulate(off, SIMPLE, 15, ReplicateSeed(21, 4), [5, 10, 15])
-        b = simulate(off, SIMPLE, 15, ReplicateSeed(21, 4), [5, 10, 15])
+        (a,) = simulate(off, SIMPLE, 15, [ReplicateSeed(21, 4)], [5, 10, 15])
+        (b,) = simulate(off, SIMPLE, 15, [ReplicateSeed(21, 4)], [5, 10, 15])
         for x, y in zip(a, b):
             assert x.counts == y.counts
             assert x.total == y.total
 
     def test_replicates_differ(self):
         off = validate_offspring({1: 0.5, 3: 0.5})
-        a = simulate(off, SIMPLE, 15, ReplicateSeed(21, 0), [15])
-        b = simulate(off, SIMPLE, 15, ReplicateSeed(21, 1), [15])
+        (a,) = simulate(off, SIMPLE, 15, [ReplicateSeed(21, 0)], [15])
+        (b,) = simulate(off, SIMPLE, 15, [ReplicateSeed(21, 1)], [15])
         assert a[0].counts != b[0].counts
 
     def test_stream_is_pure_function_of_coordinates(self):
@@ -339,7 +417,7 @@ class TestDeterminism:
         # The step reads sites in lexicographic order, whatever order the
         # mapping lists them in.
         off = validate_offspring({1: 0.5, 3: 0.5})
-        state = simulate(off, lazy_simple_law(2, 0.25), 6, ReplicateSeed(30, 0), [6])[0]
+        ((state,),) = simulate(off, lazy_simple_law(2, 0.25), 6, [ReplicateSeed(30, 0)], [6])
         items = state.counts.items()
         forward = GenerationState(n=6, d=2, counts=dict(items), total=state.total)
         backward = GenerationState(n=6, d=2, counts=dict(reversed(items)), total=state.total)
@@ -354,7 +432,7 @@ class TestDeterminism:
         # numbers: the stream is keyed by coordinates, not by box layout.
         off = validate_offspring({1: 0.5, 3: 0.5})
         law = lazy_simple_law(2, 0.25)
-        state = simulate(off, law, 5, ReplicateSeed(31, 2), [5])[0]
+        ((state,),) = simulate(off, law, 5, [ReplicateSeed(31, 2)], [5])
         box = state.counts
         pad = [(0, 0)] + [(9 - r, 9 - r) for r in box.radius]
         padded = GenerationState(

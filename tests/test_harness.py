@@ -165,6 +165,8 @@ class TestConfig:
             ("step_law", base_doc("identities", step_law={"d": 1, "zeta": 0.5, "axes": [[0.5]]})),
             ("thresholds", base_doc("identities", thresholds={"cf_agrement": 1e-30})),
             ("thresholds", base_doc("coeff-fit", n_values=[64, 128, 256], thresholds={"c2_rel_err": 0.05})),
+            ("z_set", base_doc("identities", z_set=[[0], [1]])),
+            ("z_set", base_doc("martingale-check", offspring={"2": 1.0}, z_set=[[0], [2]])),
         ],
         ids=[
             "n_est_above_max",
@@ -203,6 +205,8 @@ class TestConfig:
             "unknown_step_law_key",
             "unknown_threshold_key",
             "deleted_c2_threshold",
+            "identities_two_points",
+            "martingale_check_two_points",
         ],
     )
     def test_config_error_names_field(self, field, doc):

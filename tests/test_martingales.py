@@ -20,7 +20,6 @@ from brwllt.martingales import (
     FUNCTIONALS,
     MartingaleReadout,
     _polynomials,
-    _power_sums,
     brw_residual,
     chi_sigma_d,
     corollary_eval,
@@ -210,7 +209,7 @@ class TestFunctionalValues:
         # are taken in python ints instead of int64 pieces.
         counts = {(-radius,): 2**70 + 3, (radius - 1,): 5, (2,): 2**40 + 1}
         assert SiteCounts.from_mapping(counts, 1).radius == (radius,)
-        sums = _power_sums(SiteCounts.from_mapping(counts, 1), 4)
+        sums = SiteCounts.from_mapping(counts, 1).power_sums(4)
         assert sums == {(k,): sum(c * x[0] ** k for x, c in counts.items()) for k in range(5)}
 
     def test_power_sums_hold_one_piece(self):
@@ -220,17 +219,37 @@ class TestFunctionalValues:
         box = SiteCounts((150, 150), rng.integers(0, 2**32, size=(3, 301, 301), dtype=np.int64))
         tracemalloc.start()
         try:
-            _power_sums(box, 4)
+            box.power_sums(4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * box.digits[0].nbytes
 
+    def test_power_sums_once_per_snapshot(self, monkeypatch):
+        # Readouts of one snapshot at several z take the power sums once and
+        # read the same values as readouts of a fresh box, bit for bit.
+        law = lazy_simple_law(2, 0.25)
+        mom = moments(law)
+        ((snap,),) = simulate(validate_offspring({1: 0.5, 3: 0.5}), law, 10, [ReplicateSeed(9, 0)], [10])
+        zs = [(0, 0), (1, -1), (2, 0), (-3, 1)]
+        fresh = [
+            readout(dataclasses.replace(snap, counts=SiteCounts(snap.counts.radius, snap.counts.digits)), 2.0, mom, z)
+            for z in zs
+        ]
+        calls = []
+        real = np.tensordot
+        monkeypatch.setattr(np, "tensordot", lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert [readout(snap, 2.0, mom, z) for z in zs] == fresh
+        once = len(calls)
+        assert 0 < once
+        assert [readout(snap, 2.0, mom, z) for z in zs] == fresh
+        assert len(calls) == once
+
     def test_readout_matches_site_sum(self):
         law = lazy_simple_law(2, 0.25)
         mom = moments(law)
         off = validate_offspring({1: 0.5, 3: 0.5})
-        state = simulate(off, law, 12, ReplicateSeed(8, 1), [12])[0]
+        ((state,),) = simulate(off, law, 12, [ReplicateSeed(8, 1)], [12])
         z = (2, -1)
         r = readout(state, 2.0, mom, z)
         scale = 2.0**-12
@@ -248,7 +267,7 @@ class TestFunctionalValues:
     def test_readout_carries_its_z(self):
         law = lazy_simple_law(1, 0.25)
         mom = moments(law)
-        snap = simulate(validate_offspring({1: 0.5, 3: 0.5}), law, 6, ReplicateSeed(3, 0), [6])[0]
+        ((snap,),) = simulate(validate_offspring({1: 0.5, 3: 0.5}), law, 6, [ReplicateSeed(3, 0)], [6])
         at0, at4 = readout(snap, 2.0, mom, (0,)), readout(snap, 2.0, mom, (4,))
         assert (at0.z, at4.z, at4.n) == ((0,), (4,), 6)
         assert at0.N2z != at4.N2z
@@ -309,8 +328,7 @@ class TestMartingaleProperty:
         mom = moments(law)
         reps, n = 2000, 8
         acc = {fid: [] for fid in ("W", "N1", "N2", "N4")}
-        for r in range(reps):
-            snap = simulate(off, law, n, ReplicateSeed(77, r), [n])[0]
+        for (snap,) in simulate(off, law, n, [ReplicateSeed(77, r) for r in range(reps)], [n]):
             ro = readout(snap, off.mean, mom, (0,))
             acc["W"].append(ro.W)
             acc["N1"].append(ro.N1[0])
@@ -354,7 +372,7 @@ class TestCorrectionTerms:
         # Readouts of one snapshot at z = 0 and z = 4: F2 and the prediction
         # at 4 take N2z at 4, never the N2z read at 0.
         off = validate_offspring({2: 1.0})
-        snap = simulate(off, SIMPLE, 48, ReplicateSeed(12345, 0), [48])[0]
+        ((snap,),) = simulate(off, SIMPLE, 48, [ReplicateSeed(12345, 0)], [48])
         at0, at4 = readout(snap, off.mean, M1, (0,)), readout(snap, off.mean, M1, (4,))
         assert at4.N2z != at0.N2z
         z, lam, g = 4.0, C1.lambda_d[0], M1.gamma2[0]
