@@ -21,6 +21,13 @@ lexicographic order, from its own stream, so a replicate's counts do not
 depend on which replicates share its box; this is stream version 2, the
 same draws as stepping each replicate alone.
 
+A stream is fully defined by its 128-bit key, so ``simulate`` builds one
+generator and, before each replicate's draws of a generation, resets it to
+the start of that (replicate, generation) stream instead of building a new
+one; the keys are those of ``derive_stream``.  An offspring law with all
+its mass on its largest offspring number skips the offspring split, which
+would draw nothing.  Neither changes a draw: the stream version stays 2.
+
 Counts are exact at any size.  A box keeps every count as base-2^32
 digits, and a count too large for one int64 draw is split into blocks of
 2^s particles, with s chosen so that the offspring of a block still fit
@@ -261,14 +268,38 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _seed_key(seed: ReplicateSeed) -> int:
+    """k0, the half of a replicate's stream keys shared by its generations."""
+    return _mix64(_mix64(seed.base_seed & 0xFFFFFFFFFFFFFFFF) ^ _mix64(seed.replicate_index))
+
+
+def _rekey(rng: np.random.Generator, k0: int, generation: int) -> None:
+    """Reset ``rng`` to the start of the Philox stream keyed (k0, k1 =
+    mix(k0 ^ mix(generation))): the draws of a new generator of that key.
+
+    A Generator keeps no other state that changes a draw; its cached
+    binomial set-up depends only on the binomial's (n, p).
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([k0, _mix64(k0 ^ _mix64(generation))], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def derive_stream(seed: ReplicateSeed, generation: int) -> np.random.Generator:
     """Philox stream of one generation, a pure function of (base seed,
     replicate, generation)."""
-    k0 = _mix64(seed.base_seed & 0xFFFFFFFFFFFFFFFF)
-    k0 = _mix64(k0 ^ _mix64(seed.replicate_index))
-    k1 = _mix64(k0 ^ _mix64(generation))
-    key = np.array([k0, k1], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # A fixed seed, unlike Philox(key=...), draws no OS entropy.
+    rng = np.random.Generator(np.random.Philox(0))
+    _rekey(rng, _seed_key(seed), generation)
+    return rng
 
 
 def _bit_length(digits: np.ndarray) -> int:
@@ -340,17 +371,18 @@ def _check_width(digits: np.ndarray, count_width: int, generation: int) -> None:
         )
 
 
-def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, seeds, count_width: int):
-    """Generation ``n`` -> ``n + 1`` of ``len(seeds)`` replicates held in one box.
+def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, keys, count_width: int, rng):
+    """Generation ``n`` -> ``n + 1`` of ``len(keys)`` replicates held in one box.
 
     ``digits`` has shape (digits, replicates, *cells): replicate r's counts,
     digit by digit as in ``SiteCounts``, on the box of ``radius``.  Returns
     the radius and digits of the next generation in the same layout; the
     new box is the bounding box of every replicate's occupied sites grown by
     one step, whatever box holds them now.  Replicate r draws its offspring
-    and displacement splits from ``derive_stream(seeds[r], n)``.
+    and displacement splits from ``rng`` rekeyed to ``keys[r]``, the
+    ``_seed_key`` of its seed: the draws of ``derive_stream(seed, n)``.
+    The new box's counts are checked against ``count_width``.
     """
-    _check_width(digits, count_width, n)
     n_values = len(off.probs)
     atoms = list(law.atoms())
     # Occupied cells in lexicographic order of (replicate, site): each
@@ -358,19 +390,28 @@ def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, s
     rep, *cells = np.nonzero(digits.any(axis=0))
     sites = [c - r for c, r in zip(cells, radius)]
     radius = tuple(int(np.abs(x).max(initial=0)) + t for x, t in zip(sites, law.ranges))
-    shape = (len(seeds), *(2 * r + 1 for r in radius))
+    shape = (len(keys), *(2 * r + 1 for r in radius))
     charge("the next generation's box", math.prod(shape))
     sizes, starts = _blocks(
         digits[(slice(None), rep, *cells)], _block_bits(n_values), max(n_values, len(atoms)), math.prod(shape)
     )
-    bounds = np.append(starts, len(sizes))[np.searchsorted(rep, np.arange(len(seeds) + 1))]
+    bounds = np.append(starts, len(sizes))[np.searchsorted(rep, np.arange(len(keys) + 1))]
 
+    # With all its mass on the largest offspring number K, a block of b
+    # particles has K b children, and the offspring split would draw
+    # nothing: numpy's multinomial draws a binomial per category but the
+    # last, and a binomial of p = 0 returns before drawing.  A point mass on
+    # a smaller number draws, at its binomial of p = 1.
+    one_point = not any(off.probs[:-1])
     values = np.arange(1, n_values + 1, dtype=np.int64)
     probs = [p for _, p in atoms]
     placed = np.empty((len(sizes), len(atoms)), dtype=np.int64)
-    for seed, lo, hi in zip(seeds, bounds[:-1], bounds[1:]):
-        rng = derive_stream(seed, n)
-        offspring = rng.multinomial(sizes[lo:hi], off.probs) @ values
+    for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
+        _rekey(rng, key, n)
+        if one_point:
+            offspring = sizes[lo:hi] * n_values
+        else:
+            offspring = rng.multinomial(sizes[lo:hi], off.probs) @ values
         placed[lo:hi] = rng.multinomial(offspring, probs)
 
     # Each displaced block count (< 2^63) enters as two base-2^32 digits,
@@ -464,30 +505,40 @@ def simulate(
     The replicates are stepped together, in batches sized up front so that
     every step of a batch fits the element budget (``_batch_size``); a
     replicate's snapshots do not depend on the batching.  Each snapshot
-    keeps only its replicate's nonzero digits, on the batch's box.
+    keeps only its replicate's nonzero digits, on the batch's box, and so
+    keeps that whole box alive; the kept boxes are charged to the element
+    budget as they are kept.
 
     Raises:
         ValueError: ``n_max`` does not exceed the start generation.
         CountOverflow, CapacityExceeded: as ``evolve_generation``.
+        CapacityExceeded: the boxes behind the kept snapshots exceed the
+            element budget.
     """
     if start is None:
         start = initial_state(law.d)
     if n_max <= start.n:
         raise ValueError(f"n_max must exceed the start generation {start.n}")
-    seeds = list(seeds)
+    keys = [_seed_key(seed) for seed in seeds]
     probes = set(int(n) for n in probe_schedule)
     box = SiteCounts.from_mapping(start.counts, law.d)
+    _check_width(box.digits, count_width, start.n)
     batch = _batch_size(box, n_max - start.n, off, law, count_width)
+    rng = np.random.Generator(np.random.Philox(0))
     runs = []
-    for lo in range(0, len(seeds), batch):
-        chunk = seeds[lo : lo + batch]
+    kept = 0
+    for lo in range(0, len(keys), batch):
+        chunk = keys[lo : lo + batch]
         snaps = [[start] if start.n in probes else [] for _ in chunk]
         radius = box.radius
         digits = np.broadcast_to(box.digits[:, np.newaxis], (len(box.digits), len(chunk), *box.digits.shape[1:]))
         for n in range(start.n, n_max):
-            radius, digits = _step(radius, digits, n, off, law, chunk, count_width)
+            radius, digits = _step(radius, digits, n, off, law, chunk, count_width, rng)
             if n + 1 not in probes:
                 continue
+            # Each snapshot is a view that keeps this whole box alive.
+            kept += digits.size
+            charge("the kept snapshots' boxes", kept)
             nonzero = digits.reshape(len(digits), len(chunk), -1).any(axis=2)
             for r, run in enumerate(snaps):
                 counts = SiteCounts(radius, digits[: max(np.flatnonzero(nonzero[:, r]), default=0) + 1, r])

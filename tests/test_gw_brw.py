@@ -387,6 +387,38 @@ class TestBatchedStep:
         assert run_experiment(load_config(doc)).rows == rows
         assert 1 <= max(batches) < 8
 
+    def test_kept_snapshots_charged(self, monkeypatch):
+        # Each snapshot is a view that keeps its probe's whole batch box
+        # alive.  Every such box is charged once, summed over probes and
+        # batches, and a run whose kept boxes pass the budget is refused.
+        off = validate_offspring({2: 1.0})
+        seeds = [ReplicateSeed(5, r) for r in range(8)]
+        charged = []
+        real_charge = gw_brw.charge
+        monkeypatch.setattr(gw_brw, "charge", lambda what, n: charged.append((what, n)) or real_charge(what, n))
+
+        def kept(seeds, probes):
+            charged.clear()
+            runs = simulate(off, SIMPLE, 24, seeds, probes)
+            boxes = {id(st.counts.digits.base): st.counts.digits.base.size for run in runs for st in run}
+            snaps = [n for what, n in charged if what == "the kept snapshots' boxes"]
+            return snaps, sum(boxes.values())
+
+        snaps, boxes = kept(seeds, range(1, 25))
+        assert len(snaps) == 24
+        assert snaps[-1] == boxes
+        (whole,), _ = kept(seeds, [24])
+        # A budget of one batch's box at the one probe splits the replicates
+        # into batches, whose boxes are no larger; one box per batch.
+        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", whole)
+        snaps, boxes = kept(seeds, [24])
+        assert 1 < len(snaps) < 8
+        assert snaps == sorted(snaps)
+        assert snaps[-1] == boxes <= whole
+        # The same steps with every generation kept are refused.
+        with pytest.raises(errors.CapacityExceeded, match=r"^the kept snapshots' boxes exceeds"):
+            kept(seeds, range(1, 25))
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
