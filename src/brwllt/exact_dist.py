@@ -2,20 +2,23 @@
 
 Three routes give P(S_n = z).  The stepped oracle (``convolve_step``,
 ``walk_dist``) convolves the whole reachable box n times.  It uses the
-per-axis reflection symmetry of every n-step law (orthant + mirror): each
-step computes only the cells with every z_s >= 0 and mirrors them into
-the full box.  The axis mixture (``axis_mixture``) reads a few points
-without the box: a step moves along one axis or stays put, so P(S_n = z)
-is a binomial mixture of 1-d k-step laws, each stepped by the same
-``convolve_step``; every term is nonnegative, so its error is relative in
-every cell.  The characteristic-function route (``cf_invert_box``) samples
-psi(phi)^n on a uniform torus grid of least 5-smooth size >= 2*n*t_s + 1
-per axis (``cf_grid``), on the orthant phi_s <= pi only, raises it to the
-n-th power by repeated squaring, and inverts it with a real FFT per axis;
-the integrand is a trigonometric polynomial of known degree, so the grid
-rule is exact up to rounding and serves as a genuinely independent second
-method.  Every route charges the element budget before it allocates; the
-CF route charges its whole grid.
+per-axis reflection symmetry of every n-step law (orthant + mirror): one
+private kernel (``_orthant_steps``) steps only the cells with every
+z_s >= 0, in place in two padded buffers, and the result is mirrored into
+the full box once, after the last step.  The axis mixture
+(``axis_mixture``) reads a few points without the box: a step moves along
+one axis or stays put, so P(S_n = z) is a binomial mixture of 1-d k-step
+laws, all d of them stepped together as one stack by the same kernel;
+every term is nonnegative, so its error is relative in every cell.  The
+characteristic-function route (``cf_invert_box``) samples psi(phi)^n on a
+uniform torus grid of least 5-smooth size >= 2*n*t_s + 1 per axis
+(``cf_grid``), on the orthant phi_s <= pi only, raises it to the n-th
+power by repeated squaring, and inverts it with a real FFT per axis; the
+integrand is a trigonometric polynomial of known degree, so the grid rule
+is exact up to rounding and serves as a genuinely independent second
+method.  Every route charges the element budget before it allocates: the
+stepped routes their box or tables and then the kernel's two buffers, the
+CF route its whole grid.
 """
 
 from __future__ import annotations
@@ -86,62 +89,95 @@ def _unfold(orthant: np.ndarray, radius: tuple[int, ...]) -> np.ndarray:
     return full
 
 
+def _orthant_steps(start: np.ndarray, t, zeta0, terms, n: int):
+    """Step a stack of orthants n times, in place in two padded buffers.
+
+    The one shift-and-add loop of the package.  ``start[b]`` holds the
+    cells z >= 0 of a law with per-axis reflection symmetry, z_s = 0 ..
+    radius_s on axis s + 1.  A step convolves every member of the stack
+    with a step law of range t_s on axis s that keeps ``zeta0`` in place
+    and puts c on each of +-r*e_s, for every (s, r, c) in ``terms``; zeta0
+    and c are numbers, or columns of shape (len(start), 1, ...) that give
+    each member its own coefficient.  The two buffers are charged to the
+    element budget, then allocated at the size of the last stage, and take
+    turns as input and output.  Axis s of a buffer holds z_s = -t_s ..
+    radius_s + 2*t_s: before a step the t_s low ghost cells take the
+    reflection (cell -k holds cell k), and the cells above the current
+    radius are still zero, as the stages only grow.  A step computes only
+    the window z_s = 0 .. radius_s + t_s: zeta0*m(z), then, axis-major and
+    by increasing r, += (m(z - r*e_s) + m(z + r*e_s)) * c.  Yields, at
+    every stage k = 0 .. n, the orthant z >= 0 of the buffer that holds it,
+    zero above the stage's radius; the next step overwrites it.
+    """
+    radius = [m - 1 for m in start.shape[1:]]
+    shape = (len(start), *(r + n * ts + 1 + 2 * ts for r, ts in zip(radius, t)))
+    charge(f"two stepping buffers {shape}", 2 * math.prod(shape))
+    src, dst = np.zeros(shape), np.zeros(shape)
+    orthant = (slice(None), *(slice(ts, None) for ts in t))
+    src[orthant][tuple(map(slice, start.shape))] = start
+    yield src[orthant]
+    for _ in range(n):
+        radius = [r + ts for r, ts in zip(radius, t)]
+        core = (slice(None), *(slice(ts, ts + r + 1) for r, ts in zip(radius, t)))
+        for s, ts in enumerate(t, start=1):
+            ghost, mirror = list(core), list(core)
+            ghost[s], mirror[s] = slice(None, ts), slice(2 * ts, ts, -1)
+            src[tuple(ghost)] = src[tuple(mirror)]
+        out = dst[core]
+        np.multiply(src[core], zeta0, out=out)
+        for s, r, c in terms:
+            lo, hi = list(core), list(core)
+            lo[s + 1] = slice(t[s] - r, t[s] - r + radius[s] + 1)
+            hi[s + 1] = slice(t[s] + r, t[s] + r + radius[s] + 1)
+            term = src[tuple(lo)] + src[tuple(hi)]
+            term *= c
+            out += term
+        src, dst = dst, src
+        yield src[orthant]
+
+
+def _stepped(dist: LatticeDist, law: StepLaw, n: int) -> LatticeDist:
+    """``dist`` after n steps of ``law``: n kernel steps on its orthant z >= 0,
+    mirrored into the full box once at the end."""
+    orthant = dist.mass[tuple(slice(r, None) for r in dist.radius)]
+    terms = [(s, r, 0.5 * w) for s in range(law.d) for r, w in enumerate(law.weights[s], start=1) if w > 0.0]
+    for stage in _orthant_steps(orthant[None], law.ranges, law.zeta0, terms, n):
+        pass
+    radius = tuple(r + n * t for r, t in zip(dist.radius, law.ranges))
+    window = stage[(0, *(slice(r + 1) for r in radius))]
+    return LatticeDist(n=dist.n + n, d=law.d, radius=radius, mass=_unfold(window, radius))
+
+
 def convolve_step(dist: LatticeDist, law: StepLaw) -> LatticeDist:
     """One step of the walk: convolve the stored pmf with the step law.
 
     Orthant + mirror.  Every step law puts w/2 on each of +-r*e_s, so the
     n-step law has per-axis reflection symmetry (z_s -> -z_s on each axis
     alone), and ``dist`` must have it too, as every distribution built by
-    ``delta_dist`` and ``convolve_step`` does.  The step reads only the
-    orthant z >= 0, pads it by t_s low ghost cells per axis that hold the
-    reflection (cell -k holds cell k) and 2*t_s high zero cells, sums
-    zeta0*m(z) + sum (w/2)*(m(z - r*e_s) + m(z + r*e_s)) over the new
-    orthant in a fixed order (axis-major, increasing r), and mirrors the
-    result into the full box, which grows by t_s per axis.  Mirroring makes
-    the symmetry hold bit-exactly.  The output box is charged to the
-    element budget before anything is allocated.
+    ``delta_dist`` and ``convolve_step`` does.  One step of the orthant
+    kernel (``_orthant_steps``) sums zeta0*m(z) + sum (w/2)*(m(z - r*e_s)
+    + m(z + r*e_s)) over the new orthant z >= 0, and the result is mirrored
+    into the full box, which grows by t_s per axis; mirroring makes the
+    symmetry hold bit-exactly.  The output box, then the kernel's buffers,
+    are charged to the element budget before anything is allocated.
     """
-    t = law.ranges
-    d = law.d
-    radius = tuple(dist.radius[s] + t[s] for s in range(d))
+    radius = tuple(r + t for r, t in zip(dist.radius, law.ranges))
     charge("output tensor", math.prod(2 * r + 1 for r in radius))
-    # Padded orthant: axis s holds z_s = -t_s .. radius[s] + t_s.
-    padded = np.zeros(tuple(r + 1 + 2 * ts for r, ts in zip(radius, t)))
-    padded[tuple(slice(ts, ts + r + 1) for r, ts in zip(dist.radius, t))] = dist.mass[
-        tuple(slice(r, None) for r in dist.radius)
-    ]
-    for s in range(d):
-        lead = (slice(None),) * s
-        padded[lead + (slice(None, t[s]),)] = padded[lead + (slice(2 * t[s], t[s], -1),)]
-    # Window of the new orthant, z_s = 0 .. radius[s], inside ``padded``.
-    core = tuple(slice(ts, ts + r + 1) for r, ts in zip(radius, t))
-    out = law.zeta0 * padded[core]
-    for s in range(d):
-        for r, w in enumerate(law.weights[s], start=1):
-            if w <= 0.0:
-                continue
-            lo, hi = list(core), list(core)
-            lo[s] = slice(t[s] - r, t[s] - r + radius[s] + 1)
-            hi[s] = slice(t[s] + r, t[s] + r + radius[s] + 1)
-            term = padded[tuple(lo)] + padded[tuple(hi)]
-            term *= 0.5 * w
-            out += term
-    return LatticeDist(n=dist.n + 1, d=d, radius=radius, mass=_unfold(out, radius))
+    return _stepped(dist, law, 1)
 
 
 def walk_dist(law: StepLaw, n: int) -> LatticeDist:
-    """The n-step distribution, built by repeated convolution.
+    """The n-step distribution: n steps of the orthant kernel, as in
+    ``convolve_step``, mirrored into the box once at the end.
 
-    The n-step box is charged to the element budget before the first step.
+    The n-step box, then the kernel's buffers, are charged to the element
+    budget before the first step.
     """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
     shape = box_shape(law, n)
     charge(f"{n}-step box {shape}", math.prod(shape))
-    dist = delta_dist(law)
-    for _ in range(n):
-        dist = convolve_step(dist, law)
-    return dist
+    return _stepped(delta_dist(law), law, n)
 
 
 def _axis_step(law: StepLaw, s: int) -> tuple[float, StepLaw]:
@@ -158,19 +194,23 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
     Given how many of the n steps fall on each axis, the axes move
     independently, so P(S_n = z) is the mixture over k_0 + ... + k_{d-1} = n
     of prod_s P(X_s^(k_s) = z_s), X_s the walk of axis s's 1-d law
-    (``_axis_step``), with multinomial weights.  Each axis is stepped once
-    with ``convolve_step``, up to the largest probe, recording at each k
-    only the cells at the points and the row total.  The axes are then
-    mixed one at a time, last first: axis s takes k of the m steps left to
-    axes s.. with weight C(m, k) a^k b^(m-k), a = p_s / sum_{t>=s} p_t and
-    b = sum_{t>s} p_t / sum_{t>=s} p_t, built by the Pascal recurrence
-    W[m, k] = a W[m-1, k-1] + b W[m-1, k], which never overflows.  Cost
-    O(n^2) per point on each inner axis, O(n) on axis 0.
+    (``_axis_step``), with multinomial weights.  The d axis laws are
+    stepped together up to the largest probe, as one stack of 1-d rows in
+    the orthant kernel of ``convolve_step`` (``_orthant_steps``): row s has
+    its own zeta0 and w/2 columns, and a pair that its law lacks gets the
+    coefficient 0.0, which adds exactly +0.0.  At each k only the cells at
+    the points and each row's total, summed over the unfolded row, are
+    recorded.  The axes are then mixed one at a time, last first: axis s
+    takes k of the m steps left to axes s.. with weight C(m, k) a^k
+    b^(m-k), a = p_s / sum_{t>=s} p_t and b = sum_{t>s} p_t / sum_{t>=s}
+    p_t, built by the Pascal recurrence W[m, k] = a W[m-1, k-1] + b W[m-1,
+    k], which never overflows.  Cost O(n^2) per point on each inner axis,
+    O(n) on axis 0.
 
     Returns ``(mass, total)``: ``mass[i, j]`` is P(S_n = points[j]) at
     n = probes[i], and ``total[i]`` the mixture's whole mass at probes[i],
-    mixed from the row totals.  The recorded tables are charged to the
-    element budget before the first step.
+    mixed from the row totals.  The recorded tables, then the kernel's
+    buffers, are charged to the element budget before the first step.
     """
     probes = [int(n) for n in probes]
     if any(n < 0 for n in probes):
@@ -181,20 +221,20 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
     n_max = max(probes, default=0)
     cols = len(points) + 1
     charge(f"axis tables for {n_max} steps", law.d * (n_max + 1) * cols)
-    p, tables = [], []
-    for s in range(law.d):
-        p_s, axis = _axis_step(law, s)
-        at = np.array([abs(z[s]) for z in points], dtype=np.int64)
-        table = np.empty((n_max + 1, cols))
-        dist = delta_dist(axis)
-        for k in range(n_max + 1):
-            if k:
-                dist = convolve_step(dist, axis)
-            r = dist.radius[0]
-            table[k, :-1] = np.where(at <= r, dist.mass[r + np.minimum(at, r)], 0.0)
-            table[k, -1] = dist.total()
-        p.append(p_s)
-        tables.append(table)
+    p, axes = zip(*(_axis_step(law, s) for s in range(law.d)))
+    t = law.max_range
+    padded = [a.weights[0] + (0.0,) * (t - a.max_range) for a in axes]
+    terms = [(0, r, np.array([[0.5 * w[r - 1]] for w in padded])) for r in range(1, t + 1)]
+    stages = _orthant_steps(np.ones((law.d, 1)), (t,), np.array([[a.zeta0] for a in axes]), terms, n_max)
+    first = next(stages)  # the buffers are charged and allocated before the tables
+    tables = np.empty((law.d, n_max + 1, cols))
+    # A point beyond reach reads cell n_max*t + 1, which stays zero.
+    at = np.array([[min(abs(z[s]), n_max * t + 1) for z in points] for s in range(law.d)], dtype=np.int64)
+    rows, ranges = np.arange(law.d)[:, None], law.ranges
+    for k, orthant in enumerate(itertools.chain([first], stages)):
+        tables[:, k, :-1] = orthant[rows, at]
+        for s, ts in enumerate(ranges):
+            tables[s, k, -1] = _unfold(orthant[s, : k * ts + 1], (k * ts,)).sum()
     # mixed[m]: the law of the steps on axes s.., given that m steps fall there.
     mixed = tables[-1]
     for s in range(law.d - 2, -1, -1):

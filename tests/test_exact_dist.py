@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -91,6 +92,72 @@ def reference_step(dist: LatticeDist, law) -> LatticeDist:
     return LatticeDist(n=dist.n + 1, d=law.d, radius=radius, mass=out)
 
 
+def padded_step(dist: LatticeDist, law) -> LatticeDist:
+    """Reference: one orthant + mirror step in a fresh padded array, the
+    arithmetic of the stepping kernel in the same order (ghost reflection,
+    then zeta0*m, then += (m(z - r*e_s) + m(z + r*e_s)) * (w/2), axis-major
+    and by increasing r)."""
+    t = law.ranges
+    radius = tuple(r + ts for r, ts in zip(dist.radius, t))
+    padded = np.zeros(tuple(r + 1 + 2 * ts for r, ts in zip(radius, t)))
+    padded[tuple(slice(ts, ts + r + 1) for r, ts in zip(dist.radius, t))] = dist.mass[
+        tuple(slice(r, None) for r in dist.radius)
+    ]
+    for s in range(law.d):
+        lead = (slice(None),) * s
+        padded[lead + (slice(None, t[s]),)] = padded[lead + (slice(2 * t[s], t[s], -1),)]
+    core = tuple(slice(ts, ts + r + 1) for r, ts in zip(radius, t))
+    out = law.zeta0 * padded[core]
+    for s in range(law.d):
+        for r, w in enumerate(law.weights[s], start=1):
+            if w <= 0.0:
+                continue
+            lo, hi = list(core), list(core)
+            lo[s] = slice(t[s] - r, t[s] - r + radius[s] + 1)
+            hi[s] = slice(t[s] + r, t[s] + r + radius[s] + 1)
+            term = padded[tuple(lo)] + padded[tuple(hi)]
+            term *= 0.5 * w
+            out += term
+    return LatticeDist(n=dist.n + 1, d=law.d, radius=radius, mass=exact_dist._unfold(out, radius))
+
+
+def reference_axis_mixture(law, probes, points):
+    """Reference: each axis's 1-d law stepped on its own by ``padded_step``,
+    recording the cells at the points and the row total at every k, then
+    mixed as ``axis_mixture`` mixes."""
+    n_max = max(probes)
+    cols = len(points) + 1
+    p, tables = [], []
+    for s in range(law.d):
+        p_s, axis = exact_dist._axis_step(law, s)
+        at = np.array([abs(z[s]) for z in points], dtype=np.int64)
+        table = np.empty((n_max + 1, cols))
+        dist = delta_dist(axis)
+        for k in range(n_max + 1):
+            if k:
+                dist = padded_step(dist, axis)
+            r = dist.radius[0]
+            table[k, :-1] = np.where(at <= r, dist.mass[r + np.minimum(at, r)], 0.0)
+            table[k, -1] = dist.total()
+        p.append(p_s)
+        tables.append(table)
+    mixed = tables[-1]
+    for s in range(law.d - 2, -1, -1):
+        tail = math.fsum(p[s:])
+        a, b = p[s] / tail, math.fsum(p[s + 1 :]) / tail
+        out = np.zeros((n_max + 1, cols))
+        weights = np.ones(1)
+        for m in range(n_max + 1):
+            if m:
+                step = np.zeros(m + 1)
+                step[:-1] = b * weights
+                step[1:] += a * weights
+                weights = step
+            out[m] = (weights[:, None] * tables[s][: m + 1] * mixed[m::-1]).sum(axis=0)
+        mixed = out
+    return mixed[probes, :-1], mixed[probes, -1]
+
+
 def test_symmetry_bit_exact():
     # Each reflection z_s -> -z_s on its own, not only z -> -z.
     for d, n in [(1, 30), (2, 12), (3, 6)]:
@@ -114,16 +181,21 @@ def test_symmetry_bit_exact():
 )
 def test_matches_full_box_reference(law, n_max):
     # Orthant + mirror vs the full-box stencil: same zero cells, and every
-    # nonzero cell within 1e-13 relative.
-    dist = ref = delta_dist(law)
+    # nonzero cell within 1e-13 relative.  The kernel's step is bit for bit
+    # the fresh padded step, and walk_dist's n in-place steps, unfolded
+    # once, are bit for bit n chained convolve_step calls.
+    dist = ref = padded = delta_dist(law)
     for _ in range(n_max):
         dist = convolve_step(dist, law)
         ref = reference_step(ref, law)
+        padded = padded_step(padded, law)
         assert dist.radius == ref.radius
         nonzero = ref.mass != 0.0
         assert np.array_equal(dist.mass != 0.0, nonzero)
         rel = np.abs(dist.mass[nonzero] - ref.mass[nonzero]) / ref.mass[nonzero]
         assert rel.max() <= 1e-13
+        assert np.array_equal(dist.mass, padded.mass)
+    assert np.array_equal(walk_dist(law, n_max).mass, dist.mass)
 
 
 @pytest.mark.parametrize(
@@ -142,7 +214,9 @@ def test_matches_full_box_reference(law, n_max):
 def test_axis_mixture_matches_convolution(law, n_max):
     # Every cell of the n_max box, at unsorted and repeated probes and n = 0:
     # the cells convolution leaves exactly 0.0 (parity, reach) are exactly
-    # 0.0, and every other cell is within 1e-12 relative.
+    # 0.0, and every other cell is within 1e-12 relative.  With points
+    # beyond reach added, mass and total are bit for bit those of each axis
+    # stepped on its own.
     probes = [n_max, 0, 7, n_max, 3]
     top = walk_dist(law, n_max)
     points = [tuple(i - r for i, r in zip(idx, top.radius)) for idx in np.ndindex(*top.mass.shape)]
@@ -158,17 +232,22 @@ def test_axis_mixture_matches_convolution(law, n_max):
         assert (np.abs(mass[i][nonzero] - ref[nonzero]) / ref[nonzero]).max() <= 1e-12
         assert abs(total[i] - 1.0) <= 1e-12
     assert mass[1, points.index((0,) * law.d)] == 1.0
+    far = points + [tuple(3 * n_max * t for t in law.ranges), (n_max * law.max_range + 1,) * law.d]
+    mass, total = axis_mixture(law, probes, far)
+    ref_mass, ref_total = reference_axis_mixture(law, probes, far)
+    assert np.array_equal(mass, ref_mass)
+    assert np.array_equal(total, ref_total)
 
 
-def leaky_step(monkeypatch, q):
-    """Make every ``convolve_step`` keep only the fraction q of the mass."""
-    real = exact_dist.convolve_step
+def leaky_steps(monkeypatch, q):
+    """Make every step of the orthant kernel keep only the fraction q of the
+    mass: each coefficient of the step law is scaled by q."""
+    real = exact_dist._orthant_steps
 
-    def step(dist, law):
-        out = real(dist, law)
-        return LatticeDist(n=out.n, d=out.d, radius=out.radius, mass=q * out.mass)
+    def steps(start, t, zeta0, terms, n):
+        return real(start, t, q * zeta0, [(s, r, q * c) for s, r, c in terms], n)
 
-    monkeypatch.setattr(exact_dist, "convolve_step", step)
+    monkeypatch.setattr(exact_dist, "_orthant_steps", steps)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -176,7 +255,7 @@ def test_axis_mixture_total_is_mixed_from_row_totals(monkeypatch, d):
     # A step that keeps half the mass leaves q^k on every k-step 1-d row, so
     # the mixture's whole mass at n is q^n, not the constant 1.
     q = 0.5
-    leaky_step(monkeypatch, q)
+    leaky_steps(monkeypatch, q)
     probes = [0, 5, 9]
     _, total = axis_mixture(LAWS[d], probes, [(0,) * d])
     assert np.allclose(total, [q**n for n in probes], rtol=1e-12, atol=0.0)
@@ -215,8 +294,8 @@ def test_capacity_budget(monkeypatch):
 def test_walk_budget_checked_before_first_step(monkeypatch):
     # The n-step box is checked before any step is taken or any box allocated.
     calls = []
-    real = exact_dist.convolve_step
-    monkeypatch.setattr(exact_dist, "convolve_step", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = exact_dist._orthant_steps
+    monkeypatch.setattr(exact_dist, "_orthant_steps", lambda *a, **k: calls.append(1) or real(*a, **k))
     law = lazy_simple_law(2, 1.0 / 3.0)
     with monkeypatch.context() as budget:
         budget.setattr(exact_dist, "ELEMENT_BUDGET", 200**2)
@@ -234,6 +313,28 @@ def test_walk_budget_checked_before_first_step(monkeypatch):
     assert calls == []
     monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 199**2)
     assert walk_dist(law, 99).radius == (99, 99)
+
+
+def test_stepping_buffers_charged_before_allocating(monkeypatch):
+    # In d = 1 the two padded stepping buffers, 2*(n*t + 1 + 2*t) cells, hold
+    # more than the n-step box (2*n*t + 1) and than the axis tables
+    # (n + 1 rows of a point and a total): a budget that holds those but not
+    # the buffers is refused before any buffer is allocated.
+    n = 10**5
+    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2 * n + 2)
+    refusal = r"^two stepping buffers \(1, 100003\) exceeds element budget 200002 \(200006 elements\)$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.CapacityExceeded, match=refusal):
+            walk_dist(SIMPLE, n)
+        with pytest.raises(errors.CapacityExceeded, match=refusal):
+            axis_mixture(SIMPLE, [n], [(0,)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2 * (3 * 10 + 1 + 2 * 3))
+    assert walk_dist(LAWS[1], 10).radius == (30,)
 
 
 def test_one_budget_governs_every_dense_path(monkeypatch):

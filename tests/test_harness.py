@@ -398,16 +398,15 @@ class TestCsvAndDeterminism:
         assert lines[9] == "n,z1,exact,cf_invert,predicted,gamma"
 
     def test_exact_mass_drift_reads_the_mixture(self, monkeypatch):
-        # A convolution step that keeps half the mass leaves q^n in the axis
+        # A kernel step that keeps half the mass leaves q^n in the axis
         # mixture at n, so the audit line reads 1 - q^n at the largest probe.
         q = 0.5
-        real = exact_dist.convolve_step
+        real = exact_dist._orthant_steps
 
-        def leaky(dist, law):
-            out = real(dist, law)
-            return exact_dist.LatticeDist(n=out.n, d=out.d, radius=out.radius, mass=q * out.mass)
+        def leaky(start, t, zeta0, terms, n):
+            return real(start, t, q * zeta0, [(s, r, q * c) for s, r, c in terms], n)
 
-        monkeypatch.setattr(exact_dist, "convolve_step", leaky)
+        monkeypatch.setattr(exact_dist, "_orthant_steps", leaky)
         for law, z in ((LAW_1D_LAZY, [0]), ({"d": 2, "zeta0": 0.2, "axes": [[0.3, 0.1], [0.4]]}, [0, 0])):
             cfg = load_config(base_doc("llt-check", step_law=law, n_values=[4, 10, 8], z_set=[z]))
             drift = run_experiment(cfg).audit["exact_mass_drift"]
