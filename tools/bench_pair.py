@@ -3,13 +3,14 @@
 Usage (from anywhere inside the repository):
 
     python3 tools/bench_pair.py --output BENCH_<N>.json
-    python3 tools/bench_pair.py --base HEAD^ --head HEAD --reps 10 --seconds 8 --output out.json
+    python3 tools/bench_pair.py --base HEAD^ --head HEAD --reps 10 --output out.json
 
 Each side is a fresh ``git archive`` copy of its commit in a temporary
 directory, so both run from the same kind of tree.  For every workload
 named in the head's BENCHMARK.json, pair k runs
 ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` once
-on each side, base first when k is even and head first when k is odd.
+on each side, base first when k is even and head first when k is odd;
+T is always ``run_seconds`` of the head's BENCHMARK.json.
 The output file records, per workload and end-to-end metric, each side's
 runs, median and quartiles, and how many pairs the head won (ties count
 for neither side), and each side's check counts.
@@ -64,7 +65,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD^", help="commit measured as the parent (default HEAD^)")
     parser.add_argument("--head", default="HEAD", help="commit measured as the change (default HEAD)")
     parser.add_argument("--reps", type=int, default=MIN_REPS, help=f"pairs per workload, at least {MIN_REPS}")
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--output", required=True, type=Path)
     args = parser.parse_args(argv)
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
         for side, rev in sides.items():
             _export(rev, trees[side])
         spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+        seconds = spec["run_seconds"]
         started = time.time()
         runs = {}
         for name in (w["name"] for w in spec["workloads"]):
