@@ -10,15 +10,17 @@ the full box once, after the last step.  The axis mixture
 one axis or stays put, so P(S_n = z) is a binomial mixture of 1-d k-step
 laws, all d of them stepped together as one stack by the same kernel;
 every term is nonnegative, so its error is relative in every cell.  The
-characteristic-function route (``cf_invert_box``) samples psi(phi)^n on a
+characteristic-function route (``cf_orthant``) samples psi(phi)^n on a
 uniform torus grid of least 5-smooth size >= 2*n*t_s + 1 per axis
 (``cf_grid``), on the orthant phi_s <= pi only, raises it to the n-th
-power by repeated squaring, and inverts it with a real FFT per axis; the
-integrand is a trigonometric polynomial of known degree, so the grid rule
-is exact up to rounding and serves as a genuinely independent second
-method.  Every route charges the element budget before it allocates: the
-stepped routes their box or tables and then the kernel's two buffers, the
-CF route its whole grid.
+power by repeated squaring, and inverts it with a real FFT per axis into
+the orthant z >= 0 of the law; the integrand is a trigonometric
+polynomial of known degree, so the grid rule is exact up to rounding and
+serves as a genuinely independent second method.  Readers of a few points
+take them from that orthant (``orthant_at``, cell |z|) without building
+the box; ``cf_invert_box`` mirrors it into the box.  Every route charges
+the element budget before it allocates: the stepped routes their box or
+tables and then the kernel's two buffers, the CF route its whole grid.
 """
 
 from __future__ import annotations
@@ -317,31 +319,66 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
-    """All of P(S_n = .) on the reachable box, by inverting the sampled CF.
+def cf_orthant(law: StepLaw, n: int) -> np.ndarray:
+    """P(S_n = z) on the orthant z_s = 0 .. n*t_s, by inverting the sampled CF.
 
     psi^n is a trigonometric polynomial of degree n*t_s in phi_s, so its
     samples at any M_s >= 2*n*t_s + 1 points per axis determine every
     coefficient, with lattice point k at DFT index k mod M_s, and an
     inverse DFT returns them exactly up to rounding.  M_s is the least
     5-smooth such size (``cf_grid``), which the FFT factors into small
-    radices.  Orthant + mirror, as in ``convolve_step``: psi is real and
-    even in each phi_s, so its samples with every phi_s <= pi determine the
-    grid and are raised to the n-th power by repeated squaring; each axis
-    in turn is inverted by a real FFT (``irfft``) and cut to the lattice
-    points 0 <= z_s <= n*t_s, and the orthant is mirrored into the box.
-    The full grid is charged.  The error is absolute, about 1e-16, so
-    far-tail cells are not relatively accurate.
+    radices.  psi is real and even in each phi_s, so its samples with every
+    phi_s <= pi determine the grid and are raised to the n-th power by
+    repeated squaring; each axis in turn is inverted by a real FFT
+    (``irfft``) and cut to the lattice points 0 <= z_s <= n*t_s.  The full
+    grid is charged to the element budget before anything is allocated,
+    and each stage is cast to complex (the cast ``irfft`` would make) and
+    dropped before its transform, so at most two stages are alive at once.
+    The error is absolute, about 1e-16, so far-tail cells are not
+    relatively accurate.  Read a point with ``orthant_at``.
     """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
-    radius = tuple(n * t for t in law.ranges)
     grid = cf_grid(law, n)
     charge("CF grid", math.prod(grid))
     vals = _power(_psi_grid(law, [2.0 * np.pi * np.arange(m // 2 + 1) / m for m in grid]), n)
-    for s, (m, r) in enumerate(zip(grid, radius)):
-        vals = np.fft.irfft(vals, n=m, axis=s)[(slice(None),) * s + (slice(r + 1),)]
-    return LatticeDist(n=n, d=law.d, radius=radius, mass=_unfold(vals, radius))
+    for s, (m, t) in enumerate(zip(grid, law.ranges)):
+        spectrum = vals.astype(complex)
+        del vals
+        vals = np.fft.irfft(spectrum, n=m, axis=s)[(slice(None),) * s + (slice(n * t + 1),)]
+        del spectrum
+    return vals
+
+
+def orthant_at(orthant: np.ndarray, z) -> float:
+    """P(S_n = z) from the orthant cells z >= 0 of a law with per-axis
+    reflection symmetry: cell |z|, or exactly 0 beyond the orthant."""
+    idx = tuple(abs(int(zs)) for zs in z)
+    if any(k >= m for k, m in zip(idx, orthant.shape)):
+        return 0.0
+    return float(orthant[idx])
+
+
+def orthant_negative_mass(orthant: np.ndarray) -> float:
+    """The negative mass -sum min(P, 0) of the whole box, summed on its
+    orthant: a cell with k nonzero coordinates stands for its 2^k mirror
+    images, so min(P, 0) is doubled once per such coordinate."""
+    neg = np.minimum(orthant, 0.0)
+    for s in range(neg.ndim):
+        neg[(slice(None),) * s + (slice(1, None),)] *= 2.0
+    return -float(neg.sum())
+
+
+def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
+    """All of P(S_n = .) on the reachable box, by inverting the sampled CF.
+
+    Orthant + mirror, as in ``convolve_step``: the orthant of
+    ``cf_orthant``, which holds the package's one CF sum, mirrored into the
+    box.  The full grid is charged.  The error is absolute, about 1e-16,
+    so far-tail cells are not relatively accurate.
+    """
+    radius = tuple(n * t for t in law.ranges)
+    return LatticeDist(n=n, d=law.d, radius=radius, mass=_unfold(cf_orthant(law, n), radius))
 
 
 def dump_csv(dist: LatticeDist, path) -> None:

@@ -273,33 +273,42 @@ def _seed_key(seed: ReplicateSeed) -> int:
     return _mix64(_mix64(seed.base_seed & 0xFFFFFFFFFFFFFFFF) ^ _mix64(seed.replicate_index))
 
 
-def _rekey(rng: np.random.Generator, k0: int, generation: int) -> None:
-    """Reset ``rng`` to the start of the Philox stream keyed (k0, k1 =
-    mix(k0 ^ mix(generation))): the draws of a new generator of that key.
+def _rekeyer(rng: np.random.Generator):
+    """A function ``rekey(k0, mixed)`` that resets ``rng`` to the start of
+    the Philox stream keyed (k0, k1 = mix(k0 ^ mixed)), ``mixed`` being
+    mix(generation), and returns it: the draws of a new generator of that
+    key.
 
-    A Generator keeps no other state that changes a draw; its cached
-    binomial set-up depends only on the binomial's (n, p).
+    The state dict is built once, with plain int lists, which the state
+    setter reads faster than arrays; a call writes only its key.  A
+    Generator keeps no other state that changes a draw; its cached binomial
+    set-up depends only on the binomial's (n, p).
     """
-    rng.bit_generator.state = {
+    key = [0, 0]
+    state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([k0, _mix64(k0 ^ _mix64(generation))], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0] * 4, "key": key},
+        "buffer": [0] * 4,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    bit_generator = rng.bit_generator
+
+    def rekey(k0: int, mixed: int) -> np.random.Generator:
+        key[0], key[1] = k0, _mix64(k0 ^ mixed)
+        bit_generator.state = state
+        return rng
+
+    return rekey
 
 
 def derive_stream(seed: ReplicateSeed, generation: int) -> np.random.Generator:
     """Philox stream of one generation, a pure function of (base seed,
     replicate, generation)."""
     # A fixed seed, unlike Philox(key=...), draws no OS entropy.
-    rng = np.random.Generator(np.random.Philox(0))
-    _rekey(rng, _seed_key(seed), generation)
-    return rng
+    rekey = _rekeyer(np.random.Generator(np.random.Philox(0)))
+    return rekey(_seed_key(seed), _mix64(generation))
 
 
 def _bit_length(digits: np.ndarray) -> int:
@@ -371,7 +380,7 @@ def _check_width(digits: np.ndarray, count_width: int, generation: int) -> None:
         )
 
 
-def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, keys, count_width: int, rng):
+def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, keys, count_width: int, rekey):
     """Generation ``n`` -> ``n + 1`` of ``len(keys)`` replicates held in one box.
 
     ``digits`` has shape (digits, replicates, *cells): replicate r's counts,
@@ -379,8 +388,9 @@ def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, k
     the radius and digits of the next generation in the same layout; the
     new box is the bounding box of every replicate's occupied sites grown by
     one step, whatever box holds them now.  Replicate r draws its offspring
-    and displacement splits from ``rng`` rekeyed to ``keys[r]``, the
-    ``_seed_key`` of its seed: the draws of ``derive_stream(seed, n)``.
+    and displacement splits from the generator ``rekey`` (``_rekeyer``)
+    resets to ``keys[r]``, the ``_seed_key`` of its seed: the draws of
+    ``derive_stream(seed, n)``.
     The new box's counts are checked against ``count_width``.
     """
     n_values = len(off.probs)
@@ -406,8 +416,9 @@ def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, k
     values = np.arange(1, n_values + 1, dtype=np.int64)
     probs = [p for _, p in atoms]
     placed = np.empty((len(sizes), len(atoms)), dtype=np.int64)
+    mixed = _mix64(n)
     for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
-        _rekey(rng, key, n)
+        rng = rekey(key, mixed)
         if one_point:
             offspring = sizes[lo:hi] * n_values
         else:
@@ -524,7 +535,7 @@ def simulate(
     box = SiteCounts.from_mapping(start.counts, law.d)
     _check_width(box.digits, count_width, start.n)
     batch = _batch_size(box, n_max - start.n, off, law, count_width)
-    rng = np.random.Generator(np.random.Philox(0))
+    rekey = _rekeyer(np.random.Generator(np.random.Philox(0)))
     runs = []
     kept = 0
     for lo in range(0, len(keys), batch):
@@ -533,7 +544,7 @@ def simulate(
         radius = box.radius
         digits = np.broadcast_to(box.digits[:, np.newaxis], (len(box.digits), len(chunk), *box.digits.shape[1:]))
         for n in range(start.n, n_max):
-            radius, digits = _step(radius, digits, n, off, law, chunk, count_width, rng)
+            radius, digits = _step(radius, digits, n, off, law, chunk, count_width, rekey)
             if n + 1 not in probes:
                 continue
             # Each snapshot is a view that keeps this whole box alive.

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BrwlltError, CapacityExceeded, ConfigError
-from .exact_dist import axis_mixture, cf_grid, cf_invert_box, charge, dist_at
+from .exact_dist import axis_mixture, cf_grid, cf_orthant, charge, orthant_at, orthant_negative_mass
 from .gw_brw import OffspringLaw, ReplicateSeed, simulate, validate_offspring
 from .llt import (
     constants,
@@ -236,10 +236,13 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
     """Exact probability vs CF inversion vs second-order prediction.
 
     The axis mixture (:func:`axis_mixture`) gives the exact value at the
-    probe n only; one CF box per probe n gives the independent value for
-    every admissible z.  The audit figures are the largest
+    probe n only; one CF orthant per probe n (:func:`cf_orthant`, read at
+    cell |z| by :func:`orthant_at`) gives the independent value for every
+    admissible z, with no mirrored box.  The audit figures are the largest
     |exact - cf_invert| over the rows, the largest total negative mass of a
-    CF box, and 1 - the mixture's whole mass at the largest probe.
+    CF box, summed on its orthant with mirror multiplicities
+    (:func:`orthant_negative_mass`), and 1 - the mixture's whole mass at the
+    largest probe.
     """
     m = moments(cfg.law)
     c = constants(m, classify(cfg.law))
@@ -253,12 +256,12 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
         exact_at = dict(zip(cfg.z_set, at))
         sup = 0.0
         zs = admissible_z(cfg, n)
-        box = cf_invert_box(cfg.law, n) if zs else None
-        if box is not None:
-            negative_mass = max(negative_mass, -float(np.minimum(box.mass, 0.0).sum()))
+        if zs:
+            orthant = cf_orthant(cfg.law, n)
+            negative_mass = max(negative_mass, orthant_negative_mass(orthant))
         for z in zs:
             exact = exact_at[z]
-            cf = dist_at(box, z)
+            cf = orthant_at(orthant, z)
             pred = rw_expansion(c, m, n, z)
             gamma = n ** (cfg.law.d / 2.0 + 2.0) * (exact - pred)
             sup = max(sup, abs(gamma))

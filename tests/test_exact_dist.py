@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -11,10 +12,13 @@ from brwllt.exact_dist import (
     box_shape,
     cf_grid,
     cf_invert_box,
+    cf_orthant,
     convolve_step,
     delta_dist,
     dist_at,
     dump_csv,
+    orthant_at,
+    orthant_negative_mass,
     walk_dist,
 )
 from brwllt.gw_brw import GenerationState, ReplicateSeed, SiteCounts, evolve_generation, validate_offspring
@@ -350,6 +354,7 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
         ("axis tables for 100000 steps", lambda: axis_mixture(law, [10**5], [(0, 0)])),
         ("output tensor", lambda: convolve_step(dist, law)),
         ("CF grid", lambda: cf_invert_box(law, 200)),
+        ("CF grid", lambda: cf_orthant(law, 200)),
         ("CF grid", lambda: fit_correction_coefficients(law, (0, 0), (2, 4, 200))),
         (r"200-step box \(401, 401\)", lambda: gamma_residual(law, 200, (0, 0))),
         (r"a box of radius \(200, 200\)", lambda: SiteCounts.from_mapping({(200, 0): 1, (0, 200): 1}, 2)),
@@ -364,6 +369,10 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
             ),
         ),
     ]
+    # The first ``evolve_generation`` of a process leaves ~0.7 MB allocated
+    # for good (numpy's lazy set-up); one in-budget call before tracing
+    # keeps that out of the peak, whichever tests ran before.
+    evolve_generation(GenerationState(0, 1, {(0,): 2}, 2), binary, SIMPLE, ReplicateSeed(0, 0))
     monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2**16)
     tracemalloc.start()
     try:
@@ -405,6 +414,8 @@ def test_cf_budget_checked_before_allocating(monkeypatch):
     try:
         with pytest.raises(errors.CapacityExceeded):
             cf_invert_box(law, 10**5)
+        with pytest.raises(errors.CapacityExceeded):
+            cf_orthant(law, 10**5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -498,6 +509,42 @@ def test_oracle_equivalence(d, sigma):
         box = cf_invert_box(law, n)
         assert box.radius == dist.radius
         assert np.abs(dist.mass - box.mass).max() <= 1e-9
+
+
+ORTHANT_LAWS = {
+    "simple-1d": SIMPLE,
+    "bipartite-2d": validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]]),
+    "lazy-2d": lazy_simple_law(2, 1.0 / 3.0),
+    "lazy-3d": lazy_simple_law(3, 0.25),
+    "multi-3d": LAWS[3],
+}
+
+
+@pytest.mark.parametrize("law", ORTHANT_LAWS.values(), ids=ORTHANT_LAWS.keys())
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_orthant_reads_the_box(law, n):
+    # Cell |z| of the orthant is the box's P(S_n = z) bit for bit, every
+    # sign pattern of every point, and 0.0 beyond reach like ``dist_at``.
+    box = cf_invert_box(law, n)
+    orthant = cf_orthant(law, n)
+    assert orthant.shape == tuple(n * t + 1 for t in law.ranges)
+    reach = [n * t for t in law.ranges]
+    for z in itertools.product(*(range(-r - 2, r + 3) for r in reach)):
+        assert orthant_at(orthant, z) == dist_at(box, z)
+    assert orthant_at(orthant, [r + 1 for r in reach]) == 0.0
+    assert orthant_at(orthant, [-(10**6)] * law.d) == 0.0
+
+
+@pytest.mark.parametrize("law", ORTHANT_LAWS.values(), ids=ORTHANT_LAWS.keys())
+@pytest.mark.parametrize("n", [0, 7, 24])
+def test_orthant_negative_mass_is_the_box_sum(law, n):
+    # Mirror multiplicities 2^(nonzero coordinates) give the full box's
+    # negative mass up to the order of the sum.
+    full = -float(np.minimum(cf_invert_box(law, n).mass, 0.0).sum())
+    got = orthant_negative_mass(cf_orthant(law, n))
+    assert abs(got - full) <= 1e-12 * abs(full)
+    # A hand-made orthant: its cells stand for 1, 2, 2 and 4 box cells.
+    assert orthant_negative_mass(np.array([[-1.0, -3.0], [-5.0, 7.0]])) == 1.0 + 2 * 3.0 + 2 * 5.0
 
 
 def test_longer_range_law_oracles_agree():

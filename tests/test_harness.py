@@ -397,6 +397,42 @@ class TestCsvAndDeterminism:
         assert abs(drift) <= 40 * 1e-12
         assert lines[9] == "n,z1,exact,cf_invert,predicted,gamma"
 
+    @pytest.mark.parametrize(
+        "law, z_set",
+        [
+            (LAW_1D_SIMPLE, [[0], [3], [-1], [9]]),
+            ({"d": 2, "zeta0": 0.0, "axes": [[0.3, 0.0, 0.2], [0.5]]}, [[0, 0], [-1, 2], [5, 0], [0, -8]]),
+            ({"d": 2, "zeta0": 1.0 / 3.0, "axes": [[1.0 / 3.0], [1.0 / 3.0]]}, [[0, 0], [1, -1], [-7, 0]]),
+            ({"d": 3, "zeta0": 0.25, "axes": [[0.25], [0.25], [0.25]]}, [[0, 0, 0], [0, -1, 1], [2, 0, 6]]),
+        ],
+        ids=["simple-1d", "bipartite-2d", "lazy-2d", "lazy-3d"],
+    )
+    def test_cf_column_reads_the_cf_box(self, law, z_set):
+        # Every cf_invert cell is the CF box's P(S_n = z) bit for bit,
+        # points beyond reach (0.0) included.
+        cfg = load_config(base_doc("llt-check", step_law=law, n_values=[1, 2, 5], z_set=z_set, z_radius_constant=50))
+        rows = [row for row in run_experiment(cfg).rows if row[1] != "sup"]
+        assert len(rows) == 3 * len(z_set)
+        for n, *z, _, cf, _, _ in rows:
+            assert cf == exact_dist.dist_at(exact_dist.cf_invert_box(cfg.law, n), z)
+        assert any(cf == 0.0 for *_, cf, _, _ in rows)
+
+    def test_llt_2d_memory(self):
+        # The bench's llt-2d law at n = 240: the CF route builds no mirrored
+        # box, which used to take the traced peak to ~8 MiB.
+        axes = [[0.3296621700897042, 0.218853015312865], [0.20500276118966793]]
+        law = {"d": 2, "zeta0": 0.24648205340776283, "axes": axes}
+        z_set = [[0, 0], [-1, 0], [0, 1], [-1, -1]]
+        cfg = load_config(base_doc("llt-check", step_law=law, n_values=[60, 120, 240], z_set=z_set))
+        run_experiment(cfg)
+        tracemalloc.start()
+        try:
+            assert run_experiment(cfg).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 << 20
+
     def test_exact_mass_drift_reads_the_mixture(self, monkeypatch):
         # A kernel step that keeps half the mass leaves q^n in the axis
         # mixture at n, so the audit line reads 1 - q^n at the largest probe.

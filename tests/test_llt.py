@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from brwllt import exact_dist
+from brwllt.exact_dist import cf_invert_box, dist_at
 from brwllt.errors import CapacityExceeded
 from brwllt.llt import (
     _IDENTITIES,
@@ -17,6 +18,7 @@ from brwllt.llt import (
     gamma_residual,
     gaussian_identity_check,
     identity_expectations,
+    leading_factor,
     quad_form,
     rw_expansion,
 )
@@ -164,6 +166,25 @@ class TestCoefficientFit:
         # the exact probabilities decide the Lambda sign question
         fit = fit_correction_coefficients(SIMPLE, (2,), (256, 1024, 4096))
         assert abs(fit.c2_hat - fit.c2_theorem) < abs(fit.c2_hat - fit.c2_flipped)
+
+    @pytest.mark.parametrize(
+        "law, z, n_list",
+        [
+            (SIMPLE, (2,), (4, 10, 30)),
+            (SIMPLE, (12,), (2, 4, 6)),
+            (validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]]), (40, 1), (3, 5, 15)),
+            (lazy_simple_law(2, 1.0 / 3.0), (3, -1), (1, 2, 30)),
+            (lazy_simple_law(3, 0.25), (1, 0, -2), (1, 3, 12)),
+        ],
+        ids=["simple-1d", "simple-1d-beyond-reach", "bipartite-2d", "lazy-2d", "lazy-3d"],
+    )
+    def test_probes_read_the_cf_box(self, law, z, n_list):
+        # Each probe's P(S_n = z) is the CF box's cell, bit for bit (0.0
+        # beyond reach): c1 = n * (p / leading - 1) as read from the box.
+        c = constants_for(law)
+        fit = fit_correction_coefficients(law, z, n_list)
+        box_c1 = [n * (dist_at(cf_invert_box(law, n), z) / leading_factor(c, n) - 1.0) for n in n_list]
+        assert list(fit.c1_seq) == box_c1
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):

@@ -62,17 +62,18 @@ def test_rekeyed_generator_draws_each_stream():
     # One generator, rekeyed after it was left mid-buffer on another key
     # (a 32-bit draw keeps half a word) with a binomial set-up cached,
     # draws what a new generator of the key draws.
-    rng = np.random.Generator(np.random.Philox(0))
+    # The rekey function is built once and reused, as ``simulate`` does.
+    rekey = gw_brw._rekeyer(np.random.Generator(np.random.Philox(0)))
+    mix = gw_brw._mix64
     pairs = [(ReplicateSeed(b, r), g) for b in (0, 5, -3, 2**70 + 1) for r in (0, 1, 63) for g in (0, 1, 71)]
     for seed, generation in pairs:
         expect = draws(reference(seed, generation))
         assert draws(derive_stream(seed, generation)) == expect
-        gw_brw._rekey(rng, gw_brw._seed_key(ReplicateSeed(seed.base_seed + 1, 0)), generation + 1)
+        rng = rekey(gw_brw._seed_key(ReplicateSeed(seed.base_seed + 1, 0)), mix(generation + 1))
         rng.binomial(10**6, 0.3)
         rng.integers(0, 2**32, dtype=np.uint32)
         assert rng.bit_generator.state["has_uint32"] == 1
-        gw_brw._rekey(rng, gw_brw._seed_key(seed), generation)
-        assert draws(rng) == expect
+        assert draws(rekey(gw_brw._seed_key(seed), mix(generation))) == expect
 
 
 def position(rng):
