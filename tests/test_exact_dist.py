@@ -370,8 +370,8 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
         ),
     ]
     # The first ``evolve_generation`` of a process leaves ~0.7 MB allocated
-    # for good (numpy's lazy set-up); one in-budget call before tracing
-    # keeps that out of the peak, whichever tests ran before.
+    # for good; one in-budget call before tracing keeps that out of the
+    # peak, whichever tests ran before.
     evolve_generation(GenerationState(0, 1, {(0,): 2}, 2), binary, SIMPLE, ReplicateSeed(0, 0))
     monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2**16)
     tracemalloc.start()

@@ -6,8 +6,8 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from brwllt import exact_dist
-from brwllt.exact_dist import cf_invert_box, dist_at
 from brwllt.errors import CapacityExceeded
+from brwllt.exact_dist import cf_invert_box, dist_at
 from brwllt.llt import (
     _IDENTITIES,
     bracket_coefficients,
