@@ -23,5 +23,5 @@ for z in [(-3,), (0,), (1,), (5,)]:
     b = dist_at(box, z)
     print(f"  z={z[0]:+d}: {a:.12e}  {b:.12e}  gap {abs(a - b):.2e}")
 
-print(f"\nwhole-box max gap at n=20: {np.abs(dist.mass - box.mass).max():.3e}")
+print(f"\northant max gap at n=20 (the whole law, by symmetry): {np.abs(dist.mass - box.mass).max():.3e}")
 print(f"total mass: {dist.total():.15f}")

@@ -1,26 +1,30 @@
 """Exact n-step distributions: the stepped oracle, the axis mixture and CF.
 
+Every step law puts w/2 on each of +-r*e_s, so every n-step law is
+unchanged by each reflection z_s -> -z_s on its own, and its orthant
+z >= 0 determines it.  That orthant is the one stored layout of an exact
+law (``LatticeDist``): ``dist_at`` reads P(S_n = z) from cell |z|, the
+whole-box sums (``LatticeDist.total``, ``LatticeDist.negative_mass``)
+count each cell with its mirror multiplicity, and ``dump_csv`` writes the
+rows of the whole box without building it.
+
 Three routes give P(S_n = z).  The stepped oracle (``convolve_step``,
-``walk_dist``) convolves the whole reachable box n times.  It uses the
-per-axis reflection symmetry of every n-step law (orthant + mirror): one
-private kernel (``_orthant_steps``) steps only the cells with every
-z_s >= 0, in place in two padded buffers, and the result is mirrored into
-the full box once, after the last step.  The axis mixture
-(``axis_mixture``) reads a few points without the box: a step moves along
-one axis or stays put, so P(S_n = z) is a binomial mixture of 1-d k-step
-laws, all d of them stepped together as one stack by the same kernel;
-every term is nonnegative, so its error is relative in every cell.  The
-characteristic-function route (``cf_orthant``) samples psi(phi)^n on a
-uniform torus grid of least 5-smooth size >= 2*n*t_s + 1 per axis
-(``cf_grid``), on the orthant phi_s <= pi only, raises it to the n-th
-power by repeated squaring, and inverts it with a real FFT per axis into
-the orthant z >= 0 of the law; the integrand is a trigonometric
-polynomial of known degree, so the grid rule is exact up to rounding and
-serves as a genuinely independent second method.  Readers of a few points
-take them from that orthant (``orthant_at``, cell |z|) without building
-the box; ``cf_invert_box`` mirrors it into the box.  Every route charges
-the element budget before it allocates: the stepped routes their box or
-tables and then the kernel's two buffers, the CF route its whole grid.
+``walk_dist``) steps the orthant n times in one private kernel
+(``_orthant_steps``), in place in two padded buffers.  The axis mixture
+(``axis_mixture``) reads a few points without any d-dim array: a step
+moves along one axis or stays put, so P(S_n = z) is a binomial mixture of
+1-d k-step laws, all d of them stepped together as one stack by the same
+kernel; every term is nonnegative, so its error is relative in every
+cell.  The characteristic-function route (``cf_invert_box``) samples
+psi(phi)^n on a uniform torus grid of least 5-smooth size >= 2*n*t_s + 1
+per axis (``cf_grid``), on the orthant phi_s <= pi only, raises it to the
+n-th power by repeated squaring, and inverts it with a real FFT per axis
+into the orthant of the law; the integrand is a trigonometric polynomial
+of known degree, so the grid rule is exact up to rounding and serves as a
+genuinely independent second method.  Every route charges the element
+budget before it allocates: the stepped oracle the kernel's two buffers,
+the mixture its tables and then those buffers, the CF route its whole
+grid.
 """
 
 from __future__ import annotations
@@ -42,10 +46,12 @@ DUMP_SLICE_CELLS = 2**14
 
 @dataclass(frozen=True)
 class LatticeDist:
-    """Dense probability mass function of the n-step walk.
+    """Dense probability mass function of the n-step walk, on its orthant.
 
-    ``mass`` covers the box prod_s [-radius[s], radius[s]]; the lattice
-    origin sits at index ``radius`` on each axis.
+    The law has per-axis reflection symmetry, so ``mass`` holds only the
+    cells z_s = 0 .. radius[s], cell z at index z; P(S_n = z) is cell |z|
+    for every sign pattern (``dist_at``), on the box
+    prod_s [-radius[s], radius[s]].
     """
 
     n: int
@@ -54,14 +60,26 @@ class LatticeDist:
     mass: np.ndarray
 
     def total(self) -> float:
-        return float(self.mass.sum())
+        """The whole box's mass."""
+        return _mirror_sum(self.mass.copy())
+
+    def negative_mass(self) -> float:
+        """The whole box's negative mass, -sum min(P, 0)."""
+        return -_mirror_sum(np.minimum(self.mass, 0.0))
+
+
+def _mirror_sum(cells: np.ndarray) -> float:
+    """The sum over the whole box of orthant ``cells``, which it overwrites:
+    a cell with k nonzero coordinates stands for its 2^k mirror images, so
+    it is doubled once per such coordinate."""
+    for s in range(cells.ndim):
+        cells[(slice(None),) * s + (slice(1, None),)] *= 2.0
+    return float(cells.sum())
 
 
 def delta_dist(law: StepLaw) -> LatticeDist:
     """The 0-step distribution: unit mass at the origin."""
-    mass = np.zeros((1,) * law.d)
-    mass[(0,) * law.d] = 1.0
-    return LatticeDist(n=0, d=law.d, radius=(0,) * law.d, mass=mass)
+    return LatticeDist(n=0, d=law.d, radius=(0,) * law.d, mass=np.ones((1,) * law.d))
 
 
 def box_shape(law: StepLaw, n: int) -> tuple[int, ...]:
@@ -74,21 +92,6 @@ def charge(what: str, elements: int) -> None:
     that exceed ``ELEMENT_BUDGET``; ``what`` names them in the message."""
     if elements > ELEMENT_BUDGET:
         raise CapacityExceeded(f"{what} exceeds element budget {ELEMENT_BUDGET} ({elements} elements)")
-
-
-def _unfold(orthant: np.ndarray, radius: tuple[int, ...]) -> np.ndarray:
-    """The full box prod_s [-radius[s], radius[s]] of a law that is symmetric
-    under each axis reflection, from its cells with every z_s >= 0."""
-    full = orthant
-    for s, r in enumerate(radius):
-        shape = list(full.shape)
-        shape[s] = 2 * r + 1
-        out = np.empty(shape)
-        lead = (slice(None),) * s
-        out[lead + (slice(r, None),)] = full
-        out[lead + (slice(None, r),)] = full[lead + (slice(r, 0, -1),)]
-        full = out
-    return full
 
 
 def _orthant_steps(start: np.ndarray, t, zeta0, terms, n: int):
@@ -139,46 +142,34 @@ def _orthant_steps(start: np.ndarray, t, zeta0, terms, n: int):
 
 
 def _stepped(dist: LatticeDist, law: StepLaw, n: int) -> LatticeDist:
-    """``dist`` after n steps of ``law``: n kernel steps on its orthant z >= 0,
-    mirrored into the full box once at the end."""
-    orthant = dist.mass[tuple(slice(r, None) for r in dist.radius)]
+    """``dist`` after n steps of ``law``: n kernel steps on its orthant, whose
+    last stage, cut to the new radius, is the result."""
     terms = [(s, r, 0.5 * w) for s in range(law.d) for r, w in enumerate(law.weights[s], start=1) if w > 0.0]
-    for stage in _orthant_steps(orthant[None], law.ranges, law.zeta0, terms, n):
+    for stage in _orthant_steps(dist.mass[None], law.ranges, law.zeta0, terms, n):
         pass
     radius = tuple(r + n * t for r, t in zip(dist.radius, law.ranges))
-    window = stage[(0, *(slice(r + 1) for r in radius))]
-    return LatticeDist(n=dist.n + n, d=law.d, radius=radius, mass=_unfold(window, radius))
+    return LatticeDist(n=dist.n + n, d=law.d, radius=radius, mass=stage[(0, *(slice(r + 1) for r in radius))])
 
 
 def convolve_step(dist: LatticeDist, law: StepLaw) -> LatticeDist:
     """One step of the walk: convolve the stored pmf with the step law.
 
-    Orthant + mirror.  Every step law puts w/2 on each of +-r*e_s, so the
-    n-step law has per-axis reflection symmetry (z_s -> -z_s on each axis
-    alone), and ``dist`` must have it too, as every distribution built by
-    ``delta_dist`` and ``convolve_step`` does.  One step of the orthant
-    kernel (``_orthant_steps``) sums zeta0*m(z) + sum (w/2)*(m(z - r*e_s)
-    + m(z + r*e_s)) over the new orthant z >= 0, and the result is mirrored
-    into the full box, which grows by t_s per axis; mirroring makes the
-    symmetry hold bit-exactly.  The output box, then the kernel's buffers,
-    are charged to the element budget before anything is allocated.
+    One step of the orthant kernel (``_orthant_steps``): zeta0*m(z) +
+    sum (w/2)*(m(z - r*e_s) + m(z + r*e_s)) over the new orthant z >= 0,
+    whose radius grows by t_s per axis; the low ghost cells hold the
+    reflection, which every ``LatticeDist`` has by construction.  The
+    kernel's buffers are charged to the element budget before they are
+    allocated.
     """
-    radius = tuple(r + t for r, t in zip(dist.radius, law.ranges))
-    charge("output tensor", math.prod(2 * r + 1 for r in radius))
     return _stepped(dist, law, 1)
 
 
 def walk_dist(law: StepLaw, n: int) -> LatticeDist:
     """The n-step distribution: n steps of the orthant kernel, as in
-    ``convolve_step``, mirrored into the box once at the end.
-
-    The n-step box, then the kernel's buffers, are charged to the element
-    budget before the first step.
-    """
+    ``convolve_step``, in the same two buffers, which are charged to the
+    element budget before the first step."""
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
-    shape = box_shape(law, n)
-    charge(f"{n}-step box {shape}", math.prod(shape))
     return _stepped(delta_dist(law), law, n)
 
 
@@ -191,7 +182,7 @@ def _axis_step(law: StepLaw, s: int) -> tuple[float, StepLaw]:
 
 
 def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
-    """P(S_n = z) for every probe n and point z, without the d-dim box.
+    """P(S_n = z) for every probe n and point z, without any d-dim array.
 
     Given how many of the n steps fall on each axis, the axes move
     independently, so P(S_n = z) is the mixture over k_0 + ... + k_{d-1} = n
@@ -201,7 +192,7 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
     the orthant kernel of ``convolve_step`` (``_orthant_steps``): row s has
     its own zeta0 and w/2 columns, and a pair that its law lacks gets the
     coefficient 0.0, which adds exactly +0.0.  At each k only the cells at
-    the points and each row's total, summed over the unfolded row, are
+    the points and each row's total, with mirror multiplicities, are
     recorded.  The axes are then mixed one at a time, last first: axis s
     takes k of the m steps left to axes s.. with weight C(m, k) a^k
     b^(m-k), a = p_s / sum_{t>=s} p_t and b = sum_{t>s} p_t / sum_{t>=s}
@@ -236,7 +227,7 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
     for k, orthant in enumerate(itertools.chain([first], stages)):
         tables[:, k, :-1] = orthant[rows, at]
         for s, ts in enumerate(ranges):
-            tables[s, k, -1] = _unfold(orthant[s, : k * ts + 1], (k * ts,)).sum()
+            tables[s, k, -1] = _mirror_sum(orthant[s, : k * ts + 1].copy())
     # mixed[m]: the law of the steps on axes s.., given that m steps fall there.
     mixed = tables[-1]
     for s in range(law.d - 2, -1, -1):
@@ -258,14 +249,13 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dist_at(dist: LatticeDist, z) -> float:
-    """P(S_n = z); exactly 0 outside the stored box."""
-    idx = []
-    for s, zs in enumerate(z):
-        k = int(zs) + dist.radius[s]
-        if not 0 <= k <= 2 * dist.radius[s]:
-            return 0.0
-        idx.append(k)
-    return float(dist.mass[tuple(idx)])
+    """P(S_n = z): orthant cell |z|, or exactly 0 beyond the radius."""
+    idx = tuple(abs(int(zs)) for zs in z)
+    if len(idx) != dist.d:
+        raise ValueError(f"every point needs {dist.d} coordinates")
+    if any(k > r for k, r in zip(idx, dist.radius)):
+        return 0.0
+    return float(dist.mass[idx])
 
 
 def _psi_grid(law: StepLaw, phis) -> np.ndarray:
@@ -319,24 +309,23 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def cf_orthant(law: StepLaw, n: int) -> np.ndarray:
-    """P(S_n = z) on the orthant z_s = 0 .. n*t_s, by inverting the sampled CF.
+def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
+    """P(S_n = .) on the reachable box, by inverting the sampled CF.
 
-    psi^n is a trigonometric polynomial of degree n*t_s in phi_s, so its
-    samples at any M_s >= 2*n*t_s + 1 points per axis determine every
-    coefficient, with lattice point k at DFT index k mod M_s, and an
-    inverse DFT returns them exactly up to rounding.  M_s is the least
-    5-smooth such size (``cf_grid``), which the FFT factors into small
-    radices.  psi is real and even in each phi_s, so its samples with every
-    phi_s <= pi determine the grid and are raised to the n-th power by
-    repeated squaring; each axis in turn is inverted by a real FFT
-    (``irfft``) and cut to the lattice points 0 <= z_s <= n*t_s.  The full
+    The package's one CF sum.  psi^n is a trigonometric polynomial of
+    degree n*t_s in phi_s, so its samples at any M_s >= 2*n*t_s + 1 points
+    per axis determine every coefficient, with lattice point k at DFT index
+    k mod M_s, and an inverse DFT returns them exactly up to rounding.  M_s
+    is the least 5-smooth such size (``cf_grid``), which the FFT factors
+    into small radices.  psi is real and even in each phi_s, so its samples
+    with every phi_s <= pi determine the grid and are raised to the n-th
+    power by repeated squaring; each axis in turn is inverted by a real FFT
+    (``irfft``) and cut to the orthant cells 0 <= z_s <= n*t_s.  The full
     grid is charged to the element budget before anything is allocated,
     and each stage is cast to complex (the cast ``irfft`` would make, laid
     out with the transformed axis innermost) and dropped before its
-    transform, so at most two stages are alive at once.
-    The error is absolute, about 1e-16, so far-tail cells are not
-    relatively accurate.  Read a point with ``orthant_at``.
+    transform, so at most two stages are alive at once.  The error is
+    absolute, about 1e-16, so far-tail cells are not relatively accurate.
     """
     if n < 0:
         raise ValueError(f"number of steps must be >= 0, got {n}")
@@ -350,53 +339,26 @@ def cf_orthant(law: StepLaw, n: int) -> np.ndarray:
         del vals
         vals = np.fft.irfft(spectrum, n=m, axis=s)[(slice(None),) * s + (slice(n * t + 1),)]
         del spectrum
-    return vals
-
-
-def orthant_at(orthant: np.ndarray, z) -> float:
-    """P(S_n = z) from the orthant cells z >= 0 of a law with per-axis
-    reflection symmetry: cell |z|, or exactly 0 beyond the orthant."""
-    idx = tuple(abs(int(zs)) for zs in z)
-    if any(k >= m for k, m in zip(idx, orthant.shape)):
-        return 0.0
-    return float(orthant[idx])
-
-
-def orthant_negative_mass(orthant: np.ndarray) -> float:
-    """The negative mass -sum min(P, 0) of the whole box, summed on its
-    orthant: a cell with k nonzero coordinates stands for its 2^k mirror
-    images, so min(P, 0) is doubled once per such coordinate."""
-    neg = np.minimum(orthant, 0.0)
-    for s in range(neg.ndim):
-        neg[(slice(None),) * s + (slice(1, None),)] *= 2.0
-    return -float(neg.sum())
-
-
-def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
-    """All of P(S_n = .) on the reachable box, by inverting the sampled CF.
-
-    Orthant + mirror, as in ``convolve_step``: the orthant of
-    ``cf_orthant``, which holds the package's one CF sum, mirrored into the
-    box.  The full grid is charged.  The error is absolute, about 1e-16,
-    so far-tail cells are not relatively accurate.
-    """
-    radius = tuple(n * t for t in law.ranges)
-    return LatticeDist(n=n, d=law.d, radius=radius, mass=_unfold(cf_orthant(law, n), radius))
+    return LatticeDist(n=n, d=law.d, radius=tuple(n * t for t in law.ranges), mass=vals)
 
 
 def dump_csv(dist: LatticeDist, path) -> None:
-    """Write rows (z_1, ..., z_d, probability) of the nonzero cells, in C
-    order, with 17 significant digits.
+    """Write rows (z_1, ..., z_d, probability) of the nonzero cells of the
+    box, in C order, with 17 significant digits.
 
-    The box is formatted ``DUMP_SLICE_CELLS`` flat cells at a time, so the
-    extra memory stays bounded whatever the size of the box.
+    The box is visited ``DUMP_SLICE_CELLS`` flat cells at a time, each read
+    from orthant cell |z|, so the box is never built and the extra memory
+    stays bounded whatever its size.
     """
-    flat = dist.mass.ravel()
+    shape = tuple(2 * r + 1 for r in dist.radius)
+    size = math.prod(shape)
     row = ",".join(["%d"] * dist.d + ["%.17g"]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(f"z{s + 1}" for s in range(dist.d)) + ",probability\n")
-        for start in range(0, flat.size, DUMP_SLICE_CELLS):
-            cells = start + np.flatnonzero(flat[start : start + DUMP_SLICE_CELLS])
-            index = np.unravel_index(cells, dist.mass.shape)
-            cols = [(i - r).tolist() for i, r in zip(index, dist.radius)] + [flat[cells].tolist()]
+        for start in range(0, size, DUMP_SLICE_CELLS):
+            index = np.unravel_index(np.arange(start, min(start + DUMP_SLICE_CELLS, size)), shape)
+            z = [i - r for i, r in zip(index, dist.radius)]
+            p = dist.mass[tuple(np.abs(c) for c in z)]
+            cells = np.flatnonzero(p)
+            cols = [c[cells].tolist() for c in z] + [p[cells].tolist()]
             fh.write((row * cells.size) % tuple(itertools.chain.from_iterable(zip(*cols))))

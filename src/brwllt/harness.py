@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BrwlltError, CapacityExceeded, ConfigError
-from .exact_dist import axis_mixture, cf_grid, cf_orthant, charge, orthant_at, orthant_negative_mass
+from .exact_dist import axis_mixture, cf_grid, cf_invert_box, charge, dist_at
 from .gw_brw import OffspringLaw, ReplicateSeed, simulate, validate_offspring
 from .llt import (
     constants,
@@ -211,11 +211,6 @@ def load_config(doc: dict) -> ExperimentConfig:
     )
 
 
-def load_config_file(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return load_config(json.load(fh))
-
-
 def admissible_z(cfg: ExperimentConfig, n: int):
     """The configured z set filtered to ||z|| <= C * n^kappa."""
     cap = cfg.z_radius_constant * n**cfg.kappa
@@ -236,13 +231,13 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
     """Exact probability vs CF inversion vs second-order prediction.
 
     The axis mixture (:func:`axis_mixture`) gives the exact value at the
-    probe n only; one CF orthant per probe n (:func:`cf_orthant`, read at
-    cell |z| by :func:`orthant_at`) gives the independent value for every
-    admissible z, with no mirrored box.  The audit figures are the largest
-    |exact - cf_invert| over the rows, the largest total negative mass of a
-    CF box, summed on its orthant with mirror multiplicities
-    (:func:`orthant_negative_mass`), and 1 - the mixture's whole mass at the
-    largest probe.
+    probe n only; one CF inversion per probe n (:func:`cf_invert_box`,
+    read at orthant cell |z| by :func:`dist_at`) gives the independent
+    value for every admissible z.  The audit figures are the largest
+    |exact - cf_invert| over the rows, the largest negative mass of a CF
+    law over its whole box (``LatticeDist.negative_mass``, summed on the
+    orthant with mirror multiplicities), and 1 - the mixture's whole mass
+    at the largest probe.
     """
     m = moments(cfg.law)
     c = constants(m, classify(cfg.law))
@@ -257,11 +252,11 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
         sup = 0.0
         zs = admissible_z(cfg, n)
         if zs:
-            orthant = cf_orthant(cfg.law, n)
-            negative_mass = max(negative_mass, orthant_negative_mass(orthant))
+            dist = cf_invert_box(cfg.law, n)
+            negative_mass = max(negative_mass, dist.negative_mass())
         for z in zs:
             exact = exact_at[z]
-            cf = orthant_at(orthant, z)
+            cf = dist_at(dist, z)
             pred = rw_expansion(c, m, n, z)
             gamma = n ** (cfg.law.d / 2.0 + 2.0) * (exact - pred)
             sup = max(sup, abs(gamma))

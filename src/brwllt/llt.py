@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_dist import cf_orthant, dist_at, orthant_at, walk_dist
+from .exact_dist import cf_invert_box, dist_at, walk_dist
 from .step_law import Moments, StepLaw, WalkClass, classify, moments
 
 
@@ -146,13 +146,12 @@ class CoefficientFit:
 def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
     """Estimate the correction coefficients from exact probabilities.
 
-    Each probe n is read from its own CF orthant (:func:`cf_orthant`, at
-    cell |z| by :func:`orthant_at`: the value of :func:`cf_invert_box`
-    without the mirrored box), so the cost follows the probes, not every n
-    up to the largest; raises ``CapacityExceeded`` when a CF grid exceeds
-    the element budget.  For
-    bipartite laws every n in ``n_list`` must be parity-compatible
-    with z.  Needs at least 3 entries in increasing order.
+    Each probe n is read from its own CF inversion (:func:`cf_invert_box`,
+    at orthant cell |z| by :func:`dist_at`), so the cost follows the
+    probes, not every n up to the largest; raises ``CapacityExceeded`` when
+    a CF grid exceeds the element budget.  For bipartite laws every n in
+    ``n_list`` must be parity-compatible with z.  Needs at least 3 entries
+    in increasing order.
     """
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 3:
@@ -170,7 +169,7 @@ def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
 
     c1_seq, c2_seq = [], []
     for n in n_list:
-        p = orthant_at(cf_orthant(law, n), z)
+        p = dist_at(cf_invert_box(law, n), z)
         rho = p / leading_factor(c, n) - 1.0
         c1_seq.append(n * rho)
         c2_seq.append(n * n * (rho - c1_exact / n))

@@ -12,13 +12,10 @@ from brwllt.exact_dist import (
     box_shape,
     cf_grid,
     cf_invert_box,
-    cf_orthant,
     convolve_step,
     delta_dist,
     dist_at,
     dump_csv,
-    orthant_at,
-    orthant_negative_mass,
     walk_dist,
 )
 from brwllt.gw_brw import GenerationState, ReplicateSeed, SiteCounts, evolve_generation, validate_offspring
@@ -80,33 +77,40 @@ LAWS = {
 }
 
 
-def reference_step(dist: LatticeDist, law) -> LatticeDist:
-    """The full-box stencil: shift-and-add every atom over the whole box."""
+def full_box(dist: LatticeDist) -> np.ndarray:
+    """Reference: the whole box prod_s [-radius_s, radius_s] of ``dist``,
+    its orthant mirrored along each axis."""
+    box = dist.mass
+    for s in range(dist.d):
+        box = np.concatenate([np.flip(box, axis=s)[(slice(None),) * s + (slice(-1),)], box], axis=s)
+    return box
+
+
+def reference_step(box: np.ndarray, law) -> np.ndarray:
+    """The full-box stencil: shift-and-add every atom over the whole box,
+    which grows by t_s per axis."""
     t = law.ranges
-    radius = tuple(r + ts for r, ts in zip(dist.radius, t))
-    out = np.zeros(tuple(2 * r + 1 for r in radius))
-    core = tuple(slice(ts, ts + 2 * r + 1) for r, ts in zip(dist.radius, t))
-    out[core] += law.zeta0 * dist.mass
+    out = np.zeros(tuple(m + 2 * ts for m, ts in zip(box.shape, t)))
+    core = tuple(slice(ts, ts + m) for m, ts in zip(box.shape, t))
+    out[core] += law.zeta0 * box
     for s in range(law.d):
         for r, w in enumerate(law.weights[s], start=1):
             for shift in (-r, r):
                 dest = list(core)
-                dest[s] = slice(t[s] + shift, t[s] + shift + 2 * dist.radius[s] + 1)
-                out[tuple(dest)] += 0.5 * w * dist.mass
-    return LatticeDist(n=dist.n + 1, d=law.d, radius=radius, mass=out)
+                dest[s] = slice(t[s] + shift, t[s] + shift + box.shape[s])
+                out[tuple(dest)] += 0.5 * w * box
+    return out
 
 
-def padded_step(dist: LatticeDist, law) -> LatticeDist:
-    """Reference: one orthant + mirror step in a fresh padded array, the
-    arithmetic of the stepping kernel in the same order (ghost reflection,
-    then zeta0*m, then += (m(z - r*e_s) + m(z + r*e_s)) * (w/2), axis-major
-    and by increasing r)."""
+def padded_step(orthant: np.ndarray, law) -> np.ndarray:
+    """Reference: one orthant step in a fresh padded array, the arithmetic of
+    the stepping kernel in the same order (ghost reflection, then zeta0*m,
+    then += (m(z - r*e_s) + m(z + r*e_s)) * (w/2), axis-major and by
+    increasing r)."""
     t = law.ranges
-    radius = tuple(r + ts for r, ts in zip(dist.radius, t))
+    radius = tuple(m - 1 + ts for m, ts in zip(orthant.shape, t))
     padded = np.zeros(tuple(r + 1 + 2 * ts for r, ts in zip(radius, t)))
-    padded[tuple(slice(ts, ts + r + 1) for r, ts in zip(dist.radius, t))] = dist.mass[
-        tuple(slice(r, None) for r in dist.radius)
-    ]
+    padded[tuple(slice(ts, ts + m) for m, ts in zip(orthant.shape, t))] = orthant
     for s in range(law.d):
         lead = (slice(None),) * s
         padded[lead + (slice(None, t[s]),)] = padded[lead + (slice(2 * t[s], t[s], -1),)]
@@ -122,7 +126,7 @@ def padded_step(dist: LatticeDist, law) -> LatticeDist:
             term = padded[tuple(lo)] + padded[tuple(hi)]
             term *= 0.5 * w
             out += term
-    return LatticeDist(n=dist.n + 1, d=law.d, radius=radius, mass=exact_dist._unfold(out, radius))
+    return out
 
 
 def reference_axis_mixture(law, probes, points):
@@ -136,13 +140,13 @@ def reference_axis_mixture(law, probes, points):
         p_s, axis = exact_dist._axis_step(law, s)
         at = np.array([abs(z[s]) for z in points], dtype=np.int64)
         table = np.empty((n_max + 1, cols))
-        dist = delta_dist(axis)
+        row = np.ones(1)
         for k in range(n_max + 1):
             if k:
-                dist = padded_step(dist, axis)
-            r = dist.radius[0]
-            table[k, :-1] = np.where(at <= r, dist.mass[r + np.minimum(at, r)], 0.0)
-            table[k, -1] = dist.total()
+                row = padded_step(row, axis)
+            r = len(row) - 1
+            table[k, :-1] = np.where(at <= r, row[np.minimum(at, r)], 0.0)
+            table[k, -1] = LatticeDist(n=k, d=1, radius=(r,), mass=row).total()
         p.append(p_s)
         tables.append(table)
     mixed = tables[-1]
@@ -163,12 +167,15 @@ def reference_axis_mixture(law, probes, points):
 
 
 def test_symmetry_bit_exact():
-    # Each reflection z_s -> -z_s on its own, not only z -> -z.
+    # Each reflection z_s -> -z_s on its own, not only z -> -z, read
+    # through ``dist_at`` at every point of the box.
     for d, n in [(1, 30), (2, 12), (3, 6)]:
-        mass = walk_dist(LAWS[d], n).mass
-        for s in range(d):
-            assert np.array_equal(mass, np.flip(mass, axis=s))
-        assert np.array_equal(mass, np.flip(mass))
+        dist = walk_dist(LAWS[d], n)
+        for z in itertools.product(*(range(-r, r + 1) for r in dist.radius)):
+            p = dist_at(dist, z)
+            for s in range(d):
+                assert dist_at(dist, z[:s] + (-z[s],) + z[s + 1 :]) == p
+            assert dist_at(dist, [-c for c in z]) == p
 
 
 @pytest.mark.parametrize(
@@ -184,21 +191,24 @@ def test_symmetry_bit_exact():
     ids=["multi-1d", "multi-2d", "multi-3d", "simple-1d", "lazy-2d", "bipartite-2d"],
 )
 def test_matches_full_box_reference(law, n_max):
-    # Orthant + mirror vs the full-box stencil: same zero cells, and every
-    # nonzero cell within 1e-13 relative.  The kernel's step is bit for bit
-    # the fresh padded step, and walk_dist's n in-place steps, unfolded
-    # once, are bit for bit n chained convolve_step calls.
-    dist = ref = padded = delta_dist(law)
+    # The orthant, mirrored, vs the full-box stencil: same zero cells, and
+    # every nonzero cell within 1e-13 relative.  The kernel's step is bit
+    # for bit the fresh padded step, and walk_dist's n in-place steps are
+    # bit for bit n chained convolve_step calls.
+    dist = delta_dist(law)
+    ref = padded = dist.mass
     for _ in range(n_max):
         dist = convolve_step(dist, law)
         ref = reference_step(ref, law)
         padded = padded_step(padded, law)
-        assert dist.radius == ref.radius
-        nonzero = ref.mass != 0.0
-        assert np.array_equal(dist.mass != 0.0, nonzero)
-        rel = np.abs(dist.mass[nonzero] - ref.mass[nonzero]) / ref.mass[nonzero]
+        assert ref.shape == tuple(2 * r + 1 for r in dist.radius)
+        box = full_box(dist)
+        assert box.shape == ref.shape
+        nonzero = ref != 0.0
+        assert np.array_equal(box != 0.0, nonzero)
+        rel = np.abs(box[nonzero] - ref[nonzero]) / ref[nonzero]
         assert rel.max() <= 1e-13
-        assert np.array_equal(dist.mass, padded.mass)
+        assert np.array_equal(dist.mass, padded)
     assert np.array_equal(walk_dist(law, n_max).mass, dist.mass)
 
 
@@ -222,14 +232,14 @@ def test_axis_mixture_matches_convolution(law, n_max):
     # beyond reach added, mass and total are bit for bit those of each axis
     # stepped on its own.
     probes = [n_max, 0, 7, n_max, 3]
-    top = walk_dist(law, n_max)
-    points = [tuple(i - r for i, r in zip(idx, top.radius)) for idx in np.ndindex(*top.mass.shape)]
+    top = walk_dist(law, n_max).radius
+    points = list(itertools.product(*(range(-r, r + 1) for r in top)))
     mass, total = axis_mixture(law, probes, points)
     assert mass.shape == (len(probes), len(points))
     for i, n in enumerate(probes):
         dist = walk_dist(law, n)
-        ref = np.zeros_like(top.mass)
-        ref[tuple(slice(R - r, R + r + 1) for R, r in zip(top.radius, dist.radius))] = dist.mass
+        ref = np.zeros(tuple(2 * r + 1 for r in top))
+        ref[tuple(slice(R - r, R + r + 1) for R, r in zip(top, dist.radius))] = full_box(dist)
         ref = ref.ravel()
         nonzero = ref != 0.0
         assert np.array_equal(mass[i] != 0.0, nonzero)
@@ -283,10 +293,11 @@ def test_bipartite_parity_zero_pattern():
     assert classify(law) is WalkClass.BIPARTITE
     for n in (7, 8):
         dist = walk_dist(law, n)
-        z1, z2 = np.indices(dist.mass.shape)
+        box = full_box(dist)
+        z1, z2 = np.indices(box.shape)
         wrong = (z1 - dist.radius[0] + z2 - dist.radius[1] - n) % 2 == 1
-        assert np.all(dist.mass[wrong] == 0.0)
-        assert np.all(dist.mass[~wrong & (np.abs(z1 - dist.radius[0]) <= 1)] > 0.0)
+        assert np.all(box[wrong] == 0.0)
+        assert np.all(box[~wrong & (np.abs(z1 - dist.radius[0]) <= 1)] > 0.0)
 
 
 def test_capacity_budget(monkeypatch):
@@ -296,10 +307,17 @@ def test_capacity_budget(monkeypatch):
 
 
 def test_walk_budget_checked_before_first_step(monkeypatch):
-    # The n-step box is checked before any step is taken or any box allocated.
+    # The stepping buffers are checked before any step is taken or any
+    # buffer allocated: the kernel yields no stage.
     calls = []
     real = exact_dist._orthant_steps
-    monkeypatch.setattr(exact_dist, "_orthant_steps", lambda *a, **k: calls.append(1) or real(*a, **k))
+
+    def spy(*a, **k):
+        for stage in real(*a, **k):
+            calls.append(1)
+            yield stage
+
+    monkeypatch.setattr(exact_dist, "_orthant_steps", spy)
     law = lazy_simple_law(2, 1.0 / 3.0)
     with monkeypatch.context() as budget:
         budget.setattr(exact_dist, "ELEMENT_BUDGET", 200**2)
@@ -323,7 +341,8 @@ def test_stepping_buffers_charged_before_allocating(monkeypatch):
     # In d = 1 the two padded stepping buffers, 2*(n*t + 1 + 2*t) cells, hold
     # more than the n-step box (2*n*t + 1) and than the axis tables
     # (n + 1 rows of a point and a total): a budget that holds those but not
-    # the buffers is refused before any buffer is allocated.
+    # the buffers is refused before any buffer is allocated, by walk_dist,
+    # which charges only the buffers, and by axis_mixture, after its tables.
     n = 10**5
     monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2 * n + 2)
     refusal = r"^two stepping buffers \(1, 100003\) exceeds element budget 200002 \(200006 elements\)$"
@@ -345,18 +364,17 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
     # Lowering the one constant once reaches every budgeted entry point,
     # and each refuses its over-budget input before allocating it.
     law = lazy_simple_law(2, 1.0 / 3.0)
-    dist = walk_dist(law, 150)
+    dist = walk_dist(law, 200)
     wide = SiteCounts.from_mapping({(x, y): 1 for x, y in ((-127, 0), (127, 0), (0, -127), (0, 127))}, 2)
     binary = validate_offspring({2: 1.0})
     # (what the refusal names, as a regex; call of a budgeted entry point)
     calls = [
-        (r"200-step box \(401, 401\)", lambda: walk_dist(law, 200)),
+        (r"two stepping buffers \(1, 203, 203\)", lambda: walk_dist(law, 200)),
         ("axis tables for 100000 steps", lambda: axis_mixture(law, [10**5], [(0, 0)])),
-        ("output tensor", lambda: convolve_step(dist, law)),
+        (r"two stepping buffers \(1, 204, 204\)", lambda: convolve_step(dist, law)),
         ("CF grid", lambda: cf_invert_box(law, 200)),
-        ("CF grid", lambda: cf_orthant(law, 200)),
         ("CF grid", lambda: fit_correction_coefficients(law, (0, 0), (2, 4, 200))),
-        (r"200-step box \(401, 401\)", lambda: gamma_residual(law, 200, (0, 0))),
+        (r"two stepping buffers \(1, 203, 203\)", lambda: gamma_residual(law, 200, (0, 0))),
         (r"a box of radius \(200, 200\)", lambda: SiteCounts.from_mapping({(200, 0): 1, (0, 200): 1}, 2)),
         (
             "the next generation's box",
@@ -414,8 +432,6 @@ def test_cf_budget_checked_before_allocating(monkeypatch):
     try:
         with pytest.raises(errors.CapacityExceeded):
             cf_invert_box(law, 10**5)
-        with pytest.raises(errors.CapacityExceeded):
-            cf_orthant(law, 10**5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -459,15 +475,24 @@ def test_power_by_squaring_matches_pow(n):
 )
 def test_cf_on_padded_grid_matches_convolution(law, n):
     # 2*n*t_s + 1 is not 5-smooth on any axis, so the CF grid is padded and
-    # the box is cut from it; every cell within 1e-15 of convolution, and
-    # symmetric under each axis reflection bit for bit.
+    # the orthant is cut from it; every cell within 1e-15 of convolution.
     assert all(m > b for m, b in zip(cf_grid(law, n), box_shape(law, n)))
     box = cf_invert_box(law, n)
     dist = walk_dist(law, n)
     assert box.radius == dist.radius
     assert np.abs(box.mass - dist.mass).max() <= 1e-15
-    for s in range(law.d):
-        assert np.array_equal(box.mass, np.flip(box.mass, axis=s))
+
+
+def full_spectrum_box(law, n) -> np.ndarray:
+    """Reference: psi on the whole odd torus grid of 2*n*t_s + 1 points and
+    the complex inverse FFT, rolled so that the origin sits at index n*t_s."""
+    shape = box_shape(law, n)
+    psi = np.full((1,) * law.d, law.zeta0)
+    for s, m in enumerate(shape):
+        phi = 2.0 * np.pi * np.arange(m) / m
+        axis = sum(w * np.cos(r * phi) for r, w in enumerate(law.weights[s], start=1) if w > 0.0)
+        psi = psi + axis.reshape([m if t == s else 1 for t in range(law.d)])
+    return np.roll(np.fft.ifftn(psi**n).real, [n * t for t in law.ranges], axis=tuple(range(law.d)))
 
 
 @pytest.mark.parametrize(
@@ -482,20 +507,13 @@ def test_cf_on_padded_grid_matches_convolution(law, n):
     ids=["multi-1d", "simple-1d", "multi-2d", "bipartite-2d", "multi-3d"],
 )
 def test_half_spectrum_cf_matches_full_spectrum(law, n):
-    # Reference: psi on the whole odd torus grid of 2*n*t_s + 1 points and
-    # the complex inverse FFT; ``cf_invert_box`` samples a padded grid.
-    shape = tuple(2 * n * t + 1 for t in law.ranges)
-    psi = np.full((1,) * law.d, law.zeta0)
-    for s, m in enumerate(shape):
-        phi = 2.0 * np.pi * np.arange(m) / m
-        axis = sum(w * np.cos(r * phi) for r, w in enumerate(law.weights[s], start=1) if w > 0.0)
-        psi = psi + axis.reshape([m if t == s else 1 for t in range(law.d)])
-    radius = tuple(n * t for t in law.ranges)
-    ref = np.roll(np.fft.ifftn(psi**n).real, radius, axis=tuple(range(law.d)))
+    # ``cf_invert_box`` samples a padded half grid; its orthant, mirrored,
+    # is within 1e-15 of the whole box of the full-spectrum reference.
+    ref = full_spectrum_box(law, n)
     box = cf_invert_box(law, n)
-    assert box.radius == radius
-    assert box.mass.shape == shape == box_shape(law, n)
-    assert np.abs(box.mass - ref).max() <= 1e-15
+    assert box.radius == tuple(n * t for t in law.ranges)
+    assert box.mass.shape == tuple(n * t + 1 for t in law.ranges)
+    assert np.abs(full_box(box) - ref).max() <= 1e-15
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -523,28 +541,49 @@ ORTHANT_LAWS = {
 @pytest.mark.parametrize("law", ORTHANT_LAWS.values(), ids=ORTHANT_LAWS.keys())
 @pytest.mark.parametrize("n", [0, 1, 5, 12])
 def test_orthant_reads_the_box(law, n):
-    # Cell |z| of the orthant is the box's P(S_n = z) bit for bit, every
-    # sign pattern of every point, and 0.0 beyond reach like ``dist_at``.
-    box = cf_invert_box(law, n)
-    orthant = cf_orthant(law, n)
-    assert orthant.shape == tuple(n * t + 1 for t in law.ranges)
-    reach = [n * t for t in law.ranges]
+    # ``dist_at`` reads orthant cell |z| for every sign pattern of every
+    # point, within 1e-15 of the full-spectrum CF box, and 0.0 beyond reach.
+    dist = cf_invert_box(law, n)
+    reach = tuple(n * t for t in law.ranges)
+    assert dist.mass.shape == tuple(r + 1 for r in reach)
+    ref = full_spectrum_box(law, n)
     for z in itertools.product(*(range(-r - 2, r + 3) for r in reach)):
-        assert orthant_at(orthant, z) == dist_at(box, z)
-    assert orthant_at(orthant, [r + 1 for r in reach]) == 0.0
-    assert orthant_at(orthant, [-(10**6)] * law.d) == 0.0
+        cell = tuple(abs(c) for c in z)
+        if all(k <= r for k, r in zip(cell, reach)):
+            assert dist_at(dist, z) == dist.mass[cell]
+            assert abs(dist_at(dist, z) - ref[tuple(c + r for c, r in zip(z, reach))]) <= 1e-15
+        else:
+            assert dist_at(dist, z) == 0.0
+    assert dist_at(dist, [-(10**6)] * law.d) == 0.0
+
+
+@pytest.mark.parametrize(
+    "dist", [walk_dist(lazy_simple_law(2, 0.5), 3), cf_invert_box(SIMPLE, 4)], ids=["walk-2d", "cf-1d"]
+)
+def test_dist_at_needs_d_coordinates(dist):
+    # A point one coordinate short or long is refused, inside reach or not.
+    for z in [(0,) * (dist.d - 1), (0,) * (dist.d + 1), (10**6,) * (dist.d + 1)]:
+        with pytest.raises(ValueError, match=f"^every point needs {dist.d} coordinates$"):
+            dist_at(dist, z)
 
 
 @pytest.mark.parametrize("law", ORTHANT_LAWS.values(), ids=ORTHANT_LAWS.keys())
 @pytest.mark.parametrize("n", [0, 7, 24])
 def test_orthant_negative_mass_is_the_box_sum(law, n):
-    # Mirror multiplicities 2^(nonzero coordinates) give the full box's
-    # negative mass up to the order of the sum.
-    full = -float(np.minimum(cf_invert_box(law, n).mass, 0.0).sum())
-    got = orthant_negative_mass(cf_orthant(law, n))
-    assert abs(got - full) <= 1e-12 * abs(full)
-    # A hand-made orthant: its cells stand for 1, 2, 2 and 4 box cells.
-    assert orthant_negative_mass(np.array([[-1.0, -3.0], [-5.0, 7.0]])) == 1.0 + 2 * 3.0 + 2 * 5.0
+    # Mirror multiplicities 2^(nonzero coordinates) give the whole box's
+    # negative mass and total up to the order of the sum.
+    dist = cf_invert_box(law, n)
+    box = full_box(dist)
+    full = -float(np.minimum(box, 0.0).sum())
+    assert abs(dist.negative_mass() - full) <= 1e-12 * abs(full)
+    assert abs(dist.total() - box.sum()) <= 1e-12
+    # A hand-made orthant: its cells stand for 1, 2, 2 and 4 box cells, and
+    # summing leaves them as they are.
+    cells = np.array([[-1.0, -3.0], [-5.0, 7.0]])
+    hand = LatticeDist(n=1, d=2, radius=(1, 1), mass=cells.copy())
+    assert hand.negative_mass() == 1.0 + 2 * 3.0 + 2 * 5.0
+    assert hand.total() == -1.0 - 2 * 3.0 - 2 * 5.0 + 4 * 7.0
+    assert np.array_equal(hand.mass, cells)
 
 
 def test_longer_range_law_oracles_agree():
@@ -566,13 +605,14 @@ def test_dump_csv(tmp_path):
 
 
 def dump_csv_cell_loop(dist, path):
-    """Reference writer: visit every cell of the box in C order."""
+    """Reference writer: visit every cell of the mirrored box in C order."""
+    box = full_box(dist)
     with open(path, "w") as fh:
         cols = ",".join(f"z{s + 1}" for s in range(dist.d))
         fh.write(f"{cols},probability\n")
-        for idx in np.ndindex(*dist.mass.shape):
+        for idx in np.ndindex(*box.shape):
             z = tuple(idx[s] - dist.radius[s] for s in range(dist.d))
-            p = dist.mass[idx]
+            p = box[idx]
             if p != 0.0:
                 zs = ",".join(str(c) for c in z)
                 fh.write(f"{zs},{p:.17g}\n")
@@ -599,7 +639,7 @@ def test_dump_csv_memory_is_bounded(tmp_path, monkeypatch):
     # pass takes about 1 MiB of python objects, a slice about 0.15 MiB.
     monkeypatch.setattr(exact_dist, "DUMP_SLICE_CELLS", 2**10)
     cells = 2**13
-    dist = LatticeDist(n=0, d=1, radius=(cells // 2,), mass=np.full(cells + 1, 1.0 / cells))
+    dist = LatticeDist(n=0, d=1, radius=(cells // 2,), mass=np.full(cells // 2 + 1, 1.0 / cells))
     tracemalloc.start()
     try:
         dump_csv(dist, tmp_path / "big.csv")

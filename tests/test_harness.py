@@ -13,7 +13,6 @@ from brwllt.harness import (
     EXPERIMENTS,
     admissible_z,
     load_config,
-    load_config_file,
     run_experiment,
     write_csv,
 )
@@ -269,11 +268,6 @@ class TestConfig:
             load_config(doc)
         monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 405**2)
         assert run_experiment(load_config(doc)).rows
-
-    def test_load_config_file(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(base_doc("identities")))
-        assert load_config_file(path).experiment == "identities"
 
 
 class TestAdmissibleZ:
@@ -594,6 +588,6 @@ class TestCli:
         out = tmp_path / "dist.csv"
         assert cli.main(["dump-dist", path, "--n", "20000", "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("brwllt: 20000-step box (40001, 40001) exceeds element budget")
+        assert err.startswith("brwllt: two stepping buffers (1, 20003, 20003) exceeds element budget")
         assert err.count("\n") == 1
         assert not out.exists()

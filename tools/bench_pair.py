@@ -13,7 +13,8 @@ on each side, base first when k is even and head first when k is odd;
 T is always ``run_seconds`` of the head's BENCHMARK.json.
 The output file records, per workload and end-to-end metric, each side's
 runs, median and quartiles, and how many pairs the head won (ties count
-for neither side), and each side's check counts.
+for neither side), each side's check counts, and each side's line count
+of ``src/brwllt/*.py`` (as ``wc -l`` counts them).
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ def _export(rev: str, dest: Path) -> None:
     dest.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", rev], check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _src_lines(tree: Path) -> int:
+    """Lines of ``src/brwllt/*.py`` in ``tree``, counted as ``wc -l`` does."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "brwllt").glob("*.py"))
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -78,6 +84,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in sides}
         for side, rev in sides.items():
             _export(rev, trees[side])
+        src_lines = {side: _src_lines(tree) for side, tree in trees.items()}
         spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
         seconds = spec["run_seconds"]
         started = time.time()
@@ -114,6 +121,7 @@ def main(argv=None) -> int:
         "base": sides["base"],
         "head": sides["head"],
         "trees": hashes,
+        "src_lines": src_lines,
         "seed": args.seed,
         "seconds": seconds,
         "pairs": args.reps,
@@ -124,6 +132,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     args.output.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"src/brwllt/*.py lines: base {src_lines['base']}  head {src_lines['head']}")
     for name, rec in workloads.items():
         for metric, m in rec["metrics"].items():
             cells = "  ".join(f"{side} {m[side]['median']:.4g} [{m[side]['q1']:.4g}, {m[side]['q3']:.4g}]"
