@@ -11,19 +11,17 @@ from brwllt import (
     constants_for,
     fit_correction_coefficients,
     gamma_residual,
-    moments,
     rw_expansion,
     validate,
 )
 
 law = validate(1, 0.0, [[1.0]])  # simple symmetric walk; bipartite
-c = constants_for(law)
-m = moments(law)
+c = constants_for(law)  # carries the law's moments and walk class
 print(f"constants: tau={c.tau_d}, lambda={c.lambda_d}, chi={c.chi_d}")
 
 print("\nscaled residual gamma_n(0) = n^(d/2+2) (P_exact - prediction):")
 for n in (64, 256, 1024):
-    print(f"  n={n:5d}: prediction {rw_expansion(c, m, n, (0,)):.10e}, "
+    print(f"  n={n:5d}: prediction {rw_expansion(c, n, (0,)):.10e}, "
           f"gamma {gamma_residual(law, n, (0,)):.3e}")
 
 fit = fit_correction_coefficients(law, (2,), (256, 1024, 4096))

@@ -1,6 +1,8 @@
 """Second-order local-limit expansion for the plain walk.
 
-Provides the expansion constants, the predicted point probability, the
+Provides the expansion constants (one ``ExpansionConstants``, which carries
+the ``Moments`` it was built from, is the only input of every expansion
+function besides n and the point z), the predicted point probability, the
 scaled residual against the exact distribution, an empirical fit of the
 1/n and 1/n^2 correction coefficients, and the Gaussian moment identities
 behind the expansion, checked in any dimension by one exact Gauss-Hermite
@@ -21,17 +23,19 @@ from .step_law import Moments, StepLaw, WalkClass, classify, moments
 
 @dataclass(frozen=True)
 class ExpansionConstants:
-    """Constants of the 1/n and 1/n^2 correction brackets."""
+    """Constants of the 1/n and 1/n^2 correction brackets, with the moments
+    and walk class of the step law they were built from."""
 
     tau_d: float
     lambda_d: tuple[float, ...]
     chi_d: float
     norm: float  # (det Gamma_2)^{-1/2}
     walk_class: WalkClass
+    moments: Moments
 
     @property
     def d(self) -> int:
-        return len(self.lambda_d)
+        return self.moments.d
 
     @property
     def factor(self) -> float:
@@ -60,11 +64,17 @@ def constants(m: Moments, walk_class: WalkClass) -> ExpansionConstants:
         chi_d=chi,
         norm=1.0 / math.sqrt(m.det_gamma2),
         walk_class=walk_class,
+        moments=m,
     )
 
 
 def constants_for(law: StepLaw) -> ExpansionConstants:
     return constants(moments(law), classify(law))
+
+
+def _check_point(m: Moments, z) -> None:
+    if len(z) != m.d:
+        raise ValueError(f"every point needs {m.d} coordinates")
 
 
 def parity_matched(n: int, z) -> bool:
@@ -77,22 +87,23 @@ def parity_forbidden(walk_class: WalkClass, n: int, z) -> bool:
 
 
 def quad_form(m: Moments, z) -> float:
-    """<z, Gamma_2^{-1} z>."""
+    """<z, Gamma_2^{-1} z>; a point without d coordinates is a ``ValueError``."""
+    _check_point(m, z)
     return math.fsum(float(zs) ** 2 / g for zs, g in zip(z, m.gamma2))
 
 
-def bracket_coefficients(c: ExpansionConstants, m: Moments, z) -> tuple[float, float, float]:
+def bracket_coefficients(c: ExpansionConstants, z) -> tuple[float, float, float]:
     """(c1, c2, c2 with Lambda flipped) at z, with q = <z, Gamma_2^{-1} z>:
     c1 = tau - q/2 and c2 = q^2/8 -+ <Lambda z,z> + chi, the printed sign
     first."""
-    q = quad_form(m, z)
+    q = quad_form(c.moments, z)
     lam_q = math.fsum(l * float(zs) ** 2 for l, zs in zip(c.lambda_d, z))
     return c.tau_d - 0.5 * q, q * q / 8.0 - lam_q + c.chi_d, q * q / 8.0 + lam_q + c.chi_d
 
 
-def expansion_bracket(c: ExpansionConstants, m: Moments, n: int, z) -> float:
+def expansion_bracket(c: ExpansionConstants, n: int, z) -> float:
     """1 + c1/n + c2/n^2 with the printed Lambda sign."""
-    first, second, _ = bracket_coefficients(c, m, z)
+    first, second, _ = bracket_coefficients(c, z)
     return 1.0 + first / n + second / n**2
 
 
@@ -101,28 +112,16 @@ def leading_factor(c: ExpansionConstants, n: int) -> float:
     return c.factor * (2.0 * math.pi * n) ** (-c.d / 2.0) * c.norm
 
 
-def rw_expansion(c: ExpansionConstants, m: Moments, n: int, z) -> float:
+def rw_expansion(c: ExpansionConstants, n: int, z) -> float:
     """Predicted P(S_n = z) to second order; 0 on a bipartite parity mismatch."""
-    if parity_forbidden(c.walk_class, n, z):
-        return 0.0
-    return leading_factor(c, n) * expansion_bracket(c, m, n, z)
+    bracket = expansion_bracket(c, n, z)
+    return 0.0 if parity_forbidden(c.walk_class, n, z) else leading_factor(c, n) * bracket
 
 
-def gamma_residual(law: StepLaw, n: int, z, dist=None) -> float:
-    """n^{d/2+2} * (exact probability - second-order prediction).
-
-    ``dist`` may carry a precomputed n-step distribution for the same law;
-    one of another n or d raises ``ValueError``.
-    """
-    if dist is None:
-        dist = walk_dist(law, n)
-    elif (dist.n, dist.d) != (n, law.d):
-        raise ValueError(f"dist is the {dist.n}-step law in d={dist.d}, but n={n} and d={law.d}")
-    m = moments(law)
-    c = constants(m, classify(law))
-    exact = dist_at(dist, z)
-    pred = rw_expansion(c, m, n, z)
-    return n ** (law.d / 2.0 + 2.0) * (exact - pred)
+def gamma_residual(law: StepLaw, n: int, z) -> float:
+    """n^{d/2+2} * (exact probability - second-order prediction)."""
+    exact = dist_at(walk_dist(law, n), z)
+    return n ** (law.d / 2.0 + 2.0) * (exact - rw_expansion(constants_for(law), n, z))
 
 
 @dataclass(frozen=True)
@@ -160,12 +159,11 @@ def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
         raise ValueError("n_list must be strictly increasing")
     if n_list[0] < 1:
         raise ValueError(f"every probe n must be >= 1, got {n_list[0]}")
-    m = moments(law)
-    c = constants(m, classify(law))
+    c = constants_for(law)
     for n in n_list:
         if parity_forbidden(c.walk_class, n, z):
             raise ValueError(f"n={n} parity-incompatible with z={tuple(z)}")
-    c1_exact, c2_theorem, c2_flipped = bracket_coefficients(c, m, z)
+    c1_exact, c2_theorem, c2_flipped = bracket_coefficients(c, z)
 
     c1_seq, c2_seq = [], []
     for n in n_list:
@@ -253,8 +251,9 @@ def identity_expectations(m: Moments, z) -> np.ndarray:
     tables are multiplied as power series truncated at _TOP.  The cells the
     identities read, and those that feed them, have per-axis degree <= 8, so
     they are exact up to rounding; the unread top cells are not.  Memory
-    does not grow with d.
+    does not grow with d.  A point without d coordinates is a ``ValueError``.
     """
+    _check_point(m, z)
     nodes, weights = _hermite_rule()
     row, col, lag, factorials, read = _moment_table()
     table = np.eye(1, factorials.size).ravel()

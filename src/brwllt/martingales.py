@@ -7,6 +7,8 @@ and their limits feed the first- and second-order correction terms of the
 occupation-count expansion.  One table of exact rational coefficients
 (``_polynomials``) defines all six: per-particle values and harmonicity
 defects evaluate it in float, ``readout`` exactly on integer power sums.
+The correction terms F1 and F2, and the predictions built from them, take
+the readout and one ``ExpansionConstants``, which carries the moments.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .gw_brw import GenerationState, SiteCounts
 from .llt import ExpansionConstants, bracket_coefficients, leading_factor, parity_forbidden, quad_form
-from .step_law import Moments, StepLaw
+from .step_law import Moments, StepLaw, moments
 
 FUNCTIONALS = ("W", "N1", "N2", "N2z", "N3", "N4")
 
@@ -111,13 +113,15 @@ def _polynomial(functional_id: str, mom: Moments, z) -> _Polynomial:
         raise ValueError(f"unknown functional: {functional_id}")
     if functional_id == "N2z" and z is None:
         raise ValueError("functional N2z needs a lattice point z")
-    return _polynomials(mom, None if z is None else _lattice_point(z))[functional_id]
+    return _polynomials(mom, None if z is None else _lattice_point(z, mom.d))[functional_id]
 
 
-def _lattice_point(z) -> tuple[int, ...]:
+def _lattice_point(z, d: int) -> tuple[int, ...]:
     point = tuple(map(int, z))
     if point != tuple(z):
         raise ValueError(f"z = {tuple(z)} is not a lattice point")
+    if len(point) != d:
+        raise ValueError(f"every point needs {d} coordinates")
     return point
 
 
@@ -144,7 +148,7 @@ def readout(
     final conversion to float and the m^{-n} scaling, so counts above 2^53
     lose nothing before that.
     """
-    n, z = state.n, _lattice_point(z)
+    n, z = state.n, _lattice_point(z, mom.d)
     sums = SiteCounts.from_mapping(state.counts, mom.d).power_sums(4)
     values = {}
     for fid, poly in _polynomials(mom, z).items():
@@ -154,45 +158,39 @@ def readout(
     return MartingaleReadout(n=n, z=z, **values)
 
 
-def harmonicity_defect(
-    functional_id: str,
-    law: StepLaw,
-    mom: Moments,
-    x,
-    n: int,
-    z=None,
-) -> float:
-    """sum_atoms P(L = l) f(x + l, n + 1) - f(x, n), evaluated in float.
+def harmonicity_defect(functional_id: str, law: StepLaw, x, n: int, z=None) -> float:
+    """sum_atoms P(L = l) f(x + l, n + 1) - f(x, n), evaluated in float,
+    with f built from the moments of ``law``.
 
     Zero up to rounding for every functional; vector functionals report
     the largest componentwise |defect|.
     """
-    poly = _polynomial(functional_id, mom, z)
+    poly = _polynomial(functional_id, moments(law), z)
     steps, probs = zip(*law.atoms())
     points = np.array([(*a, 1) for a in steps] + [(0,) * (law.d + 1)], dtype=float) + [*x, n]
     defect = np.array([*probs, -1.0]) @ poly.evaluate(points)
     return float(defect[0]) if functional_id in _SCALARS else float(np.abs(defect).max())
 
 
-def f1_eval(ro: MartingaleReadout, c: ExpansionConstants, mom: Moments) -> float:
+def f1_eval(ro: MartingaleReadout, c: ExpansionConstants) -> float:
     """First-order correction term of the occupation-count expansion at ``ro.z``."""
-    z = ro.z
-    c1, _, _ = bracket_coefficients(c, mom, z)
+    z, mom = ro.z, c.moments
+    c1, _, _ = bracket_coefficients(c, z)
     v1_term = math.fsum(ro.N1[s] * float(z[s]) / mom.gamma2[s] for s in range(mom.d))
     v2_term = math.fsum(ro.N2[s] / mom.gamma2[s] for s in range(mom.d))
     return c1 * ro.W + v1_term - 0.5 * v2_term
 
 
-def f2_eval(ro: MartingaleReadout, c: ExpansionConstants, mom: Moments) -> float:
+def f2_eval(ro: MartingaleReadout, c: ExpansionConstants) -> float:
     """Second-order correction term of the occupation-count expansion at ``ro.z``.
 
     The <Lambda z, z> contribution uses the printed Lambda; the exact
     arbiter (see the coefficient fit) endorses this sign against the
     alternative display.
     """
-    z, lam = ro.z, c.lambda_d
+    z, lam, mom = ro.z, c.lambda_d, c.moments
     q = quad_form(mom, z)
-    _, c2, _ = bracket_coefficients(c, mom, z)
+    _, c2, _ = bracket_coefficients(c, z)
     v1_term = math.fsum(
         ro.N1[s] * (2.0 * lam[s] - 0.5 * q / mom.gamma2[s]) * float(z[s])
         for s in range(mom.d)
@@ -202,24 +200,17 @@ def f2_eval(ro: MartingaleReadout, c: ExpansionConstants, mom: Moments) -> float
     return c2 * ro.W + v1_term + v2_term + 0.5 * ro.N2z - 0.5 * v3_term + 0.125 * ro.N4
 
 
-def theorem_prediction(ro: MartingaleReadout, c: ExpansionConstants, mom: Moments, n: int) -> float:
+def theorem_prediction(ro: MartingaleReadout, c: ExpansionConstants, n: int) -> float:
     """Predicted m^{-n} Z_n(ro.z); 0 on a bipartite parity mismatch."""
-    if parity_forbidden(c.walk_class, n, ro.z):
-        return 0.0
-    return leading_factor(c, n) * (ro.W + f1_eval(ro, c, mom) / n + f2_eval(ro, c, mom) / n**2)
+    bracket = ro.W + f1_eval(ro, c) / n + f2_eval(ro, c) / n**2
+    return 0.0 if parity_forbidden(c.walk_class, n, ro.z) else leading_factor(c, n) * bracket
 
 
-def brw_residual(
-    snapshot: GenerationState,
-    ro: MartingaleReadout,
-    c: ExpansionConstants,
-    mom: Moments,
-    m: float,
-) -> float:
+def brw_residual(snapshot: GenerationState, ro: MartingaleReadout, c: ExpansionConstants, m: float) -> float:
     """n^{d/2+2} * (observed normalized count at ro.z - theorem prediction)."""
     n = snapshot.n
     observed = m ** (-n) * snapshot.counts.get(ro.z, 0)
-    return n ** (mom.d / 2.0 + 2.0) * (observed - theorem_prediction(ro, c, mom, n))
+    return n ** (c.d / 2.0 + 2.0) * (observed - theorem_prediction(ro, c, n))
 
 
 def mu_sigma_d(sigma: float, d: int) -> float:
@@ -241,16 +232,18 @@ def chi_sigma_d(sigma: float, d: int) -> float:
     )
 
 
-def corollary_eval(sigma: float, d: int, ro: MartingaleReadout) -> tuple[float, float]:
-    """(H1, H2) at ``ro.z`` of the lazy nearest-neighbour specialization, as printed.
+def corollary_eval(sigma: float, ro: MartingaleReadout) -> tuple[float, float]:
+    """(H1, H2) at ``ro.z`` of the lazy nearest-neighbour specialization in
+    d = len(ro.z) dimensions, as printed.
 
     ``ro`` holds the general-normalization limits; the tilde limits of the
     specialization are recovered by scaling with powers of (1 - sigma)/d.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma = {sigma} outside [0, 1)")
-    g = (1.0 - sigma) / d  # the common per-axis second moment
     z = ro.z
+    d = len(z)
+    g = (1.0 - sigma) / d  # the common per-axis second moment
     z2 = math.fsum(float(c) ** 2 for c in z)
     v1z = math.fsum(ro.N1[s] * float(z[s]) for s in range(d))
     v2one = math.fsum(ro.N2)

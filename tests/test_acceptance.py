@@ -12,10 +12,8 @@ import pytest
 from brwllt.exact_dist import cf_invert_box, convolve_step, delta_dist, dist_at, walk_dist
 from brwllt.harness import load_config, run_experiment, write_csv
 from brwllt.llt import (
-    constants,
     constants_for,
     fit_correction_coefficients,
-    gamma_residual,
     gaussian_identity_check,
     parity_matched,
     rw_expansion,
@@ -29,7 +27,7 @@ from brwllt.martingales import (
     functional_value,
     harmonicity_defect,
 )
-from brwllt.step_law import WalkClass, classify, lazy_simple_law, moments, validate
+from brwllt.step_law import WalkClass, lazy_simple_law, moments, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
 
@@ -85,7 +83,7 @@ def test_criterion_02_exact_harmonicity():
         n = int(rng.integers(0, 60))
         z = tuple(int(v) for v in rng.integers(-3, 4, size=law.d))
         for fid in FUNCTIONALS:
-            defect = harmonicity_defect(fid, law, mom, x, n, z=z)
+            defect = harmonicity_defect(fid, law, x, n, z=z)
             val = functional_value(fid, mom, x, n, z=z)
             scale = 1.0 + (max(abs(v) for v in val) if isinstance(val, tuple) else abs(val))
             worst = max(worst, abs(defect) / scale)
@@ -125,9 +123,11 @@ def test_criterion_04_second_order_coefficient(coefficient_fits):
 
 
 def _sup_gamma(law, n, cap):
-    """sup |gamma_n(z)| over parity-matched z with ||z|| <= cap."""
+    """sup |gamma_n(z)| over parity-matched z with ||z|| <= cap, from one
+    exact n-step law."""
     dist = walk_dist(law, n)
-    bipartite = classify(law) is WalkClass.BIPARTITE
+    c = constants_for(law)
+    bipartite = c.walk_class is WalkClass.BIPARTITE
     span = int(math.floor(cap))
     sup = 0.0
     for flat in np.ndindex(*(2 * span + 1,) * law.d):
@@ -136,7 +136,7 @@ def _sup_gamma(law, n, cap):
             continue
         if bipartite and not parity_matched(n, z):
             continue
-        sup = max(sup, abs(gamma_residual(law, n, z, dist=dist)))
+        sup = max(sup, abs(n ** (law.d / 2.0 + 2.0) * (dist_at(dist, z) - rw_expansion(c, n, z))))
     return sup
 
 
@@ -164,12 +164,11 @@ def test_criterion_05_residual_decay():
 def test_criterion_06_bipartite_factor_two():
     n = 1024
     c = constants_for(SIMPLE)
-    m = moments(SIMPLE)
     dist = walk_dist(SIMPLE, n)
     worst = 0.0
     for z in ((0,), (2,), (-2,), (4,)):
         exact = dist_at(dist, z)
-        pred = rw_expansion(c, m, n, z)
+        pred = rw_expansion(c, n, z)
         worst = max(worst, abs(exact / pred - 1.0))
     report(6, f"bipartite factor 2, max relative gap {worst:.3g}", worst <= 0.01)
 
@@ -195,18 +194,16 @@ def test_criterion_08_corollary_theorem_consistency():
     worst_first = 0.0
     worst_second = 0.0
     for d in (1, 2, 3):
-        law = lazy_simple_law(d, 0.0)
-        mom = moments(law)
-        c = constants(mom, classify(law))
+        c = constants_for(lazy_simple_law(d, 0.0))
         lam = c.lambda_d[0]
         for _ in range(20):
             ro = random_readout(d, rng)
             z2 = sum(v * v for v in ro.z)
-            h1, h2 = corollary_eval(0.0, d, ro)
+            h1, h2 = corollary_eval(0.0, ro)
             worst_first = max(
-                worst_first, abs(f1_eval(ro, c, mom) - h1) / max(1.0, abs(h1))
+                worst_first, abs(f1_eval(ro, c) - h1) / max(1.0, abs(h1))
             )
-            gap = f2_eval(ro, c, mom) - h2
+            gap = f2_eval(ro, c) - h2
             expect = 2.0 * (d * (d + 4) / 8.0) * z2 * ro.W
             assert abs(expect - (-2.0 * lam * z2 * ro.W)) <= 1e-12 * max(1.0, expect)
             worst_second = max(

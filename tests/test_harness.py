@@ -345,6 +345,25 @@ class TestRunners:
         assert len(per_rep) == 8 * 2
         aggs = [r for r in res.rows if r[0] == "agg"]
         assert len(aggs) == 2
+        assert [note.split(":")[0] for note in res.notes if "F1" in note] == ["z=(0,)"]
+        assert "vs F1 IQR" in res.notes[-1]
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_brw_check_says_band_not_checked(self, replicates):
+        # Too few replicates for an F1 quartile band: one note per z says so.
+        cfg = load_config(
+            base_doc(
+                "brw-check",
+                offspring={"2": 1.0},
+                replicates=replicates,
+                n_values=[8, 16],
+                z_set=[[0], [2]],
+            )
+        )
+        notes = run_experiment(cfg).notes
+        assert [note for note in notes if "F1" in note] == [
+            f"z={z}: F1 band not checked ({replicates} replicates, needs 4)" for z in ((0,), (2,))
+        ]
 
     def test_unknown_runner_rejected(self):
         assert set(EXPERIMENTS) == {

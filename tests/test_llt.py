@@ -25,7 +25,6 @@ from brwllt.llt import (
 from brwllt.step_law import (
     Moments,
     WalkClass,
-    classify,
     lazy_simple_law,
     moments,
     validate,
@@ -91,33 +90,28 @@ class TestConstants:
 class TestRwExpansion:
     def test_z0_formula(self):
         c = constants_for(SIMPLE)
-        m = moments(SIMPLE)
         n = 100
         expect = 2.0 * (2 * math.pi * n) ** -0.5 * (1 - 1 / (4 * n) + (1 / 32) / n**2)
-        assert abs(rw_expansion(c, m, n, (0,)) - expect) <= 1e-15
+        assert abs(rw_expansion(c, n, (0,)) - expect) <= 1e-15
 
     def test_parity_mismatch_zero(self):
         c = constants_for(SIMPLE)
-        m = moments(SIMPLE)
-        assert rw_expansion(c, m, 3, (0,)) == 0.0
+        assert rw_expansion(c, 3, (0,)) == 0.0
 
     def test_factor_two(self):
         # bipartite value is exactly twice the aperiodic bracket
         c = constants_for(SIMPLE)
-        m = moments(SIMPLE)
         n, z = 50, (2,)
-        aper = (2 * math.pi * n) ** -0.5 * c.norm * expansion_bracket(c, m, n, z)
-        assert rw_expansion(c, m, n, z) == 2.0 * aper
+        aper = (2 * math.pi * n) ** -0.5 * c.norm * expansion_bracket(c, n, z)
+        assert rw_expansion(c, n, z) == 2.0 * aper
 
     def test_corollary_first_order_specialization(self):
         # tau_d - q/2 for the lazy nearest-neighbour law
         for sigma in (0.0, 0.25, 0.5):
             for d in (1, 2, 3):
-                law = lazy_simple_law(d, sigma)
-                m = moments(law)
-                c = constants(m, classify(law))
+                c = constants_for(lazy_simple_law(d, sigma))
                 for z in [(0,) * d, (1,) + (0,) * (d - 1), (2,) * d]:
-                    lhs = c.tau_d - 0.5 * quad_form(m, z)
+                    lhs = c.tau_d - 0.5 * quad_form(c.moments, z)
                     z2 = sum(v * v for v in z)
                     rhs = (d / (1 - sigma)) * (sigma * (d + 2) / 8 - 0.25 - z2 / 2)
                     assert abs(lhs - rhs) <= 1e-12
@@ -130,21 +124,11 @@ class TestGammaResidual:
 
     def test_definition_unrolled(self):
         c = constants_for(SIMPLE)
-        m = moments(SIMPLE)
         g = gamma_residual(SIMPLE, 2, (0,))
-        assert abs(g - 2**2.5 * (0.5 - rw_expansion(c, m, 2, (0,)))) <= 1e-14
+        assert abs(g - 2**2.5 * (0.5 - rw_expansion(c, 2, (0,)))) <= 1e-14
 
     def test_parity_mismatch_residual_zero(self):
         assert gamma_residual(SIMPLE, 4, (1,)) == 0.0
-
-    def test_dist_of_another_n_or_d_refused(self):
-        law = lazy_simple_law(1, 0.5)
-        with pytest.raises(ValueError, match="64-step law in d=1, but n=128"):
-            gamma_residual(law, 128, (0,), dist=exact_dist.walk_dist(law, 64))
-        with pytest.raises(ValueError, match="d=2, but n=8 and d=1"):
-            gamma_residual(law, 8, (0,), dist=exact_dist.walk_dist(lazy_simple_law(2, 0.5), 8))
-        dist = exact_dist.walk_dist(law, 128)
-        assert gamma_residual(law, 128, (0,), dist=dist) == gamma_residual(law, 128, (0,))
 
 
 class TestCoefficientFit:
@@ -276,20 +260,44 @@ class TestGaussianIdentities:
 
 class TestBracketCoefficients:
     def test_flipped_bracket_differs_off_origin(self):
-        m = moments(SIMPLE)
-        c = constants(m, WalkClass.BIPARTITE)
-        _, a, b = bracket_coefficients(c, m, (2,))
+        c = constants(moments(SIMPLE), WalkClass.BIPARTITE)
+        _, a, b = bracket_coefficients(c, (2,))
         assert a != b
         assert abs((a - b) - 2 * (5 / 8) * 4) <= 1e-12  # 2*|Lambda|*z^2 at d=1
 
     def test_one_helper_feeds_bracket_and_fit(self):
         law = validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]])
-        m = moments(law)
-        c = constants(m, classify(law))
+        c = constants_for(law)
         z, n = (1, -2), 40
-        c1, c2, c2_flipped = bracket_coefficients(c, m, z)
-        assert c1 == c.tau_d - 0.5 * quad_form(m, z)
+        c1, c2, c2_flipped = bracket_coefficients(c, z)
+        assert c1 == c.tau_d - 0.5 * quad_form(c.moments, z)
         assert abs(c2_flipped - c2 - 2 * math.fsum(l * v * v for l, v in zip(c.lambda_d, z))) <= 1e-12
-        assert expansion_bracket(c, m, n, z) == 1.0 + c1 / n + c2 / n**2
+        assert expansion_bracket(c, n, z) == 1.0 + c1 / n + c2 / n**2
         fit = fit_correction_coefficients(law, z, (10, 20, 40))
         assert (fit.c1_exact, fit.c2_theorem, fit.c2_flipped) == (c1, c2, c2_flipped)
+
+
+class TestPointDimension:
+    """A point enters the module through ``quad_form`` or
+    ``identity_expectations``; one with a coordinate too few or too many is
+    refused there, never cut to the law's d by a zip."""
+
+    def test_rw_expansion(self):
+        # n = 4 is parity-forbidden for (2, 7), and is refused all the same
+        c = constants_for(SIMPLE)
+        for z in [(), (2, 7)]:
+            for n in (4, 9):
+                with pytest.raises(ValueError, match="^every point needs 1 coordinates$"):
+                    rw_expansion(c, n, z)
+
+    def test_bracket_coefficients(self):
+        c = constants_for(validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]]))
+        for z in [(1,), (1, -2, 3)]:
+            with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
+                bracket_coefficients(c, z)
+
+    def test_gaussian_identity_check(self):
+        m = random_moments(2, np.random.default_rng(4))
+        for z in [(1,), (1, 2, 5)]:
+            with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
+                gaussian_identity_check(m, z)

@@ -15,7 +15,7 @@ from brwllt.gw_brw import (
     simulate,
     validate_offspring,
 )
-from brwllt.llt import constants, constants_for, leading_factor, rw_expansion
+from brwllt.llt import constants_for, leading_factor, rw_expansion
 from brwllt.martingales import (
     FUNCTIONALS,
     MartingaleReadout,
@@ -31,7 +31,7 @@ from brwllt.martingales import (
     readout,
     theorem_prediction,
 )
-from brwllt.step_law import classify, lazy_simple_law, moments, validate
+from brwllt.step_law import lazy_simple_law, moments, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
 M1 = moments(SIMPLE)
@@ -145,12 +145,12 @@ class TestFunctionalValues:
         with pytest.raises(ValueError, match="N2z needs a lattice point z"):
             functional_value("N2z", M1, (1,), 3)
         with pytest.raises(ValueError, match="N2z needs a lattice point z"):
-            harmonicity_defect("N2z", SIMPLE, M1, (1,), 3, z=None)
+            harmonicity_defect("N2z", SIMPLE, (1,), 3, z=None)
         # a z off the lattice is refused, not truncated to one on it
         with pytest.raises(ValueError, match=r"z = \(0.5,\) is not a lattice point"):
             functional_value("N2z", M1, (1,), 3, z=(0.5,))
         with pytest.raises(ValueError, match="is not a lattice point"):
-            harmonicity_defect("N2z", SIMPLE, M1, (1,), 3, z=(0.5,))
+            harmonicity_defect("N2z", SIMPLE, (1,), 3, z=(0.5,))
         with pytest.raises(ValueError, match="is not a lattice point"):
             readout(initial_state(1), 2.0, M1, (0.5,))
         assert functional_value("N2z", M1, (1,), 3, z=(2.0,)) == functional_value("N2z", M1, (1,), 3, z=(2,))
@@ -279,7 +279,7 @@ class TestHarmonicity:
     def test_simple_walk_exact(self, fid):
         for x in ((0,), (3,), (-7,)):
             for n in (0, 1, 10):
-                assert harmonicity_defect(fid, SIMPLE, M1, x, n, z=(2,)) == 0.0
+                assert harmonicity_defect(fid, SIMPLE, x, n, z=(2,)) == 0.0
 
     @pytest.mark.parametrize("fid", FUNCTIONALS)
     def test_randomized_triples(self, fid):
@@ -290,7 +290,7 @@ class TestHarmonicity:
             x = tuple(int(v) for v in rng.integers(-6, 7, size=law.d))
             n = int(rng.integers(0, 40))
             z = tuple(int(v) for v in rng.integers(-3, 4, size=law.d))
-            defect = harmonicity_defect(fid, law, mom, x, n, z=z)
+            defect = harmonicity_defect(fid, law, x, n, z=z)
             ref = functional_value(fid, mom, x, n, z=z)
             scale = max(1.0, max(abs(v) for v in ref) if isinstance(ref, tuple) else abs(ref))
             assert abs(defect) <= 1e-9 * scale
@@ -344,29 +344,29 @@ class TestCorrectionTerms:
     def test_f1_arithmetic_example(self):
         ro = dataclasses.replace(make_readout(1, z=(2,)), N1=(0.3,), N2=(0.1,))
         # (tau - z^2/2) + V1 z - V2/2 = (-1/4 - 2) + 0.6 - 0.05
-        assert abs(f1_eval(ro, C1, M1) - (-1.7)) <= 1e-14
+        assert abs(f1_eval(ro, C1) - (-1.7)) <= 1e-14
 
     def test_f2_v4_example(self):
         ro = dataclasses.replace(make_readout(1), N4=8.0)
-        assert abs(f2_eval(ro, C1, M1) - (1.0 / 32.0 + 1.0)) <= 1e-14
+        assert abs(f2_eval(ro, C1) - (1.0 / 32.0 + 1.0)) <= 1e-14
 
     def test_f2_v2_example(self):
         ro = dataclasses.replace(make_readout(1, W=0.0), N2=(2.0,))
         # V2 coefficient at z=0 is -lambda = 5/8
-        assert abs(f2_eval(ro, C1, M1) - 1.25) <= 1e-14
+        assert abs(f2_eval(ro, C1) - 1.25) <= 1e-14
 
     def test_prediction_reduces_to_walk_expansion(self):
         for n in (10, 100):
             for z in ((0,), (2,), (-4,)):
                 ro = make_readout(1, z=z)
-                assert abs(theorem_prediction(ro, C1, M1, n) - rw_expansion(C1, M1, n, z)) <= 1e-15
+                assert abs(theorem_prediction(ro, C1, n) - rw_expansion(C1, n, z)) <= 1e-15
 
     def test_prediction_parity_zero(self):
-        assert theorem_prediction(make_readout(1), C1, M1, 5) == 0.0
+        assert theorem_prediction(make_readout(1), C1, 5) == 0.0
 
     def test_brw_residual_parity_zero(self):
         snap = GenerationState(n=4, d=1, counts={(0,): 5, (2,): 3}, total=8)
-        assert brw_residual(snap, make_readout(1, z=(1,)), C1, M1, 2.0) == 0.0
+        assert brw_residual(snap, make_readout(1, z=(1,)), C1, 2.0) == 0.0
 
     def test_f2_and_prediction_use_readout_z(self):
         # Readouts of one snapshot at z = 0 and z = 4: F2 and the prediction
@@ -385,41 +385,39 @@ class TestCorrectionTerms:
             - 0.5 * at4.N3[0] * z / g
             + 0.125 * at4.N4
         )
-        assert abs(f2_eval(at4, C1, M1) - f2) <= 1e-12 * max(1.0, abs(f2))
+        assert abs(f2_eval(at4, C1) - f2) <= 1e-12 * max(1.0, abs(f2))
         wrong_z = dataclasses.replace(at4, N2z=at0.N2z)
-        shift = f2_eval(at4, C1, M1) - f2_eval(wrong_z, C1, M1)
+        shift = f2_eval(at4, C1) - f2_eval(wrong_z, C1)
         assert abs(shift - 0.5 * (at4.N2z - at0.N2z)) <= 1e-9
         n = 48
-        pred = theorem_prediction(at4, C1, M1, n)
-        expect = leading_factor(C1, n) * (at4.W + f1_eval(at4, C1, M1) / n + f2 / n**2)
+        pred = theorem_prediction(at4, C1, n)
+        expect = leading_factor(C1, n) * (at4.W + f1_eval(at4, C1) / n + f2 / n**2)
         assert abs(pred - expect) <= 1e-12 * expect
         observed = off.mean**-n * snap.counts.get((4,), 0)
-        assert brw_residual(snap, at4, C1, M1, off.mean) == n**2.5 * (observed - pred)
+        assert brw_residual(snap, at4, C1, off.mean) == n**2.5 * (observed - pred)
 
 
 class TestCorollary:
     def test_frozen_values_sigma0_d1(self):
         assert mu_sigma_d(0.0, 1) == -0.625
         assert abs(chi_sigma_d(0.0, 1) - 1.0 / 32.0) <= 1e-15
-        h1, h2 = corollary_eval(0.0, 1, make_readout(1))
+        h1, h2 = corollary_eval(0.0, make_readout(1))
         assert abs(h1 - (-0.25)) <= 1e-15
         assert abs(h2 - 1.0 / 32.0) <= 1e-15
 
     def test_sigma_gate(self):
         with pytest.raises(ValueError):
-            corollary_eval(1.0, 1, make_readout(1))
+            corollary_eval(1.0, make_readout(1))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.5])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_first_order_consistency(self, sigma, d):
         rng = np.random.default_rng(10 * d + int(100 * sigma))
-        law = lazy_simple_law(d, sigma)
-        mom = moments(law)
-        c = constants(mom, classify(law))
+        c = constants_for(lazy_simple_law(d, sigma))
         for _ in range(10):
             ro = make_readout(d, rng)
-            h1, _ = corollary_eval(sigma, d, ro)
-            assert abs(f1_eval(ro, c, mom) - h1) <= 1e-12 * max(1.0, abs(h1))
+            h1, _ = corollary_eval(sigma, ro)
+            assert abs(f1_eval(ro, c) - h1) <= 1e-12 * max(1.0, abs(h1))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.5])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -427,15 +425,13 @@ class TestCorollary:
         # the two displays differ only in the |z|^2 W coefficient:
         # f2 - H2 = -2 lambda |z|^2 W, with lambda the common diagonal entry
         rng = np.random.default_rng(17 * d + int(1000 * sigma))
-        law = lazy_simple_law(d, sigma)
-        mom = moments(law)
-        c = constants(mom, classify(law))
+        c = constants_for(lazy_simple_law(d, sigma))
         lam = c.lambda_d[0]
         for _ in range(10):
             ro = make_readout(d, rng)
             z2 = sum(v * v for v in ro.z)
-            _, h2 = corollary_eval(sigma, d, ro)
-            gap = f2_eval(ro, c, mom) - h2
+            _, h2 = corollary_eval(sigma, ro)
+            gap = f2_eval(ro, c) - h2
             expect = -2.0 * lam * z2 * ro.W
             assert abs(gap - expect) <= 1e-10 * max(1.0, abs(h2))
 
@@ -443,7 +439,30 @@ class TestCorollary:
         # lambda = (d/(1-sigma))^2 mu for every lazy nearest-neighbour law
         for sigma in (0.0, 0.25, 0.5):
             for d in (1, 2, 3):
-                law = lazy_simple_law(d, sigma)
-                c = constants(moments(law), classify(law))
+                c = constants_for(lazy_simple_law(d, sigma))
                 scale = (d / (1.0 - sigma)) ** 2
                 assert abs(c.lambda_d[0] - scale * mu_sigma_d(sigma, d)) <= 1e-12
+
+
+class TestPointDimension:
+    """A point enters the module through one check; one with a coordinate
+    too few or too many is refused, never cut to the law's d by a zip."""
+
+    def test_readout(self):
+        for z in [(), (0, 9)]:
+            with pytest.raises(ValueError, match="^every point needs 1 coordinates$"):
+                readout(initial_state(1), 2.0, M1, z)
+
+    def test_harmonicity_defect(self):
+        law = lazy_simple_law(2, 0.25)
+        for z in [(1,), (1, 2, 9)]:
+            with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
+                harmonicity_defect("N2z", law, (0, 1), 3, z=z)
+
+    def test_f1_eval(self):
+        # a readout of one dimension with the constants of another
+        c2 = constants_for(lazy_simple_law(2, 0.25))
+        with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
+            f1_eval(make_readout(1, z=(2,)), c2)
+        with pytest.raises(ValueError, match="^every point needs 1 coordinates$"):
+            f1_eval(make_readout(2, z=(2, 1)), C1)

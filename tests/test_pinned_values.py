@@ -84,34 +84,33 @@ def values(name):
     results = []
     if name == "bracket_coefficients":
         for law in LAWS:
-            c, m = constants_for(law), moments(law)
-            results += [bracket_coefficients(c, m, z) for z in POINTS[law.d]]
+            c = constants_for(law)
+            results += [bracket_coefficients(c, z) for z in POINTS[law.d]]
     elif name == "rw_expansion":
         for law in LAWS:
-            c, m = constants_for(law), moments(law)
-            results += [rw_expansion(c, m, n, z) for z in POINTS[law.d] for n in NS]
+            c = constants_for(law)
+            results += [rw_expansion(c, n, z) for z in POINTS[law.d] for n in NS]
     elif name == "f1_eval":
-        results = [f1_eval(ro, c, m) for _, c, m, _, ro in readouts()]
+        results = [f1_eval(ro, c) for _, c, _, _, ro in readouts()]
     elif name == "f2_eval":
-        results = [f2_eval(ro, c, m) for _, c, m, _, ro in readouts()]
+        results = [f2_eval(ro, c) for _, c, _, _, ro in readouts()]
     elif name == "theorem_prediction":
-        results = [theorem_prediction(ro, c, m, n) for _, c, m, _, ro in readouts() for n in NS]
+        results = [theorem_prediction(ro, c, n) for _, c, _, _, ro in readouts() for n in NS]
     elif name == "brw_residual":
         results = [
-            brw_residual(snap, ro, c, m, OFFSPRING.mean)
-            for _, c, m, snap, ro in readouts()
+            brw_residual(snap, ro, c, OFFSPRING.mean)
+            for _, c, _, snap, ro in readouts()
             if snap is not None
         ]
     elif name == "harmonicity_defect":
         for law in LAWS:
-            m = moments(law)
             z = POINTS[law.d][1]
             for x in POINTS[law.d]:
                 for n in (0, 3, 17):
-                    results += [harmonicity_defect(fid, law, m, x, n, z=z) for fid in FUNCTIONALS]
+                    results += [harmonicity_defect(fid, law, x, n, z=z) for fid in FUNCTIONALS]
     elif name == "corollary_eval":
         for law, _, _, _, ro in readouts():
-            results += [corollary_eval(sigma, law.d, ro) for sigma in (0.0, 0.25, 0.5)]
+            results += [corollary_eval(sigma, ro) for sigma in (0.0, 0.25, 0.5)]
     return results
 
 
