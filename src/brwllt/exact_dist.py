@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded
-from .step_law import StepLaw
+from .step_law import StepLaw, lattice_point, step_count
 
 # The one memory policy of every dense array in the package, in elements;
 # ``charge`` reads it at call time.
@@ -168,9 +168,7 @@ def walk_dist(law: StepLaw, n: int) -> LatticeDist:
     """The n-step distribution: n steps of the orthant kernel, as in
     ``convolve_step``, in the same two buffers, which are charged to the
     element budget before the first step."""
-    if n < 0:
-        raise ValueError(f"number of steps must be >= 0, got {n}")
-    return _stepped(delta_dist(law), law, n)
+    return _stepped(delta_dist(law), law, step_count(n))
 
 
 def _axis_step(law: StepLaw, s: int) -> tuple[float, StepLaw]:
@@ -202,15 +200,12 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(mass, total)``: ``mass[i, j]`` is P(S_n = points[j]) at
     n = probes[i], and ``total[i]`` the mixture's whole mass at probes[i],
-    mixed from the row totals.  The recorded tables, then the kernel's
-    buffers, are charged to the element budget before the first step.
+    mixed from the row totals; probes are read by ``step_count``, points by
+    ``lattice_point``.  The recorded tables, then the kernel's buffers, are
+    charged to the element budget before the first step.
     """
-    probes = [int(n) for n in probes]
-    if any(n < 0 for n in probes):
-        raise ValueError(f"numbers of steps must be >= 0, got {probes}")
-    points = [tuple(int(c) for c in z) for z in points]
-    if any(len(z) != law.d for z in points):
-        raise ValueError(f"every point needs {law.d} coordinates")
+    probes = list(map(step_count, probes))
+    points = [lattice_point(z, law.d) for z in points]
     n_max = max(probes, default=0)
     cols = len(points) + 1
     charge(f"axis tables for {n_max} steps", law.d * (n_max + 1) * cols)
@@ -249,10 +244,9 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dist_at(dist: LatticeDist, z) -> float:
-    """P(S_n = z): orthant cell |z|, or exactly 0 beyond the radius."""
-    idx = tuple(abs(int(zs)) for zs in z)
-    if len(idx) != dist.d:
-        raise ValueError(f"every point needs {dist.d} coordinates")
+    """P(S_n = z): orthant cell |z|, or exactly 0 beyond the radius; z is
+    read by ``lattice_point``."""
+    idx = tuple(map(abs, lattice_point(z, dist.d)))
     if any(k > r for k, r in zip(idx, dist.radius)):
         return 0.0
     return float(dist.mass[idx])
@@ -327,8 +321,7 @@ def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
     transform, so at most two stages are alive at once.  The error is
     absolute, about 1e-16, so far-tail cells are not relatively accurate.
     """
-    if n < 0:
-        raise ValueError(f"number of steps must be >= 0, got {n}")
+    n = step_count(n)
     grid = cf_grid(law, n)
     charge("CF grid", math.prod(grid))
     vals = _power(_psi_grid(law, [2.0 * np.pi * np.arange(m // 2 + 1) / m for m in grid]), n)

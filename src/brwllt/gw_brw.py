@@ -46,7 +46,7 @@ import numpy as np
 from . import exact_dist
 from .errors import CapacityExceeded, CountOverflow, HasExtinction, NonNormalized, SubcriticalOrCritical
 from .exact_dist import charge
-from .step_law import NORMALIZATION_TOL, StepLaw, json_number
+from .step_law import NORMALIZATION_TOL, StepLaw, json_number, lattice_point, step_count
 
 # An offspring table longer than this is refused: every occupied cell
 # draws one count per offspring value.
@@ -74,8 +74,9 @@ class SiteCounts(Mapping):
     count of a cell is sum_k digits[k] * 2**(32 k), 0 <= digits[k] < 2**32;
     the lattice origin sits at index ``radius`` on each axis.  As a mapping
     it reads site tuple -> exact int over the occupied sites, in
-    lexicographic order; empty sites are absent.  A box is never changed
-    after construction, so what is derived from it is kept.
+    lexicographic order; empty sites, and keys ``lattice_point`` refuses,
+    are absent.  A box is never changed after construction, so what is
+    derived from it is kept.
     """
 
     __slots__ = ("radius", "digits", "_sums")
@@ -91,13 +92,13 @@ class SiteCounts(Mapping):
         count mapping.
 
         Raises:
-            ValueError: a negative count.
+            ValueError: a site ``lattice_point`` refuses, or a negative count.
             CapacityExceeded: the box's digits exceed the element
                 budget; raised before allocating.
         """
         if isinstance(counts, SiteCounts):
             return counts
-        occupied = {tuple(int(x) for x in site): int(c) for site, c in counts.items() if c}
+        occupied = {lattice_point(site, d): int(c) for site, c in counts.items() if c}
         if any(c < 0 for c in occupied.values()):
             raise ValueError("particle counts must be nonnegative")
         radius = tuple(max((abs(site[s]) for site in occupied), default=0) for s in range(d))
@@ -167,8 +168,11 @@ class SiteCounts(Mapping):
         return values
 
     def __getitem__(self, site) -> int:
-        cell = tuple(int(x) + r for x, r in zip(site, self.radius))
-        if len(cell) != len(self.radius) or any(not 0 <= i <= 2 * r for i, r in zip(cell, self.radius)):
+        try:
+            cell = tuple(x + r for x, r in zip(lattice_point(site, len(self.radius)), self.radius))
+        except ValueError:
+            raise KeyError(site) from None
+        if any(not 0 <= i <= 2 * r for i, r in zip(cell, self.radius)):
             raise KeyError(site)
         value = sum(int(dg[cell]) << (_DIGIT * k) for k, dg in enumerate(self.digits))
         if not value:
@@ -521,17 +525,19 @@ def simulate(
     budget as they are kept.
 
     Raises:
-        ValueError: ``n_max`` does not exceed the start generation.
+        ValueError: ``step_count`` refuses ``n_max`` or a scheduled
+            generation, or ``n_max`` does not exceed the start generation.
         CountOverflow, CapacityExceeded: as ``evolve_generation``.
         CapacityExceeded: the boxes behind the kept snapshots exceed the
             element budget.
     """
     if start is None:
         start = initial_state(law.d)
+    n_max = step_count(n_max)
     if n_max <= start.n:
         raise ValueError(f"n_max must exceed the start generation {start.n}")
     keys = [_seed_key(seed) for seed in seeds]
-    probes = set(int(n) for n in probe_schedule)
+    probes = set(map(step_count, probe_schedule))
     box = SiteCounts.from_mapping(start.counts, law.d)
     _check_width(box.digits, count_width, start.n)
     batch = _batch_size(box, n_max - start.n, off, law, count_width)

@@ -34,9 +34,8 @@ from .martingales import (
     harmonicity_defect,
     readout,
 )
-from .step_law import StepLaw, classify, json_int, json_keys, json_number, law_from_dict, moments
+from .step_law import StepLaw, classify, json_int, json_keys, json_number, lattice_point, law_from_dict, moments
 
-EXPERIMENTS = ("llt-check", "coeff-fit", "identities", "martingale-check", "brw-check")
 FIELDS = (
     "experiment", "step_law", "offspring", "n_values", "z_set", "replicates", "base_seed",
     "kappa", "z_radius_constant", "n_est", "count_width", "output", "thresholds",
@@ -163,15 +162,13 @@ def load_config(doc: dict) -> ExperimentConfig:
     if replicates < 1:
         raise ConfigError(f"replicates: {replicates} must be >= 1")
     with _field("z_set"):
-        z_set = tuple(tuple(json_int(c) for c in _list(z)) for z in _list(doc.get("z_set", [[0] * law.d])))
+        z_set = tuple(lattice_point(z, law.d) for z in _list(doc.get("z_set", [[0] * law.d])))
     if not z_set:
         raise ConfigError("z_set: needs at least one lattice point")
     if experiment in ("identities", "martingale-check") and len(z_set) > 1:
         raise ConfigError(f"z_set: {experiment} checks one lattice point, got {len(z_set)}")
     walk_class = classify(law)
     for z in z_set:
-        if len(z) != law.d:
-            raise ConfigError(f"z_set: z = {z} has wrong dimension, expected {law.d}")
         mismatched = [n for n in n_values if parity_forbidden(walk_class, n, z)]
         if experiment == "coeff-fit" and mismatched:
             raise ConfigError(f"z_set: z = {z} is parity-incompatible with n = {mismatched[0]} (bipartite law)")
@@ -327,8 +324,8 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
     grid = max(cfg.replicates, 100)
     span = 5 * cfg.law.max_range
     for _ in range(grid):
-        x = tuple(int(v) for v in rng.integers(-span, span + 1, size=cfg.law.d))
-        n = int(rng.integers(0, 60))
+        x = tuple(rng.integers(-span, span + 1, size=cfg.law.d).tolist())
+        n = rng.integers(0, 60).item()
         for fid in FUNCTIONALS:
             defect = harmonicity_defect(fid, cfg.law, x, n, z=z)
             val = functional_value(fid, m, x, n, z=z)
@@ -374,14 +371,14 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
 
 
 def run_brw_check(cfg: ExperimentConfig) -> RunResult:
-    """Per-replicate residual rows plus median/IQR aggregates across replicates."""
-    if cfg.offspring is None:
-        raise ValueError("brw-check requires an offspring spec")
+    """Per-replicate residual rows plus median/IQR aggregates across replicates;
+    the F1 band, and its readouts at ``n_est``, only with 4 or more replicates."""
     c = constants_for(cfg.law)
     probes = sorted(set(cfg.n_values))
     n_max = max(probes)
     n_est = cfg.n_est if cfg.n_est is not None else n_max
-    schedule = sorted(set(probes) | {n_est})
+    band = cfg.replicates >= 4
+    schedule = probes + [n_est] if band else probes
     rows = []
     per_probe: dict = {(n, z): [] for n in probes for z in cfg.z_set}
     f1_bands: dict = {z: [] for z in cfg.z_set}
@@ -390,16 +387,14 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
     for rep, snaps in enumerate(simulate(cfg.offspring, cfg.law, n_max, seeds, schedule, cfg.count_width)):
         by_n = {st.n: st for st in snaps}
         for z in cfg.z_set:
-            f1_bands[z].append(f1_eval(readout(by_n[n_est], mean, c.moments, z), c))
+            if band:
+                f1_bands[z].append(f1_eval(readout(by_n[n_est], mean, c.moments, z), c))
             for n in probes:
                 st = by_n[n]
                 observed = mean ** (-n) * st.counts.get(z, 0)
                 lead = leading_factor(c, n)
                 w_n = st.total / mean**n
-                if parity_forbidden(c.walk_class, n, z):
-                    ratio = 0.0
-                else:
-                    ratio = observed / lead - w_n
+                ratio = 0.0 if parity_forbidden(c.walk_class, n, z) else observed / lead - w_n
                 per_probe[(n, z)].append(ratio)
                 rows.append((rep, n, *z, observed, lead * w_n, ratio, w_n))
     ok = True
@@ -418,8 +413,8 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
             f"{meds[probes[-1]]:.4g} (n={probes[-1]})"
         )
         # first-order band check at the largest probe
-        if len(f1_bands[z]) < 4:
-            notes.append(f"z={z}: F1 band not checked ({len(f1_bands[z])} replicates, needs 4)")
+        if not band:
+            notes.append(f"z={z}: F1 band not checked ({cfg.replicates} replicates, needs 4)")
             continue
         lo, _, hi = statistics.quantiles(f1_bands[z], n=4)
         med_scaled = statistics.median([probes[-1] * v for v in per_probe[(probes[-1], z)]])
@@ -437,6 +432,7 @@ RUNNERS = {
     "martingale-check": run_martingale_check,
     "brw-check": run_brw_check,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact_dist import cf_invert_box, dist_at, walk_dist
-from .step_law import Moments, StepLaw, WalkClass, classify, moments
+from .step_law import Moments, StepLaw, WalkClass, classify, lattice_point, moments, step_count
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,8 @@ def constants_for(law: StepLaw) -> ExpansionConstants:
     return constants(moments(law), classify(law))
 
 
-def _check_point(m: Moments, z) -> None:
-    if len(z) != m.d:
-        raise ValueError(f"every point needs {m.d} coordinates")
-
-
 def parity_matched(n: int, z) -> bool:
-    return (n - sum(int(zs) for zs in z)) % 2 == 0
+    return (n - sum(z)) % 2 == 0
 
 
 def parity_forbidden(walk_class: WalkClass, n: int, z) -> bool:
@@ -87,9 +82,8 @@ def parity_forbidden(walk_class: WalkClass, n: int, z) -> bool:
 
 
 def quad_form(m: Moments, z) -> float:
-    """<z, Gamma_2^{-1} z>; a point without d coordinates is a ``ValueError``."""
-    _check_point(m, z)
-    return math.fsum(float(zs) ** 2 / g for zs, g in zip(z, m.gamma2))
+    """<z, Gamma_2^{-1} z>, z read by ``lattice_point``."""
+    return math.fsum(float(zs) ** 2 / g for zs, g in zip(lattice_point(z, m.d), m.gamma2))
 
 
 def bracket_coefficients(c: ExpansionConstants, z) -> tuple[float, float, float]:
@@ -152,7 +146,7 @@ def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
     ``n_list`` must be parity-compatible with z.  Needs at least 3 entries
     in increasing order.
     """
-    n_list = tuple(int(n) for n in n_list)
+    z, n_list = lattice_point(z, law.d), tuple(map(step_count, n_list))
     if len(n_list) < 3:
         raise ValueError("need at least 3 probe values of n")
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
@@ -162,7 +156,7 @@ def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
     c = constants_for(law)
     for n in n_list:
         if parity_forbidden(c.walk_class, n, z):
-            raise ValueError(f"n={n} parity-incompatible with z={tuple(z)}")
+            raise ValueError(f"n={n} parity-incompatible with z={z}")
     c1_exact, c2_theorem, c2_flipped = bracket_coefficients(c, z)
 
     c1_seq, c2_seq = [], []
@@ -251,9 +245,9 @@ def identity_expectations(m: Moments, z) -> np.ndarray:
     tables are multiplied as power series truncated at _TOP.  The cells the
     identities read, and those that feed them, have per-axis degree <= 8, so
     they are exact up to rounding; the unread top cells are not.  Memory
-    does not grow with d.  A point without d coordinates is a ``ValueError``.
+    does not grow with d.  z is read by ``lattice_point``.
     """
-    _check_point(m, z)
+    z = lattice_point(z, m.d)
     nodes, weights = _hermite_rule()
     row, col, lag, factorials, read = _moment_table()
     table = np.eye(1, factorials.size).ravel()

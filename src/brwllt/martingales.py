@@ -22,7 +22,7 @@ import numpy as np
 
 from .gw_brw import GenerationState, SiteCounts
 from .llt import ExpansionConstants, bracket_coefficients, leading_factor, parity_forbidden, quad_form
-from .step_law import Moments, StepLaw, moments
+from .step_law import Moments, StepLaw, lattice_point, moments
 
 FUNCTIONALS = ("W", "N1", "N2", "N2z", "N3", "N4")
 
@@ -113,16 +113,7 @@ def _polynomial(functional_id: str, mom: Moments, z) -> _Polynomial:
         raise ValueError(f"unknown functional: {functional_id}")
     if functional_id == "N2z" and z is None:
         raise ValueError("functional N2z needs a lattice point z")
-    return _polynomials(mom, None if z is None else _lattice_point(z, mom.d))[functional_id]
-
-
-def _lattice_point(z, d: int) -> tuple[int, ...]:
-    point = tuple(map(int, z))
-    if point != tuple(z):
-        raise ValueError(f"z = {tuple(z)} is not a lattice point")
-    if len(point) != d:
-        raise ValueError(f"every point needs {d} coordinates")
-    return point
+    return _polynomials(mom, None if z is None else lattice_point(z, mom.d))[functional_id]
 
 
 def _shape(functional_id: str, values):
@@ -131,8 +122,9 @@ def _shape(functional_id: str, values):
 
 
 def functional_value(functional_id: str, mom: Moments, x, n: int, z=None):
+    """f(x, n) of one functional; x and z are read by ``lattice_point``."""
     poly = _polynomial(functional_id, mom, z)
-    return _shape(functional_id, poly.evaluate(np.array([[*x, n]], dtype=float))[0])
+    return _shape(functional_id, poly.evaluate(np.array([[*lattice_point(x, mom.d), n]], dtype=float))[0])
 
 
 def readout(
@@ -146,9 +138,10 @@ def readout(
     for all readouts of it, at any z.  These meet the exact coefficients of
     the functional table in rational arithmetic; the only roundings are the
     final conversion to float and the m^{-n} scaling, so counts above 2^53
-    lose nothing before that.
+    lose nothing before that.  z is read by ``lattice_point``, and so is
+    every site of a generation whose counts are a plain mapping.
     """
-    n, z = state.n, _lattice_point(z, mom.d)
+    n, z = state.n, lattice_point(z, mom.d)
     sums = SiteCounts.from_mapping(state.counts, mom.d).power_sums(4)
     values = {}
     for fid, poly in _polynomials(mom, z).items():
@@ -160,14 +153,15 @@ def readout(
 
 def harmonicity_defect(functional_id: str, law: StepLaw, x, n: int, z=None) -> float:
     """sum_atoms P(L = l) f(x + l, n + 1) - f(x, n), evaluated in float,
-    with f built from the moments of ``law``.
+    with f built from the moments of ``law``; x and z are read by
+    ``lattice_point``.
 
     Zero up to rounding for every functional; vector functionals report
     the largest componentwise |defect|.
     """
     poly = _polynomial(functional_id, moments(law), z)
     steps, probs = zip(*law.atoms())
-    points = np.array([(*a, 1) for a in steps] + [(0,) * (law.d + 1)], dtype=float) + [*x, n]
+    points = np.array([(*a, 1) for a in steps] + [(0,) * (law.d + 1)], dtype=float) + [*lattice_point(x, law.d), n]
     defect = np.array([*probs, -1.0]) @ poly.evaluate(points)
     return float(defect[0]) if functional_id in _SCALARS else float(np.abs(defect).max())
 

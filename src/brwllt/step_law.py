@@ -40,11 +40,35 @@ def json_keys(doc: dict, known) -> None:
 
 
 def json_int(value) -> int:
-    """An integer config value; a float must be integral."""
-    value = json_number(value)
-    if isinstance(value, float) and not value.is_integer():
+    """An integer value; a float, or a NumPy number, must be integral."""
+    integral = int(json_number(value))
+    if integral != value:
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    return integral
+
+
+def lattice_point(z, d: int) -> tuple[int, ...]:
+    """The one reader of a point of Z^d: ``z`` as a tuple of d ints, each
+    read by ``json_int``; anything else is a ``ValueError``."""
+    try:
+        point = tuple(map(json_int, z))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"z = {z!r} is not a lattice point") from None
+    if len(point) != d:
+        raise ValueError(f"every point needs {d} coordinates")
+    return point
+
+
+def step_count(n) -> int:
+    """The one reader of a number of steps: ``n`` as an int >= 0, read by
+    ``json_int``; anything else is a ``ValueError`` naming n."""
+    try:
+        steps = json_int(n)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"number of steps must be an integer, got {n!r}") from None
+    if steps < 0:
+        raise ValueError(f"number of steps must be >= 0, got {n}")
+    return steps
 
 
 class WalkClass(enum.Enum):

@@ -276,10 +276,15 @@ def test_axis_mixture_total_is_mixed_from_row_totals(monkeypatch, d):
 
 
 def test_axis_mixture_refuses_bad_input():
-    with pytest.raises(ValueError):
-        axis_mixture(SIMPLE, [3, -1], [(0,)])
-    with pytest.raises(ValueError):
+    # A probe or a point off the integers is refused, never truncated.
+    for probe in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="^number of steps must be"):
+            axis_mixture(SIMPLE, [3, probe], [(0,)])
+    with pytest.raises(ValueError, match="^every point needs 1 coordinates$"):
         axis_mixture(SIMPLE, [3], [(0, 0)])
+    for coord in (0.5, True, "1"):
+        with pytest.raises(ValueError, match="is not a lattice point$"):
+            axis_mixture(SIMPLE, [4], [(0,), (coord,)])
 
 
 def test_bipartite_parity_zero_pattern():
@@ -407,10 +412,19 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
 
 
 def test_negative_steps_refused():
-    with pytest.raises(ValueError):
-        walk_dist(SIMPLE, -3)
-    with pytest.raises(ValueError):
-        cf_invert_box(SIMPLE, -3)
+    for n in (-3, 2.5, True):
+        with pytest.raises(ValueError, match="^number of steps must be"):
+            walk_dist(SIMPLE, n)
+        with pytest.raises(ValueError, match="^number of steps must be"):
+            cf_invert_box(SIMPLE, n)
+
+
+@pytest.mark.parametrize("route", [walk_dist, cf_invert_box], ids=["walk", "cf"])
+def test_integral_float_steps(route):
+    # n = 2.0 is the step count 2, as it is in a config.
+    dist = route(LAWS[2], 2.0)
+    assert dist.n == 2 and type(dist.n) is int
+    assert np.array_equal(dist.mass, route(LAWS[2], 2).mass)
 
 
 def test_cf_invert_n0():
@@ -561,10 +575,15 @@ def test_orthant_reads_the_box(law, n):
     "dist", [walk_dist(lazy_simple_law(2, 0.5), 3), cf_invert_box(SIMPLE, 4)], ids=["walk-2d", "cf-1d"]
 )
 def test_dist_at_needs_d_coordinates(dist):
-    # A point one coordinate short or long is refused, inside reach or not.
+    # A point one coordinate short or long is refused, inside reach or not,
+    # and so is one with a coordinate off the integers.
     for z in [(0,) * (dist.d - 1), (0,) * (dist.d + 1), (10**6,) * (dist.d + 1)]:
         with pytest.raises(ValueError, match=f"^every point needs {dist.d} coordinates$"):
             dist_at(dist, z)
+    for coord in (0.5, True, "1"):
+        with pytest.raises(ValueError, match="is not a lattice point$"):
+            dist_at(dist, (coord, *(0,) * (dist.d - 1)))
+    assert dist_at(dist, (1.0,) * dist.d) == dist_at(dist, (1,) * dist.d)
 
 
 @pytest.mark.parametrize("law", ORTHANT_LAWS.values(), ids=ORTHANT_LAWS.keys())

@@ -182,9 +182,24 @@ class TestSiteCounts:
         assert box.get((9, 9), 0) == 0
         assert dict(box.items()) == counts
 
+    def test_off_lattice_keys_are_missing(self):
+        # as in a dict: neither key is the site (0,), whose count is 3
+        box = SiteCounts.from_mapping({(0,): 3, (1,): 2}, 1)
+        assert box.get((0.0,), 0) == 3
+        for key in [(0.5,), (0, 0), (True,), 0]:
+            assert box.get(key, 0) == 0
+            assert key not in box
+            with pytest.raises(KeyError):
+                box[key]
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             SiteCounts.from_mapping({(0,): -1}, 1)
+        # a site off the lattice is refused, not stored at the site it truncates to
+        with pytest.raises(ValueError, match=r"^z = \(0.5,\) is not a lattice point$"):
+            SiteCounts.from_mapping({(0.5,): 3}, 1)
+        with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
+            SiteCounts.from_mapping({(0, 0): 1, (1,): 3}, 2)
         # Two far sites would span a 2^32-cell box: refused before allocating.
         with pytest.raises(errors.CapacityExceeded):
             SiteCounts.from_mapping({(2**15, 0): 1, (0, 2**15): 1}, 2)
@@ -428,6 +443,16 @@ class TestDeterminism:
         for x, y in zip(a, b):
             assert x.counts == y.counts
             assert x.total == y.total
+
+    def test_schedule_is_read_as_steps(self):
+        # a generation of 2.5 is refused, not read as generation 2
+        off = validate_offspring({2: 1.0})
+        for n_max, schedule in [(4, [2.5]), (4.5, [4]), (4, [-1])]:
+            with pytest.raises(ValueError, match="^number of steps must be"):
+                simulate(off, SIMPLE, n_max, [ReplicateSeed(1, 0)], schedule)
+        ((a,),) = simulate(off, SIMPLE, 4.0, [ReplicateSeed(1, 0)], [4.0])
+        ((b,),) = simulate(off, SIMPLE, 4, [ReplicateSeed(1, 0)], [4])
+        assert a.n == b.n == 4 and a.counts == b.counts
 
     def test_replicates_differ(self):
         off = validate_offspring({1: 0.5, 3: 0.5})

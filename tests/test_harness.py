@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brwllt import cli, exact_dist
+from brwllt import cli, exact_dist, harness
 from brwllt.errors import BrwlltError, ConfigError, NonNormalized
 from brwllt.harness import (
     DEFAULT_THRESHOLDS,
@@ -19,6 +19,7 @@ from brwllt.harness import (
 
 LAW_1D_LAZY = {"d": 1, "zeta0": 0.5, "axes": [[0.5]]}
 LAW_1D_SIMPLE = {"d": 1, "zeta0": 0.0, "axes": [[1.0]]}
+LAW_2D = {"d": 2, "zeta0": 0.2, "axes": [[0.4], [0.4]]}
 
 
 def base_doc(experiment, **extra):
@@ -166,6 +167,8 @@ class TestConfig:
             ("thresholds", base_doc("coeff-fit", n_values=[64, 128, 256], thresholds={"c2_rel_err": 0.05})),
             ("z_set", base_doc("identities", z_set=[[0], [1]])),
             ("z_set", base_doc("martingale-check", offspring={"2": 1.0}, z_set=[[0], [2]])),
+            ("z_set", base_doc("llt-check", step_law=LAW_2D, n_values=[4], z_set=[[0.5, 0]])),
+            ("z_set", base_doc("llt-check", step_law=LAW_2D, n_values=[4], z_set=[[1]])),
         ],
         ids=[
             "n_est_above_max",
@@ -206,6 +209,8 @@ class TestConfig:
             "deleted_c2_threshold",
             "identities_two_points",
             "martingale_check_two_points",
+            "fractional_z",
+            "short_z",
         ],
     )
     def test_config_error_names_field(self, field, doc):
@@ -365,14 +370,27 @@ class TestRunners:
             f"z={z}: F1 band not checked ({replicates} replicates, needs 4)" for z in ((0,), (2,))
         ]
 
+    @pytest.mark.parametrize("replicates", [2, 4])
+    def test_brw_check_reads_out_only_for_the_band(self, monkeypatch, replicates):
+        # The readouts at n_est feed only the F1 band, which needs 4 replicates.
+        calls = []
+        original = harness.readout
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "readout", spy)
+        z_set = [[0], [1], [2]]
+        cfg = load_config(
+            base_doc("brw-check", offspring={"2": 1.0}, replicates=replicates, n_values=[8, 16], z_set=z_set)
+        )
+        run_experiment(cfg)
+        assert len(calls) == (replicates * len(z_set) if replicates >= 4 else 0)
+
     def test_unknown_runner_rejected(self):
-        assert set(EXPERIMENTS) == {
-            "llt-check",
-            "coeff-fit",
-            "identities",
-            "martingale-check",
-            "brw-check",
-        }
+        # one runner per experiment, in the order load_config names them
+        assert EXPERIMENTS == ("llt-check", "coeff-fit", "identities", "martingale-check", "brw-check")
 
 
 class TestCsvAndDeterminism:

@@ -32,6 +32,8 @@ from brwllt.step_law import (
 
 SIMPLE = validate(1, 0.0, [[1.0]])
 LAZY_HALF = validate(1, 0.5, [[0.5]])
+# Coordinates that are not integers: a fraction, a bool and a string.
+OFF_LATTICE = (0.5, True, "1")
 
 
 def identity_moments(d):
@@ -279,8 +281,9 @@ class TestBracketCoefficients:
 
 class TestPointDimension:
     """A point enters the module through ``quad_form`` or
-    ``identity_expectations``; one with a coordinate too few or too many is
-    refused there, never cut to the law's d by a zip."""
+    ``identity_expectations``, which read it by ``lattice_point``; one with
+    a coordinate too few or too many, or off the integers, is refused
+    there, never cut to the law's d by a zip or truncated by ``int``."""
 
     def test_rw_expansion(self):
         # n = 4 is parity-forbidden for (2, 7), and is refused all the same
@@ -289,15 +292,33 @@ class TestPointDimension:
             for n in (4, 9):
                 with pytest.raises(ValueError, match="^every point needs 1 coordinates$"):
                     rw_expansion(c, n, z)
+        for coord in OFF_LATTICE:
+            for n in (4, 9):
+                with pytest.raises(ValueError, match="is not a lattice point$"):
+                    rw_expansion(c, n, (coord,))
 
     def test_bracket_coefficients(self):
         c = constants_for(validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]]))
         for z in [(1,), (1, -2, 3)]:
             with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
                 bracket_coefficients(c, z)
+        for coord in OFF_LATTICE:
+            with pytest.raises(ValueError, match="is not a lattice point$"):
+                bracket_coefficients(c, (1, coord))
 
     def test_gaussian_identity_check(self):
         m = random_moments(2, np.random.default_rng(4))
         for z in [(1,), (1, 2, 5)]:
             with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
                 gaussian_identity_check(m, z)
+        for coord in OFF_LATTICE:
+            with pytest.raises(ValueError, match="is not a lattice point$"):
+                gaussian_identity_check(m, (coord, 2))
+
+    def test_fit_correction_coefficients(self):
+        # at z = (0.5,) the fit would otherwise read the cell of (0,)
+        for z, message in [((0.5,), "is not a lattice point$"), ((0, 0), "^every point needs 1 coordinates$")]:
+            with pytest.raises(ValueError, match=message):
+                fit_correction_coefficients(LAZY_HALF, z, [8, 16, 32])
+        with pytest.raises(ValueError, match="^number of steps must be an integer, got 16.5$"):
+            fit_correction_coefficients(LAZY_HALF, (0,), [8, 16.5, 32])

@@ -36,6 +36,8 @@ from brwllt.step_law import lazy_simple_law, moments, validate
 SIMPLE = validate(1, 0.0, [[1.0]])
 M1 = moments(SIMPLE)
 C1 = constants_for(SIMPLE)
+# Coordinates that are not integers: a fraction, a bool and a string.
+OFF_LATTICE = (0.5, True, "1")
 
 
 def make_readout(d, rng=None, W=1.0, z=None):
@@ -445,19 +447,43 @@ class TestCorollary:
 
 
 class TestPointDimension:
-    """A point enters the module through one check; one with a coordinate
-    too few or too many is refused, never cut to the law's d by a zip."""
+    """Every point and position enters the module through ``lattice_point``;
+    one with a coordinate too few or too many, or off the integers, is
+    refused, never cut to the law's d by a zip or broadcast by numpy."""
 
     def test_readout(self):
         for z in [(), (0, 9)]:
             with pytest.raises(ValueError, match="^every point needs 1 coordinates$"):
                 readout(initial_state(1), 2.0, M1, z)
+        for coord in OFF_LATTICE:
+            with pytest.raises(ValueError, match="is not a lattice point$"):
+                readout(initial_state(1), 2.0, M1, (coord,))
 
     def test_harmonicity_defect(self):
         law = lazy_simple_law(2, 0.25)
         for z in [(1,), (1, 2, 9)]:
             with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
                 harmonicity_defect("N2z", law, (0, 1), 3, z=z)
+        for coord in OFF_LATTICE:
+            with pytest.raises(ValueError, match="is not a lattice point$"):
+                harmonicity_defect("N2z", law, (0, 1), 3, z=(1, coord))
+            with pytest.raises(ValueError, match="is not a lattice point$"):
+                harmonicity_defect("N4", law, (0, coord), 3)
+        # the position x: with x = () numpy would broadcast n over every coordinate
+        for x in [(), (0, 1, 2)]:
+            with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
+                harmonicity_defect("N4", law, x, 3)
+
+    def test_functional_value(self):
+        mom = moments(lazy_simple_law(2, 0.25))
+        for x in [(), (0, 1, 2)]:
+            with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
+                functional_value("N4", mom, x, 3)
+        for coord in OFF_LATTICE:
+            with pytest.raises(ValueError, match="is not a lattice point$"):
+                functional_value("N4", mom, (coord, 0), 3)
+            with pytest.raises(ValueError, match="is not a lattice point$"):
+                functional_value("N2z", mom, (0, 0), 3, z=(coord, 0))
 
     def test_f1_eval(self):
         # a readout of one dimension with the constants of another

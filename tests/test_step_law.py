@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,28 @@ def test_round_trip_dict():
 def test_law_from_dict_refuses_unknown_key():
     with pytest.raises(ValueError, match="unknown key 'zeta'"):
         step_law.law_from_dict({"d": 1, "zeta": 0.5, "axes": [[0.5]]})
+
+
+def test_lattice_point():
+    # An integral float or NumPy number is read as its int, never truncated.
+    point = step_law.lattice_point([2.0, np.int64(-3), np.float32(4)], 3)
+    assert point == (2, -3, 4) and all(type(c) is int for c in point)
+    for z in [(0.5, 0), (True, 0), ("1", 0), (np.float32(0.5), 0), (math.inf, 0), (math.nan, 0), 7, "12"]:
+        with pytest.raises(ValueError, match="is not a lattice point$"):
+            step_law.lattice_point(z, 2)
+    for z in [(), (1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="^every point needs 2 coordinates$"):
+            step_law.lattice_point(z, 2)
+
+
+def test_step_count():
+    for n in (0, 7, 7.0, np.int64(7)):
+        assert step_law.step_count(n) == int(n) and type(step_law.step_count(n)) is int
+    for n in (2.5, True, "2", None, math.inf):
+        with pytest.raises(ValueError, match=f"^number of steps must be an integer, got {n!r}$"):
+            step_law.step_count(n)
+    with pytest.raises(ValueError, match="^number of steps must be >= 0, got -1$"):
+        step_law.step_count(-1)
 
 
 BROKEN = st.sampled_from([0.0, 1e-16, 1e-14, -0.1, 0.7, float("nan"), float("inf")])
