@@ -11,7 +11,6 @@ from brwllt import (
     ReplicateSeed,
     brw_residual,
     constants_for,
-    initial_state,
     lazy_simple_law,
     readout,
     simulate,
@@ -24,7 +23,7 @@ off = validate_offspring({2: 1.0})
 c = constants_for(law)  # carries the law's moments and walk class
 
 seed = ReplicateSeed(base_seed=12345, replicate_index=0)
-(snaps,) = simulate(off, law, 48, [seed], probe_schedule=[8, 16, 32, 48])
+(snaps,) = simulate(off, law, [seed], probe_schedule=[8, 16, 32, 48])
 
 print("martingale readouts (should fluctuate around their limits):")
 for st in snaps:

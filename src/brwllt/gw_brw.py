@@ -46,7 +46,7 @@ import numpy as np
 from . import exact_dist
 from .errors import CapacityExceeded, CountOverflow, HasExtinction, NonNormalized, SubcriticalOrCritical
 from .exact_dist import charge
-from .step_law import NORMALIZATION_TOL, StepLaw, json_number, lattice_point, step_count
+from .step_law import NORMALIZATION_TOL, StepLaw, json_int, json_number, lattice_point, step_count
 
 # An offspring table longer than this is refused: every occupied cell
 # draws one count per offspring value.
@@ -71,33 +71,35 @@ class SiteCounts(Mapping):
     """Exact particle counts on the box prod_s [-radius[s], radius[s]].
 
     ``digits[k]`` holds base-2^32 digit k of every cell's count, so the
-    count of a cell is sum_k digits[k] * 2**(32 k), 0 <= digits[k] < 2**32;
-    the lattice origin sits at index ``radius`` on each axis.  As a mapping
-    it reads site tuple -> exact int over the occupied sites, in
-    lexicographic order; empty sites, and keys ``lattice_point`` refuses,
-    are absent.  A box is never changed after construction, so what is
-    derived from it is kept.
+    count of a cell is sum_k digits[k] * 2**(32 k), 0 <= digits[k] < 2**32.
+    The radius is read from the cell axes, of extent 2 radius[s] + 1 (an
+    even extent is a ``ValueError``), and the lattice origin sits at their
+    middle cell.  As a mapping it reads site tuple -> exact int over the
+    occupied sites, in lexicographic order; empty sites, and keys
+    ``lattice_point`` refuses, are absent.  A box is never changed after
+    construction, so what is derived from it is kept.
     """
 
-    __slots__ = ("radius", "digits", "_sums")
+    __slots__ = ("radius", "digits", "_sums", "_total")
 
-    def __init__(self, radius, digits: np.ndarray):
-        self.radius = tuple(int(r) for r in radius)
+    def __init__(self, digits: np.ndarray):
+        if any(e % 2 == 0 for e in digits.shape[1:]):
+            raise ValueError(f"a box needs an odd extent on every cell axis, got {digits.shape[1:]}")
+        self.radius = tuple(e // 2 for e in digits.shape[1:])
         self.digits = digits
         self._sums = {}
+        self._total = None
 
     @classmethod
     def from_mapping(cls, counts, d: int) -> SiteCounts:
         """The smallest box that holds every occupied site of a site ->
-        count mapping.
+        count mapping, such as a dict.
 
         Raises:
             ValueError: a site ``lattice_point`` refuses, or a negative count.
             CapacityExceeded: the box's digits exceed the element
                 budget; raised before allocating.
         """
-        if isinstance(counts, SiteCounts):
-            return counts
         occupied = {lattice_point(site, d): int(c) for site, c in counts.items() if c}
         if any(c < 0 for c in occupied.values()):
             raise ValueError("particle counts must be nonnegative")
@@ -109,11 +111,13 @@ class SiteCounts(Mapping):
             cell = tuple(x + r for x, r in zip(site, radius))
             for k in range(len(digits)):
                 digits[(k, *cell)] = (c >> (_DIGIT * k)) & _DIGIT_MASK
-        return cls(radius, digits)
+        return cls(digits)
 
     def total(self) -> int:
-        """Exact sum of all counts."""
-        return sum(int(dg.sum()) << (_DIGIT * k) for k, dg in enumerate(self.digits))
+        """Exact sum of all counts; computed once."""
+        if self._total is None:
+            self._total = sum(int(dg.sum()) << (_DIGIT * k) for k, dg in enumerate(self.digits))
+        return self._total
 
     def bit_length(self) -> int:
         """Bit length of the largest count."""
@@ -199,17 +203,28 @@ class SiteCounts(Mapping):
 
 @dataclass(frozen=True)
 class GenerationState:
-    """Exact site occupancy of one generation.
-
-    ``counts`` maps lattice tuples to exact int counts: any mapping, such
-    as a dict, or the ``SiteCounts`` box of a state that ``simulate``
-    returns.
+    """Exact site occupancy of generation ``n``: its ``SiteCounts`` box,
+    which gives the dimension ``d`` and the exact ``total``.  Any other
+    ``counts``, such as a dict, is a ``TypeError``; ``from_mapping`` boxes it.
     """
 
     n: int
-    d: int
-    counts: Mapping
-    total: int
+    counts: SiteCounts
+
+    def __post_init__(self):
+        if not isinstance(self.counts, SiteCounts):
+            raise TypeError(
+                f"counts must be a SiteCounts box, got {type(self.counts).__name__}; "
+                "build one with SiteCounts.from_mapping(counts, d)"
+            )
+
+    @property
+    def d(self) -> int:
+        return len(self.counts.radius)
+
+    @property
+    def total(self) -> int:
+        return self.counts.total()
 
 
 @dataclass(frozen=True)
@@ -222,32 +237,33 @@ def validate_offspring(raw) -> OffspringLaw:
     """Validate an offspring table and return the normalized law.
 
     ``raw`` is either a mapping {k: P(N = k)} or a sequence of
-    probabilities for k = 1..K.
+    probabilities for k = 1..K.  Each k is read by ``json_int``, a JSON key
+    string through ``int`` first: 2, 2.0 and "2" read as 2.
 
     Raises:
-        TypeError: a probability is a bool or a str.
-        ValueError: an empty table or a negative offspring number.
+        TypeError: a probability, or an offspring number, is a bool or a str.
+        ValueError: an empty table, or an offspring number that is negative
+            or not an integer (2.5, "2.5").
         CapacityExceeded: an offspring number above ``MAX_OFFSPRING``.
         HasExtinction: positive mass on zero offspring.
         NonNormalized: negative entries, or sum != 1 within 1e-12.
         SubcriticalOrCritical: mean offspring number is <= 1.
     """
     if isinstance(raw, dict):
-        ks = [int(k) for k in raw]
-        if not ks:
+        table = {json_int(int(k) if isinstance(k, str) else k): p for k, p in raw.items()}
+        if not table:
             raise ValueError("empty offspring table")
-        if any(k < 0 for k in ks):
+        if min(table) < 0:
             raise ValueError("offspring counts must be nonnegative")
-        if max(ks) > MAX_OFFSPRING:
-            raise CapacityExceeded(f"offspring number {max(ks)} above {MAX_OFFSPRING}")
-        p0 = float(json_number(raw.get(0, raw.get("0", 0.0))))
+        if max(table) > MAX_OFFSPRING:
+            raise CapacityExceeded(f"offspring number {max(table)} above {MAX_OFFSPRING}")
+        p0 = float(json_number(table.get(0, 0.0)))
         if p0 > 0.0:
             raise HasExtinction(f"P(N=0) = {p0} > 0")
-        dense = [0.0] * max(ks)
-        for k, p in raw.items():
-            if int(k) >= 1:
-                dense[int(k) - 1] = float(json_number(p))
-        probs = dense
+        probs = [0.0] * max(table)
+        for k, p in table.items():
+            if k >= 1:
+                probs[k - 1] = float(json_number(p))
     else:
         probs = [float(json_number(p)) for p in raw]
         if len(probs) > MAX_OFFSPRING:
@@ -475,14 +491,15 @@ def evolve_generation(
     seed: ReplicateSeed,
     count_width: int = 64,
 ) -> GenerationState:
-    """One branching-and-displacement step: ``simulate`` of one replicate
-    for one generation from ``state``.
+    """One branching-and-displacement step: ``simulate(off, law, [seed],
+    [state.n + 1], count_width, start=state)``.
 
     Offspring and displacement splits of every occupied block are drawn
     from the generation's stream in lexicographic site order.  The new
     total equals the integer sum of all sampled offspring exactly.
 
     Raises:
+        ValueError: ``state`` and ``law`` differ in dimension.
         CountOverflow: a count of the state or of the new generation does
             not fit a signed ``count_width``-bit integer.
         CapacityExceeded: a count needs 2^32 blocks or more, or the blocks
@@ -494,28 +511,26 @@ def evolve_generation(
             budget too: in d = 5 an occupied reach of 22 per axis is the
             most a nearest-neighbour walk can step from.
     """
-    ((new,),) = simulate(off, law, state.n + 1, [seed], [state.n + 1], count_width, start=state)
+    ((new,),) = simulate(off, law, [seed], [state.n + 1], count_width, start=state)
     return new
 
 
 def initial_state(d: int) -> GenerationState:
     """A single ancestor at the origin."""
-    counts = SiteCounts((0,) * d, np.ones((1,) * (d + 1), dtype=np.int64))
-    return GenerationState(n=0, d=d, counts=counts, total=1)
+    return GenerationState(n=0, counts=SiteCounts(np.ones((1,) * (d + 1), dtype=np.int64)))
 
 
 def simulate(
     off: OffspringLaw,
     law: StepLaw,
-    n_max: int,
     seeds: Sequence[ReplicateSeed],
     probe_schedule,
     count_width: int = 64,
     start: GenerationState | None = None,
 ) -> list[list[GenerationState]]:
     """Run one replicate per seed from ``start`` (by default a single
-    ancestor at the origin) to generation ``n_max``, and return per seed
-    its snapshots of the scheduled generations.
+    ancestor at the origin) to the last scheduled generation, and return
+    per seed its snapshots of the scheduled generations.
 
     The replicates are stepped together, in batches sized up front so that
     every step of a batch fits the element budget (``_batch_size``); a
@@ -525,20 +540,26 @@ def simulate(
     budget as they are kept.
 
     Raises:
-        ValueError: ``step_count`` refuses ``n_max`` or a scheduled
-            generation, or ``n_max`` does not exceed the start generation.
+        ValueError: ``step_count`` refuses a scheduled generation, one lies
+            before the start generation, the last does not exceed it (an
+            empty schedule included), or ``start`` and ``law`` differ in
+            dimension.
         CountOverflow, CapacityExceeded: as ``evolve_generation``.
         CapacityExceeded: the boxes behind the kept snapshots exceed the
             element budget.
     """
     if start is None:
         start = initial_state(law.d)
-    n_max = step_count(n_max)
-    if n_max <= start.n:
-        raise ValueError(f"n_max must exceed the start generation {start.n}")
-    keys = [_seed_key(seed) for seed in seeds]
+    if start.d != law.d:
+        raise ValueError(f"the start generation is {start.d}-dimensional but the step law is {law.d}-dimensional")
     probes = set(map(step_count, probe_schedule))
-    box = SiteCounts.from_mapping(start.counts, law.d)
+    if max(probes, default=start.n) <= start.n:
+        raise ValueError(f"the last scheduled generation must exceed the start generation {start.n}")
+    if min(probes) < start.n:
+        raise ValueError(f"scheduled generation {min(probes)} lies before the start generation {start.n}")
+    n_max = max(probes)
+    keys = [_seed_key(seed) for seed in seeds]
+    box = start.counts
     _check_width(box.digits, count_width, start.n)
     batch = _batch_size(box, n_max - start.n, off, law, count_width)
     rekey = _rekeyer(np.random.Generator(np.random.Philox(0)))
@@ -558,7 +579,7 @@ def simulate(
             charge("the kept snapshots' boxes", kept)
             nonzero = digits.reshape(len(digits), len(chunk), -1).any(axis=2)
             for r, run in enumerate(snaps):
-                counts = SiteCounts(radius, digits[: max(np.flatnonzero(nonzero[:, r]), default=0) + 1, r])
-                run.append(GenerationState(n=n + 1, d=law.d, counts=counts, total=counts.total()))
+                counts = SiteCounts(digits[: max(np.flatnonzero(nonzero[:, r]), default=0) + 1, r])
+                run.append(GenerationState(n=n + 1, counts=counts))
         runs.extend(snaps)
     return runs

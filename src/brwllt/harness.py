@@ -337,16 +337,12 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
 
     # (b) one-step annealed martingale check by Monte Carlo.
     if cfg.offspring is not None:
-        ((base,),) = simulate(
-            cfg.offspring, cfg.law, 4, [ReplicateSeed(cfg.base_seed, 0)], (4,), cfg.count_width
-        )
+        ((base,),) = simulate(cfg.offspring, cfg.law, [ReplicateSeed(cfg.base_seed, 0)], (4,), cfg.count_width)
         parent = readout(base, cfg.offspring.mean, m, z)
         samples = {fid: [] for fid in ("W", "N2z", "N4")}
         reps = max(cfg.replicates, 200)
         seeds = [ReplicateSeed(cfg.base_seed, r) for r in range(1, reps + 1)]
-        for (child_state,) in simulate(
-            cfg.offspring, cfg.law, base.n + 1, seeds, (base.n + 1,), cfg.count_width, start=base
-        ):
+        for (child_state,) in simulate(cfg.offspring, cfg.law, seeds, (base.n + 1,), cfg.count_width, start=base):
             child = readout(child_state, cfg.offspring.mean, m, z)
             for fid, vals in samples.items():
                 vals.append(getattr(child, fid))
@@ -362,7 +358,7 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
         # (c) readout trajectory for visual convergence.
         n_max = max(cfg.n_values) if cfg.n_values else 30
         seed = ReplicateSeed(cfg.base_seed, 10**6)
-        (states,) = simulate(cfg.offspring, cfg.law, n_max, [seed], range(1, n_max + 1), cfg.count_width)
+        (states,) = simulate(cfg.offspring, cfg.law, [seed], range(1, n_max + 1), cfg.count_width)
         for state in states:
             ro = readout(state, cfg.offspring.mean, m, z)
             rows.append(("trajectory", "all", *(("",) * cfg.law.d), ro.n, ro.W, ro.N4))
@@ -375,8 +371,7 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
     the F1 band, and its readouts at ``n_est``, only with 4 or more replicates."""
     c = constants_for(cfg.law)
     probes = sorted(set(cfg.n_values))
-    n_max = max(probes)
-    n_est = cfg.n_est if cfg.n_est is not None else n_max
+    n_est = cfg.n_est if cfg.n_est is not None else probes[-1]
     band = cfg.replicates >= 4
     schedule = probes + [n_est] if band else probes
     rows = []
@@ -384,7 +379,7 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
     f1_bands: dict = {z: [] for z in cfg.z_set}
     mean = cfg.offspring.mean
     seeds = [ReplicateSeed(cfg.base_seed, rep) for rep in range(cfg.replicates)]
-    for rep, snaps in enumerate(simulate(cfg.offspring, cfg.law, n_max, seeds, schedule, cfg.count_width)):
+    for rep, snaps in enumerate(simulate(cfg.offspring, cfg.law, seeds, schedule, cfg.count_width)):
         by_n = {st.n: st for st in snaps}
         for z in cfg.z_set:
             if band:

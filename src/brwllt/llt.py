@@ -95,14 +95,27 @@ def bracket_coefficients(c: ExpansionConstants, z) -> tuple[float, float, float]
     return c.tau_d - 0.5 * q, q * q / 8.0 - lam_q + c.chi_d, q * q / 8.0 + lam_q + c.chi_d
 
 
+def _expansion_steps(n) -> int:
+    """n read by ``step_count``, and required to be >= 1: the expansion is
+    in powers of 1/n.  Anything else is a ``ValueError`` naming n."""
+    n = step_count(n)
+    if n < 1:
+        raise ValueError(f"the expansion needs n >= 1, got {n}")
+    return n
+
+
 def expansion_bracket(c: ExpansionConstants, n: int, z) -> float:
-    """1 + c1/n + c2/n^2 with the printed Lambda sign."""
+    """1 + c1/n + c2/n^2 with the printed Lambda sign; n is read by
+    ``step_count`` and must be >= 1."""
+    n = _expansion_steps(n)
     first, second, _ = bracket_coefficients(c, z)
     return 1.0 + first / n + second / n**2
 
 
 def leading_factor(c: ExpansionConstants, n: int) -> float:
-    """factor * (2 pi n)^{-d/2} * (det Gamma_2)^{-1/2}, the Gaussian term at z = 0."""
+    """factor * (2 pi n)^{-d/2} * (det Gamma_2)^{-1/2}, the Gaussian term at
+    z = 0; n is read by ``step_count`` and must be >= 1."""
+    n = _expansion_steps(n)
     return c.factor * (2.0 * math.pi * n) ** (-c.d / 2.0) * c.norm
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gw_brw import GenerationState, SiteCounts
+from .gw_brw import GenerationState
 from .llt import ExpansionConstants, bracket_coefficients, leading_factor, parity_forbidden, quad_form
 from .step_law import Moments, StepLaw, lattice_point, moments
 
@@ -138,11 +138,13 @@ def readout(
     for all readouts of it, at any z.  These meet the exact coefficients of
     the functional table in rational arithmetic; the only roundings are the
     final conversion to float and the m^{-n} scaling, so counts above 2^53
-    lose nothing before that.  z is read by ``lattice_point``, and so is
-    every site of a generation whose counts are a plain mapping.
+    lose nothing before that.  z is read by ``lattice_point``; a generation
+    whose dimension is not that of ``mom`` is a ``ValueError``.
     """
+    if state.d != mom.d:
+        raise ValueError(f"a {state.d}-dimensional generation read with {mom.d}-dimensional moments")
     n, z = state.n, lattice_point(z, mom.d)
-    sums = SiteCounts.from_mapping(state.counts, mom.d).power_sums(4)
+    sums = state.counts.power_sums(4)
     values = {}
     for fid, poly in _polynomials(mom, z).items():
         weights = [n ** mono[-1] * sums[mono[:-1]] for mono in poly.monomials]
@@ -195,9 +197,11 @@ def f2_eval(ro: MartingaleReadout, c: ExpansionConstants) -> float:
 
 
 def theorem_prediction(ro: MartingaleReadout, c: ExpansionConstants, n: int) -> float:
-    """Predicted m^{-n} Z_n(ro.z); 0 on a bipartite parity mismatch."""
+    """Predicted m^{-n} Z_n(ro.z); 0 on a bipartite parity mismatch.  n is
+    read as by ``leading_factor``, before any division by it."""
+    lead = leading_factor(c, n)
     bracket = ro.W + f1_eval(ro, c) / n + f2_eval(ro, c) / n**2
-    return 0.0 if parity_forbidden(c.walk_class, n, ro.z) else leading_factor(c, n) * bracket
+    return 0.0 if parity_forbidden(c.walk_class, n, ro.z) else lead * bracket
 
 
 def brw_residual(snapshot: GenerationState, ro: MartingaleReadout, c: ExpansionConstants, m: float) -> float:

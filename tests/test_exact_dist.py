@@ -371,6 +371,7 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
     law = lazy_simple_law(2, 1.0 / 3.0)
     dist = walk_dist(law, 200)
     wide = SiteCounts.from_mapping({(x, y): 1 for x, y in ((-127, 0), (127, 0), (0, -127), (0, 127))}, 2)
+    deep = SiteCounts.from_mapping({(0,): 2**77}, 1)
     binary = validate_offspring({2: 1.0})
     # (what the refusal names, as a regex; call of a budgeted entry point)
     calls = [
@@ -383,19 +384,17 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
         (r"a box of radius \(200, 200\)", lambda: SiteCounts.from_mapping({(200, 0): 1, (0, 200): 1}, 2)),
         (
             "the next generation's box",
-            lambda: evolve_generation(GenerationState(0, 2, wide, 4), binary, law, ReplicateSeed(0, 0)),
+            lambda: evolve_generation(GenerationState(0, wide), binary, law, ReplicateSeed(0, 0)),
         ),
         (
             "the next generation's box and count blocks",
-            lambda: evolve_generation(
-                GenerationState(0, 1, {(0,): 2**77}, 2**77), binary, SIMPLE, ReplicateSeed(0, 0), 128
-            ),
+            lambda: evolve_generation(GenerationState(0, deep), binary, SIMPLE, ReplicateSeed(0, 0), 128),
         ),
     ]
     # The first ``evolve_generation`` of a process leaves ~0.7 MB allocated
     # for good; one in-budget call before tracing keeps that out of the
     # peak, whichever tests ran before.
-    evolve_generation(GenerationState(0, 1, {(0,): 2}, 2), binary, SIMPLE, ReplicateSeed(0, 0))
+    evolve_generation(GenerationState(0, SiteCounts.from_mapping({(0,): 2}, 1)), binary, SIMPLE, ReplicateSeed(0, 0))
     monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2**16)
     tracemalloc.start()
     try:

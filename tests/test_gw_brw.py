@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -27,7 +28,7 @@ SIMPLE = validate(1, 0.0, [[1.0]])
 
 
 def state_of(counts, d=1, n=0):
-    return GenerationState(n=n, d=d, counts=counts, total=sum(counts.values()))
+    return GenerationState(n, SiteCounts.from_mapping(counts, d))
 
 
 def spaced(cells, count):
@@ -37,7 +38,7 @@ def spaced(cells, count):
     r = 3 * cells // 2 + 1
     digits = np.zeros((1, 2 * r + 1), dtype=np.int64)
     digits[0, 1 : 3 * cells : 3] = count
-    return GenerationState(n=0, d=1, counts=SiteCounts((r,), digits), total=cells * count)
+    return GenerationState(0, SiteCounts(digits))
 
 
 def children(new, cells):
@@ -80,6 +81,14 @@ class TestOffspring:
             validate_offspring({})
         with pytest.raises(errors.CapacityExceeded):
             validate_offspring({2**40: 1.0})
+
+    def test_offspring_numbers_are_integers(self):
+        # an offspring number of 2.5 is refused, not read as 2
+        for key in [2.5, "2.5", True]:
+            with pytest.raises((TypeError, ValueError)):
+                validate_offspring({key: 1.0})
+        for key in [2, 2.0, "2"]:
+            assert validate_offspring({key: 1.0}) == validate_offspring([0.0, 1.0])
 
 
 class TestBinomialExact:
@@ -205,6 +214,31 @@ class TestSiteCounts:
             SiteCounts.from_mapping({(2**15, 0): 1, (0, 2**15): 1}, 2)
 
 
+    def test_radius_read_from_odd_extents(self):
+        assert SiteCounts(np.zeros((2, 5, 1), dtype=np.int64)).radius == (2, 0)
+        for shape in [(1, 4), (1, 3, 2)]:
+            with pytest.raises(ValueError, match="^a box needs an odd extent on every cell axis"):
+                SiteCounts(np.zeros(shape, dtype=np.int64))
+
+
+class TestGenerationState:
+    def test_d_and_total_read_from_the_box(self):
+        box = SiteCounts.from_mapping({(2, -1): 3, (0, 0): 2**70 + 1}, 2)
+        state = GenerationState(4, box)
+        assert [f.name for f in dataclasses.fields(state)] == ["n", "counts"]
+        assert (state.d, state.total) == (2, 2**70 + 4)
+        # The total is summed once and kept: a box is never changed.
+        box.digits = np.zeros_like(box.digits)
+        assert state.total == box.total() == 2**70 + 4
+
+    def test_counts_must_be_a_box(self):
+        with pytest.raises(TypeError, match=r"SiteCounts\.from_mapping\(counts, d\)$"):
+            GenerationState(0, {(0,): 1})
+        box = SiteCounts.from_mapping({(0, 0): 8}, 2)
+        with pytest.raises(TypeError):
+            GenerationState(n=3, d=1, counts=box, total=7)
+
+
 class TestEvolve:
     def test_binary_one_step(self):
         state = evolve_generation(
@@ -216,14 +250,14 @@ class TestEvolve:
 
     def test_binary_total_deterministic(self):
         off = validate_offspring({2: 1.0})
-        (snaps,) = simulate(off, SIMPLE, 10, [ReplicateSeed(11, 0)], [10])
+        (snaps,) = simulate(off, SIMPLE, [ReplicateSeed(11, 0)], [10])
         assert snaps[0].total == 1024
 
     def test_deep_binary_total_exact(self):
         # The largest site counts pass 2^61, the block size for binary
         # offspring, in the last generations: the block split runs.
         off = validate_offspring({2: 1.0})
-        (snaps,) = simulate(off, SIMPLE, 72, [ReplicateSeed(11, 0)], [72], count_width=128)
+        (snaps,) = simulate(off, SIMPLE, [ReplicateSeed(11, 0)], [72], count_width=128)
         assert snaps[0].total == 2**72
         assert sum(snaps[0].counts.values()) == 2**72
         assert max(snaps[0].counts.values()).bit_length() > 63
@@ -278,7 +312,7 @@ class TestEvolve:
         real = gw_brw._blocks
         monkeypatch.setattr(gw_brw, "_blocks", lambda *a: calls.append(a) or real(*a))
         far = SiteCounts.from_mapping({(x, y): 1 for x, y in ((-127, 0), (127, 0), (0, -127), (0, 127))}, 2)
-        state = GenerationState(0, 2, far, 4)
+        state = GenerationState(0, far)
         off = validate_offspring({2: 1.0})
         law = lazy_simple_law(2, 1.0 / 3.0)
         monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2 - 1)
@@ -311,7 +345,7 @@ class TestEvolve:
         step = walk_dist(law, 1)
         reps = 3000
         acc = Counter()
-        for (new,) in simulate(off, law, 1, [ReplicateSeed(16, r) for r in range(reps)], [1], start=base):
+        for (new,) in simulate(off, law, [ReplicateSeed(16, r) for r in range(reps)], [1], start=base):
             for site, c in new.counts.items():
                 acc[site] += c
         for z in [(-1,), (0,), (1,), (2,)]:
@@ -332,9 +366,9 @@ class TestBatchedStep:
         # or 96, for the width check and for the block cut alike.
         off = validate_offspring({2: 1.0})
         for planes, width in ((3, 64), (4, 128)):
-            box = SiteCounts((0,), np.array([[5]] + [[0]] * (planes - 1), dtype=np.int64))
+            box = SiteCounts(np.array([[5]] + [[0]] * (planes - 1), dtype=np.int64))
             assert box.bit_length() == 3
-            new = evolve_generation(GenerationState(0, 1, box, 5), off, SIMPLE, ReplicateSeed(0, 0), width)
+            new = evolve_generation(GenerationState(0, box), off, SIMPLE, ReplicateSeed(0, 0), width)
             assert new.total == 10
             assert len(new.counts.digits) == 1
 
@@ -352,7 +386,7 @@ class TestBatchedStep:
         off = validate_offspring(offspring)
         seeds = [ReplicateSeed(41, r) for r in range(8)]
         probes = [n // 3, n]
-        runs = simulate(off, law, n, seeds, probes, width)
+        runs = simulate(off, law, seeds, probes, width)
         radii = set()
         for seed, run in zip(seeds, runs):
             state = initial_state(law.d)
@@ -414,7 +448,7 @@ class TestBatchedStep:
 
         def kept(seeds, probes):
             charged.clear()
-            runs = simulate(off, SIMPLE, 24, seeds, probes)
+            runs = simulate(off, SIMPLE, seeds, probes)
             boxes = {id(st.counts.digits.base): st.counts.digits.base.size for run in runs for st in run}
             snaps = [n for what, n in charged if what == "the kept snapshots' boxes"]
             return snaps, sum(boxes.values())
@@ -438,8 +472,8 @@ class TestBatchedStep:
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         off = validate_offspring({1: 0.5, 3: 0.5})
-        (a,) = simulate(off, SIMPLE, 15, [ReplicateSeed(21, 4)], [5, 10, 15])
-        (b,) = simulate(off, SIMPLE, 15, [ReplicateSeed(21, 4)], [5, 10, 15])
+        (a,) = simulate(off, SIMPLE, [ReplicateSeed(21, 4)], [5, 10, 15])
+        (b,) = simulate(off, SIMPLE, [ReplicateSeed(21, 4)], [5, 10, 15])
         for x, y in zip(a, b):
             assert x.counts == y.counts
             assert x.total == y.total
@@ -447,17 +481,52 @@ class TestDeterminism:
     def test_schedule_is_read_as_steps(self):
         # a generation of 2.5 is refused, not read as generation 2
         off = validate_offspring({2: 1.0})
-        for n_max, schedule in [(4, [2.5]), (4.5, [4]), (4, [-1])]:
+        for schedule in [[2.5], [4, 2.5], [-1], [-1, 4]]:
             with pytest.raises(ValueError, match="^number of steps must be"):
-                simulate(off, SIMPLE, n_max, [ReplicateSeed(1, 0)], schedule)
-        ((a,),) = simulate(off, SIMPLE, 4.0, [ReplicateSeed(1, 0)], [4.0])
-        ((b,),) = simulate(off, SIMPLE, 4, [ReplicateSeed(1, 0)], [4])
+                simulate(off, SIMPLE, [ReplicateSeed(1, 0)], schedule)
+        ((a,),) = simulate(off, SIMPLE, [ReplicateSeed(1, 0)], [4.0])
+        ((b,),) = simulate(off, SIMPLE, [ReplicateSeed(1, 0)], [4])
         assert a.n == b.n == 4 and a.counts == b.counts
+
+    def test_steps_to_last_scheduled_generation(self):
+        # every scheduled generation is returned, the last one included
+        off = validate_offspring({2: 1.0})
+        (snaps,) = simulate(off, SIMPLE, [ReplicateSeed(1, 0)], [20, 5])
+        assert [st.n for st in snaps] == [5, 20]
+        assert [st.total for st in snaps] == [2**5, 2**20]
+
+    def test_schedule_must_follow_the_start(self):
+        off = validate_offspring({2: 1.0})
+        seeds = [ReplicateSeed(1, 0)]
+        ((start,),) = simulate(off, SIMPLE, seeds, [2])
+        with pytest.raises(ValueError, match="^scheduled generation 1 lies before the start generation 2$"):
+            simulate(off, SIMPLE, seeds, [1, 3, 4], start=start)
+        # an empty schedule too: it names no generation to step to
+        last = "^the last scheduled generation must exceed the start generation"
+        for schedule in [[], [2], [1, 2]]:
+            with pytest.raises(ValueError, match=last + " 2$"):
+                simulate(off, SIMPLE, seeds, schedule, start=start)
+        for schedule in [[], [0]]:
+            with pytest.raises(ValueError, match=last + " 0$"):
+                simulate(off, SIMPLE, seeds, schedule)
+        # the start itself may be scheduled, and is returned as given
+        ((first, last),) = simulate(off, SIMPLE, seeds, [2, 3], start=start)
+        assert first is start and last.n == 3
+
+    def test_start_of_other_dimension_refused(self):
+        # a 2-d start stepped by a 1-d law is refused, not stepped as a 1-d generation
+        off = validate_offspring({2: 1.0})
+        ((start,),) = simulate(off, lazy_simple_law(2, 0.25), [ReplicateSeed(1, 0)], [3])
+        assert (start.d, start.total) == (2, 8)
+        with pytest.raises(ValueError, match="^the start generation is 2-dimensional but the step law is 1-dim"):
+            simulate(off, SIMPLE, [ReplicateSeed(1, 0)], [5], start=start)
+        with pytest.raises(ValueError, match="^the start generation is 1-dimensional but the step law is 2-dim"):
+            evolve_generation(initial_state(1), off, lazy_simple_law(2, 0.25), ReplicateSeed(1, 0))
 
     def test_replicates_differ(self):
         off = validate_offspring({1: 0.5, 3: 0.5})
-        (a,) = simulate(off, SIMPLE, 15, [ReplicateSeed(21, 0)], [15])
-        (b,) = simulate(off, SIMPLE, 15, [ReplicateSeed(21, 1)], [15])
+        (a,) = simulate(off, SIMPLE, [ReplicateSeed(21, 0)], [15])
+        (b,) = simulate(off, SIMPLE, [ReplicateSeed(21, 1)], [15])
         assert a[0].counts != b[0].counts
 
     def test_stream_is_pure_function_of_coordinates(self):
@@ -474,10 +543,10 @@ class TestDeterminism:
         # The step reads sites in lexicographic order, whatever order the
         # mapping lists them in.
         off = validate_offspring({1: 0.5, 3: 0.5})
-        ((state,),) = simulate(off, lazy_simple_law(2, 0.25), 6, [ReplicateSeed(30, 0)], [6])
+        ((state,),) = simulate(off, lazy_simple_law(2, 0.25), [ReplicateSeed(30, 0)], [6])
         items = state.counts.items()
-        forward = GenerationState(n=6, d=2, counts=dict(items), total=state.total)
-        backward = GenerationState(n=6, d=2, counts=dict(reversed(items)), total=state.total)
+        forward = GenerationState(6, SiteCounts.from_mapping(dict(items), 2))
+        backward = GenerationState(6, SiteCounts.from_mapping(dict(reversed(items)), 2))
         seed = ReplicateSeed(30, 0)
         law = lazy_simple_law(2, 0.25)
         serial = evolve_generation(state, off, law, seed)
@@ -489,12 +558,11 @@ class TestDeterminism:
         # numbers: the stream is keyed by coordinates, not by box layout.
         off = validate_offspring({1: 0.5, 3: 0.5})
         law = lazy_simple_law(2, 0.25)
-        ((state,),) = simulate(off, law, 5, [ReplicateSeed(31, 2)], [5])
+        ((state,),) = simulate(off, law, [ReplicateSeed(31, 2)], [5])
         box = state.counts
         pad = [(0, 0)] + [(9 - r, 9 - r) for r in box.radius]
-        padded = GenerationState(
-            n=5, d=2, counts=SiteCounts((9, 9), np.pad(box.digits, pad)), total=state.total
-        )
+        padded = GenerationState(5, SiteCounts(np.pad(box.digits, pad)))
+        assert padded.counts.radius == (9, 9)
         assert padded.counts.digits.shape[1:] == (19, 19)
         seed = ReplicateSeed(31, 2)
         a = evolve_generation(state, off, law, seed)

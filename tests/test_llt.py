@@ -119,6 +119,24 @@ class TestRwExpansion:
                     assert abs(lhs - rhs) <= 1e-12
 
 
+    def test_n_is_a_step_count_of_at_least_one(self):
+        # n = 0 divided by zero, n = -3 gave a complex number and n = 2.5 a value
+        c = constants_for(LAZY_HALF)
+        for f in (
+            lambda n: rw_expansion(c, n, (0,)),
+            lambda n: leading_factor(c, n),
+            lambda n: expansion_bracket(c, n, (0,)),
+        ):
+            for n, message in [
+                (0, "the expansion needs n >= 1, got 0"),
+                (-3, "number of steps must be >= 0, got -3"),
+                (2.5, "number of steps must be an integer, got 2.5"),
+            ]:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    f(n)
+            assert f(2.0) == f(2)
+
+
 class TestGammaResidual:
     def test_decreasing_lazy(self):
         law = LAZY_HALF

@@ -180,7 +180,7 @@ class TestFunctionalValues:
         assert r.N4 == 0.0
 
     def test_readout_two_particles(self):
-        state = GenerationState(n=1, d=1, counts={(-1,): 1, (1,): 1}, total=2)
+        state = GenerationState(1, SiteCounts.from_mapping({(-1,): 1, (1,): 1}, 1))
         r = readout(state, 2.0, M1, (1,))
         assert r.W == 1.0
         assert r.N1 == (0.0,)
@@ -193,7 +193,7 @@ class TestFunctionalValues:
         law = validate(2, 0.1, [[0.3, 0.2], [0.4]])
         mom = moments(law)
         counts = {(-3, 1): 2**60 + 7, (2, 2): 2**55 + 1, (0, -4): 3, (5, 0): 2**80 + 11}
-        state = GenerationState(n=7, d=2, counts=counts, total=sum(counts.values()))
+        state = GenerationState(7, SiteCounts.from_mapping(counts, 2))
         z = (1, -2)
         values = {x: site_values(mom, x, state.n, z) for x in counts}
         scale = 2.0 ** (-state.n)
@@ -218,7 +218,7 @@ class TestFunctionalValues:
         # A 3-digit 301 x 301 box is cut into six 16-bit pieces of 0.69 MiB;
         # the sums hold one piece at a time, not all six.
         rng = np.random.default_rng(5)
-        box = SiteCounts((150, 150), rng.integers(0, 2**32, size=(3, 301, 301), dtype=np.int64))
+        box = SiteCounts(rng.integers(0, 2**32, size=(3, 301, 301), dtype=np.int64))
         tracemalloc.start()
         try:
             box.power_sums(4)
@@ -232,10 +232,10 @@ class TestFunctionalValues:
         # read the same values as readouts of a fresh box, bit for bit.
         law = lazy_simple_law(2, 0.25)
         mom = moments(law)
-        ((snap,),) = simulate(validate_offspring({1: 0.5, 3: 0.5}), law, 10, [ReplicateSeed(9, 0)], [10])
+        ((snap,),) = simulate(validate_offspring({1: 0.5, 3: 0.5}), law, [ReplicateSeed(9, 0)], [10])
         zs = [(0, 0), (1, -1), (2, 0), (-3, 1)]
         fresh = [
-            readout(dataclasses.replace(snap, counts=SiteCounts(snap.counts.radius, snap.counts.digits)), 2.0, mom, z)
+            readout(dataclasses.replace(snap, counts=SiteCounts(snap.counts.digits)), 2.0, mom, z)
             for z in zs
         ]
         calls = []
@@ -251,7 +251,7 @@ class TestFunctionalValues:
         law = lazy_simple_law(2, 0.25)
         mom = moments(law)
         off = validate_offspring({1: 0.5, 3: 0.5})
-        ((state,),) = simulate(off, law, 12, [ReplicateSeed(8, 1)], [12])
+        ((state,),) = simulate(off, law, [ReplicateSeed(8, 1)], [12])
         z = (2, -1)
         r = readout(state, 2.0, mom, z)
         scale = 2.0**-12
@@ -269,7 +269,7 @@ class TestFunctionalValues:
     def test_readout_carries_its_z(self):
         law = lazy_simple_law(1, 0.25)
         mom = moments(law)
-        ((snap,),) = simulate(validate_offspring({1: 0.5, 3: 0.5}), law, 6, [ReplicateSeed(3, 0)], [6])
+        ((snap,),) = simulate(validate_offspring({1: 0.5, 3: 0.5}), law, [ReplicateSeed(3, 0)], [6])
         at0, at4 = readout(snap, 2.0, mom, (0,)), readout(snap, 2.0, mom, (4,))
         assert (at0.z, at4.z, at4.n) == ((0,), (4,), 6)
         assert at0.N2z != at4.N2z
@@ -330,7 +330,7 @@ class TestMartingaleProperty:
         mom = moments(law)
         reps, n = 2000, 8
         acc = {fid: [] for fid in ("W", "N1", "N2", "N4")}
-        for (snap,) in simulate(off, law, n, [ReplicateSeed(77, r) for r in range(reps)], [n]):
+        for (snap,) in simulate(off, law, [ReplicateSeed(77, r) for r in range(reps)], [n]):
             ro = readout(snap, off.mean, mom, (0,))
             acc["W"].append(ro.W)
             acc["N1"].append(ro.N1[0])
@@ -363,18 +363,29 @@ class TestCorrectionTerms:
                 ro = make_readout(1, z=z)
                 assert abs(theorem_prediction(ro, C1, n) - rw_expansion(C1, n, z)) <= 1e-15
 
+    def test_prediction_n_is_a_step_count_of_at_least_one(self):
+        ro = make_readout(1)
+        for n, message in [
+            (0, "the expansion needs n >= 1, got 0"),
+            (-3, "number of steps must be >= 0, got -3"),
+            (2.5, "number of steps must be an integer, got 2.5"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                theorem_prediction(ro, C1, n)
+        assert theorem_prediction(ro, C1, 2.0) == theorem_prediction(ro, C1, 2)
+
     def test_prediction_parity_zero(self):
         assert theorem_prediction(make_readout(1), C1, 5) == 0.0
 
     def test_brw_residual_parity_zero(self):
-        snap = GenerationState(n=4, d=1, counts={(0,): 5, (2,): 3}, total=8)
+        snap = GenerationState(4, SiteCounts.from_mapping({(0,): 5, (2,): 3}, 1))
         assert brw_residual(snap, make_readout(1, z=(1,)), C1, 2.0) == 0.0
 
     def test_f2_and_prediction_use_readout_z(self):
         # Readouts of one snapshot at z = 0 and z = 4: F2 and the prediction
         # at 4 take N2z at 4, never the N2z read at 0.
         off = validate_offspring({2: 1.0})
-        ((snap,),) = simulate(off, SIMPLE, 48, [ReplicateSeed(12345, 0)], [48])
+        ((snap,),) = simulate(off, SIMPLE, [ReplicateSeed(12345, 0)], [48])
         at0, at4 = readout(snap, off.mean, M1, (0,)), readout(snap, off.mean, M1, (4,))
         assert at4.N2z != at0.N2z
         z, lam, g = 4.0, C1.lambda_d[0], M1.gamma2[0]
@@ -458,6 +469,9 @@ class TestPointDimension:
         for coord in OFF_LATTICE:
             with pytest.raises(ValueError, match="is not a lattice point$"):
                 readout(initial_state(1), 2.0, M1, (coord,))
+        # a 2-d generation read with 1-d moments is refused, not cut to its first axis
+        with pytest.raises(ValueError, match="^a 2-dimensional generation read with 1-dimensional moments$"):
+            readout(initial_state(2), 2.0, M1, (0,))
 
     def test_harmonicity_defect(self):
         law = lazy_simple_law(2, 0.25)

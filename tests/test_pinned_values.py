@@ -71,7 +71,7 @@ def readouts():
     out = []
     for k, law in enumerate(LAWS):
         c, m = constants_for(law), moments(law)
-        ((snap,),) = simulate(OFFSPRING, law, GENERATION, [ReplicateSeed(31 + k, 0)], [GENERATION])
+        ((snap,),) = simulate(OFFSPRING, law, [ReplicateSeed(31 + k, 0)], [GENERATION])
         rng = np.random.default_rng(700 + law.d)
         for z in POINTS[law.d]:
             out.append((law, c, m, snap, readout(snap, OFFSPRING.mean, m, z)))

@@ -19,23 +19,23 @@ SIMPLE = validate(1, 0.0, [[1.0]])
 
 
 @pytest.mark.parametrize(
-    "law, offspring, n, replicates, probes, width, digest",
+    "law, offspring, replicates, probes, width, digest",
     [
         # Counts pass 2^63 and are cut into blocks; the offspring split is skipped.
-        (SIMPLE, {2: 1.0}, 72, 8, [24, 48, 72], 128,
+        (SIMPLE, {2: 1.0}, 8, [24, 48, 72], 128,
          "df4956827f8c4226a22e67f4e4189a5e354e0c89a979e8746d777647b5cb75ea"),
-        (lazy_simple_law(2, 0.2), {1: 0.5, 3: 0.5}, 30, 2, [10, 20, 30], 64,
+        (lazy_simple_law(2, 0.2), {1: 0.5, 3: 0.5}, 2, [10, 20, 30], 64,
          "55691a1890718038655de0c922508f21e18a86244bd5795ca1f012098123f061"),
         # A trailing zero: the binomial of p = 1 draws, so no skip.
-        (SIMPLE, {2: 1.0, 3: 0.0}, 40, 4, [20, 40], 64,
+        (SIMPLE, {2: 1.0, 3: 0.0}, 4, [20, 40], 64,
          "723672da15698043dbe115fce2b71710b581e65116f2401175503bad98e5371f"),
     ],
     ids=["binary-1d", "lazy-2d", "trailing-zero-1d"],
 )
-def test_snapshot_digest(law, offspring, n, replicates, probes, width, digest):
+def test_snapshot_digest(law, offspring, replicates, probes, width, digest):
     seeds = [ReplicateSeed(7, r) for r in range(replicates)]
     h = hashlib.sha256()
-    for run in simulate(validate_offspring(offspring), law, n, seeds, probes, width):
+    for run in simulate(validate_offspring(offspring), law, seeds, probes, width):
         for state in run:
             h.update(repr((state.n, sorted(state.counts.items()))).encode())
     assert h.hexdigest() == digest
