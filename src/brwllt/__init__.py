@@ -25,7 +25,6 @@ from .exact_dist import (  # noqa: F401
 )
 from .llt import (  # noqa: F401
     ExpansionConstants,
-    constants,
     constants_for,
     fit_correction_coefficients,
     gamma_residual,

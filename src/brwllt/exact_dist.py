@@ -29,6 +29,7 @@ grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,13 +52,20 @@ class LatticeDist:
     The law has per-axis reflection symmetry, so ``mass`` holds only the
     cells z_s = 0 .. radius[s], cell z at index z; P(S_n = z) is cell |z|
     for every sign pattern (``dist_at``), on the box
-    prod_s [-radius[s], radius[s]].
+    prod_s [-radius[s], radius[s]].  The dimension d and the radius are
+    read from the shape of ``mass``.
     """
 
     n: int
-    d: int
-    radius: tuple[int, ...]
     mass: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.mass.ndim
+
+    @functools.cached_property
+    def radius(self) -> tuple[int, ...]:
+        return tuple(m - 1 for m in self.mass.shape)
 
     def total(self) -> float:
         """The whole box's mass."""
@@ -79,7 +87,7 @@ def _mirror_sum(cells: np.ndarray) -> float:
 
 def delta_dist(law: StepLaw) -> LatticeDist:
     """The 0-step distribution: unit mass at the origin."""
-    return LatticeDist(n=0, d=law.d, radius=(0,) * law.d, mass=np.ones((1,) * law.d))
+    return LatticeDist(n=0, mass=np.ones((1,) * law.d))
 
 
 def box_shape(law: StepLaw, n: int) -> tuple[int, ...]:
@@ -148,7 +156,7 @@ def _stepped(dist: LatticeDist, law: StepLaw, n: int) -> LatticeDist:
     for stage in _orthant_steps(dist.mass[None], law.ranges, law.zeta0, terms, n):
         pass
     radius = tuple(r + n * t for r, t in zip(dist.radius, law.ranges))
-    return LatticeDist(n=dist.n + n, d=law.d, radius=radius, mass=stage[(0, *(slice(r + 1) for r in radius))])
+    return LatticeDist(n=dist.n + n, mass=stage[(0, *(slice(r + 1) for r in radius))])
 
 
 def convolve_step(dist: LatticeDist, law: StepLaw) -> LatticeDist:
@@ -176,7 +184,7 @@ def _axis_step(law: StepLaw, s: int) -> tuple[float, StepLaw]:
     counting for axis 0, and the 1-d law of such a step."""
     stay = law.zeta0 if s == 0 else 0.0
     p = math.fsum((stay, *law.weights[s]))
-    return p, StepLaw(d=1, zeta0=stay / p, weights=(tuple(w / p for w in law.weights[s]),))
+    return p, StepLaw(zeta0=stay / p, weights=(tuple(w / p for w in law.weights[s]),))
 
 
 def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +340,7 @@ def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
         del vals
         vals = np.fft.irfft(spectrum, n=m, axis=s)[(slice(None),) * s + (slice(n * t + 1),)]
         del spectrum
-    return LatticeDist(n=n, d=law.d, radius=tuple(n * t for t in law.ranges), mass=vals)
+    return LatticeDist(n=n, mass=vals)
 
 
 def dump_csv(dist: LatticeDist, path) -> None:

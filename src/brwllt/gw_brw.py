@@ -36,6 +36,7 @@ in int64; independent blocks realize the exact law of the whole count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping, Sequence
@@ -60,11 +61,14 @@ _INT64_MAX = 2**63 - 1
 class OffspringLaw:
     """Finite offspring distribution with p_0 = 0 and mean > 1.
 
-    ``probs[k-1]`` is P(N = k) for k = 1..K.
+    ``probs[k-1]`` is P(N = k) for k = 1..K; the mean is read from them.
     """
 
     probs: tuple[float, ...]
-    mean: float
+
+    @functools.cached_property
+    def mean(self) -> float:
+        return math.fsum(k * p for k, p in enumerate(self.probs, start=1))
 
 
 class SiteCounts(Mapping):
@@ -204,14 +208,17 @@ class SiteCounts(Mapping):
 @dataclass(frozen=True)
 class GenerationState:
     """Exact site occupancy of generation ``n``: its ``SiteCounts`` box,
-    which gives the dimension ``d`` and the exact ``total``.  Any other
-    ``counts``, such as a dict, is a ``TypeError``; ``from_mapping`` boxes it.
+    which gives the dimension ``d`` and the exact ``total``.  ``n`` is read
+    by ``step_count``, so 2.0 reads as 2 and 2.5 is a ``ValueError``.  Any
+    other ``counts``, such as a dict, is a ``TypeError``; ``from_mapping``
+    boxes it.
     """
 
     n: int
     counts: SiteCounts
 
     def __post_init__(self):
+        object.__setattr__(self, "n", step_count(self.n))
         if not isinstance(self.counts, SiteCounts):
             raise TypeError(
                 f"counts must be a SiteCounts box, got {type(self.counts).__name__}; "
@@ -242,15 +249,20 @@ def validate_offspring(raw) -> OffspringLaw:
 
     Raises:
         TypeError: a probability, or an offspring number, is a bool or a str.
-        ValueError: an empty table, or an offspring number that is negative
-            or not an integer (2.5, "2.5").
+        ValueError: an empty table, an offspring number that is negative
+            or not an integer (2.5, "2.5"), or one named twice (2 and "2").
         CapacityExceeded: an offspring number above ``MAX_OFFSPRING``.
         HasExtinction: positive mass on zero offspring.
         NonNormalized: negative entries, or sum != 1 within 1e-12.
         SubcriticalOrCritical: mean offspring number is <= 1.
     """
     if isinstance(raw, dict):
-        table = {json_int(int(k) if isinstance(k, str) else k): p for k, p in raw.items()}
+        table = {}
+        for key, p in raw.items():
+            k = json_int(int(key) if isinstance(key, str) else key)
+            if k in table:
+                raise ValueError(f"offspring number {k} is named twice")
+            table[k] = p
         if not table:
             raise ValueError("empty offspring table")
         if min(table) < 0:
@@ -273,11 +285,10 @@ def validate_offspring(raw) -> OffspringLaw:
     total = math.fsum(probs)
     if not abs(total - 1.0) <= NORMALIZATION_TOL:  # also refuses NaN entries
         raise NonNormalized(f"offspring probabilities sum to {total!r}")
-    probs = [p / total for p in probs]
-    mean = math.fsum(k * p for k, p in enumerate(probs, start=1))
-    if mean <= 1.0:
-        raise SubcriticalOrCritical(f"offspring mean {mean} <= 1")
-    return OffspringLaw(probs=tuple(probs), mean=mean)
+    law = OffspringLaw(probs=tuple(p / total for p in probs))
+    if law.mean <= 1.0:
+        raise SubcriticalOrCritical(f"offspring mean {law.mean} <= 1")
+    return law
 
 
 def _mix64(x: int) -> int:
@@ -400,14 +411,14 @@ def _check_width(digits: np.ndarray, count_width: int, generation: int) -> None:
         )
 
 
-def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, keys, count_width: int, rekey):
+def _step(digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, keys, count_width: int, rekey):
     """Generation ``n`` -> ``n + 1`` of ``len(keys)`` replicates held in one box.
 
     ``digits`` has shape (digits, replicates, *cells): replicate r's counts,
-    digit by digit as in ``SiteCounts``, on the box of ``radius``.  Returns
-    the radius and digits of the next generation in the same layout; the
-    new box is the bounding box of every replicate's occupied sites grown by
-    one step, whatever box holds them now.  Replicate r draws its offspring
+    digit by digit as in ``SiteCounts``, on a box whose radius is read from
+    its odd cell extents.  Returns the digits of the next generation in the
+    same layout; the new box is the bounding box of every replicate's
+    occupied sites grown by one step, whatever box holds them now.  Replicate r draws its offspring
     and displacement splits from the generator ``rekey`` (``_rekeyer``)
     resets to ``keys[r]``, the ``_seed_key`` of its seed: the draws of
     ``derive_stream(seed, n)``.
@@ -418,7 +429,7 @@ def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, k
     # Occupied cells in lexicographic order of (replicate, site): each
     # replicate's cells, and so its blocks, form one run in site order.
     rep, *cells = np.nonzero(digits.any(axis=0))
-    sites = [c - r for c, r in zip(cells, radius)]
+    sites = [c - e // 2 for c, e in zip(cells, digits.shape[2:])]
     radius = tuple(int(np.abs(x).max(initial=0)) + t for x, t in zip(sites, law.ranges))
     shape = (len(keys), *(2 * r + 1 for r in radius))
     charge("the next generation's box", math.prod(shape))
@@ -460,7 +471,7 @@ def _step(radius, digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, k
         parts[1, dest] += high[:, a]
     digits = _carry(parts.reshape(2, *shape))
     _check_width(digits, count_width, n + 1)
-    return radius, digits
+    return digits
 
 
 def _batch_size(box: SiteCounts, steps: int, off: OffspringLaw, law: StepLaw, count_width: int) -> int:
@@ -568,10 +579,9 @@ def simulate(
     for lo in range(0, len(keys), batch):
         chunk = keys[lo : lo + batch]
         snaps = [[start] if start.n in probes else [] for _ in chunk]
-        radius = box.radius
         digits = np.broadcast_to(box.digits[:, np.newaxis], (len(box.digits), len(chunk), *box.digits.shape[1:]))
         for n in range(start.n, n_max):
-            radius, digits = _step(radius, digits, n, off, law, chunk, count_width, rekey)
+            digits = _step(digits, n, off, law, chunk, count_width, rekey)
             if n + 1 not in probes:
                 continue
             # Each snapshot is a view that keeps this whole box alive.

@@ -1,8 +1,9 @@
 """Second-order local-limit expansion for the plain walk.
 
-Provides the expansion constants (one ``ExpansionConstants``, which carries
-the ``Moments`` it was built from, is the only input of every expansion
-function besides n and the point z), the predicted point probability, the
+Provides the expansion constants (one ``ExpansionConstants``, which holds
+only the ``Moments`` and walk class of a step law and derives tau, Lambda,
+chi and the norm from them, is the only input of every expansion function
+besides n and the point z), the predicted point probability, the
 scaled residual against the exact distribution, an empirical fit of the
 1/n and 1/n^2 correction coefficients, and the Gaussian moment identities
 behind the expansion, checked in any dimension by one exact Gauss-Hermite
@@ -23,15 +24,11 @@ from .step_law import Moments, StepLaw, WalkClass, classify, lattice_point, mome
 
 @dataclass(frozen=True)
 class ExpansionConstants:
-    """Constants of the 1/n and 1/n^2 correction brackets, with the moments
-    and walk class of the step law they were built from."""
+    """Constants of the 1/n and 1/n^2 correction brackets, derived from the
+    moments of a step law; the walk class gives the leading factor."""
 
-    tau_d: float
-    lambda_d: tuple[float, ...]
-    chi_d: float
-    norm: float  # (det Gamma_2)^{-1/2}
-    walk_class: WalkClass
     moments: Moments
+    walk_class: WalkClass
 
     @property
     def d(self) -> int:
@@ -41,35 +38,40 @@ class ExpansionConstants:
     def factor(self) -> float:
         return 2.0 if self.walk_class is WalkClass.BIPARTITE else 1.0
 
+    @functools.cached_property
+    def tau_d(self) -> float:
+        return self.moments.tr_g4g2m2 / 8.0 - self.d * (self.d + 2) / 8.0
 
-def constants(m: Moments, walk_class: WalkClass) -> ExpansionConstants:
-    d = m.d
-    t4 = m.tr_g4g2m2
-    tau = t4 / 8.0 - d * (d + 2) / 8.0
-    lam = tuple(
-        (t4 - (d + 2) * (d + 4)) / (16.0 * m.gamma2[s])
-        + m.gamma4[s] / (4.0 * m.gamma2[s] ** 3)
-        for s in range(d)
-    )
-    chi = (
-        -(d + 2) * (d + 4) * t4 / 64.0
-        + m.tr_g4sq_g2m4 / 12.0
-        + t4**2 / 128.0
-        - m.tr_g6g2m3 / 48.0
-        + d * (d + 2) * (d + 4) * (3 * d + 2) / 384.0
-    )
-    return ExpansionConstants(
-        tau_d=tau,
-        lambda_d=lam,
-        chi_d=chi,
-        norm=1.0 / math.sqrt(m.det_gamma2),
-        walk_class=walk_class,
-        moments=m,
-    )
+    @functools.cached_property
+    def lambda_d(self) -> tuple[float, ...]:
+        m, d = self.moments, self.d
+        t4 = m.tr_g4g2m2
+        return tuple(
+            (t4 - (d + 2) * (d + 4)) / (16.0 * m.gamma2[s])
+            + m.gamma4[s] / (4.0 * m.gamma2[s] ** 3)
+            for s in range(d)
+        )
+
+    @functools.cached_property
+    def chi_d(self) -> float:
+        m, d = self.moments, self.d
+        t4 = m.tr_g4g2m2
+        return (
+            -(d + 2) * (d + 4) * t4 / 64.0
+            + m.tr_g4sq_g2m4 / 12.0
+            + t4**2 / 128.0
+            - m.tr_g6g2m3 / 48.0
+            + d * (d + 2) * (d + 4) * (3 * d + 2) / 384.0
+        )
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """(det Gamma_2)^{-1/2}."""
+        return 1.0 / math.sqrt(self.moments.det_gamma2)
 
 
 def constants_for(law: StepLaw) -> ExpansionConstants:
-    return constants(moments(law), classify(law))
+    return ExpansionConstants(moments(law), classify(law))
 
 
 def parity_matched(n: int, z) -> bool:
@@ -136,17 +138,24 @@ class CoefficientFit:
     """Empirical 1/n and 1/n^2 coefficients from exact probabilities.
 
     ``c1_seq``/``c2_seq`` track n*rho_n and n^2*(rho_n - c1_exact/n) along
-    ``n_list``; the point estimates are the largest-n entries.
+    ``n_list``; the point estimates ``c1_hat``/``c2_hat`` are the largest-n
+    entries.
     """
 
     n_list: tuple[int, ...]
     c1_seq: tuple[float, ...]
     c2_seq: tuple[float, ...]
-    c1_hat: float
-    c2_hat: float
     c1_exact: float
     c2_theorem: float
     c2_flipped: float
+
+    @property
+    def c1_hat(self) -> float:
+        return self.c1_seq[-1]
+
+    @property
+    def c2_hat(self) -> float:
+        return self.c2_seq[-1]
 
 
 def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
@@ -182,8 +191,6 @@ def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
         n_list=n_list,
         c1_seq=tuple(c1_seq),
         c2_seq=tuple(c2_seq),
-        c1_hat=c1_seq[-1],
-        c2_hat=c2_seq[-1],
         c1_exact=c1_exact,
         c2_theorem=c2_theorem,
         c2_flipped=c2_flipped,

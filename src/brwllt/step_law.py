@@ -8,6 +8,7 @@ by construction, so its mean is exactly zero.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -81,15 +82,18 @@ class StepLaw:
     """Validated symmetric finite-range increment law on Z^d.
 
     Attributes:
-        d: lattice dimension.
         zeta0: probability of not moving, in [0, 1).
         weights: per-axis tuples; ``weights[s][r-1]`` is the total weight of
             the pair ``+-r*e_s`` (split evenly between the two signs).
+        d: the lattice dimension, read from the number of weight rows.
     """
 
-    d: int
     zeta0: float
     weights: tuple[tuple[float, ...], ...]
+
+    @functools.cached_property
+    def d(self) -> int:
+        return len(self.weights)
 
     @property
     def ranges(self) -> tuple[int, ...]:
@@ -206,7 +210,7 @@ def validate(d: int, zeta0: float, weights) -> StepLaw:
 
     zeta0 /= total
     rows = tuple(tuple(w / total for w in row) for row in rows)
-    return StepLaw(d=d, zeta0=zeta0, weights=rows)
+    return StepLaw(zeta0=zeta0, weights=rows)
 
 
 def classify(law: StepLaw) -> WalkClass:

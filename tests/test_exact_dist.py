@@ -63,6 +63,13 @@ def test_out_of_box_is_zero():
     assert dist_at(d, (-4,)) == 0.0
 
 
+def test_radius_read_from_mass():
+    # a radius of (5,) stored beside two cells gave a bare IndexError in dist_at
+    dist = LatticeDist(n=1, mass=np.array([0.5, 0.25]))
+    assert (dist.d, dist.radius) == (1, (1,))
+    assert [dist_at(dist, (z,)) for z in (-5, -1, 0, 1, 5)] == [0.0, 0.25, 0.5, 0.25, 0.0]
+
+
 def test_normalization_drift():
     n = 200
     d = walk_dist(LAZY, n)
@@ -146,7 +153,7 @@ def reference_axis_mixture(law, probes, points):
                 row = padded_step(row, axis)
             r = len(row) - 1
             table[k, :-1] = np.where(at <= r, row[np.minimum(at, r)], 0.0)
-            table[k, -1] = LatticeDist(n=k, d=1, radius=(r,), mass=row).total()
+            table[k, -1] = LatticeDist(n=k, mass=row).total()
         p.append(p_s)
         tables.append(table)
     mixed = tables[-1]
@@ -598,7 +605,7 @@ def test_orthant_negative_mass_is_the_box_sum(law, n):
     # A hand-made orthant: its cells stand for 1, 2, 2 and 4 box cells, and
     # summing leaves them as they are.
     cells = np.array([[-1.0, -3.0], [-5.0, 7.0]])
-    hand = LatticeDist(n=1, d=2, radius=(1, 1), mass=cells.copy())
+    hand = LatticeDist(n=1, mass=cells.copy())
     assert hand.negative_mass() == 1.0 + 2 * 3.0 + 2 * 5.0
     assert hand.total() == -1.0 - 2 * 3.0 - 2 * 5.0 + 4 * 7.0
     assert np.array_equal(hand.mass, cells)
@@ -657,7 +664,7 @@ def test_dump_csv_memory_is_bounded(tmp_path, monkeypatch):
     # pass takes about 1 MiB of python objects, a slice about 0.15 MiB.
     monkeypatch.setattr(exact_dist, "DUMP_SLICE_CELLS", 2**10)
     cells = 2**13
-    dist = LatticeDist(n=0, d=1, radius=(cells // 2,), mass=np.full(cells // 2 + 1, 1.0 / cells))
+    dist = LatticeDist(n=0, mass=np.full(cells // 2 + 1, 1.0 / cells))
     tracemalloc.start()
     try:
         dump_csv(dist, tmp_path / "big.csv")

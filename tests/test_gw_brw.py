@@ -12,6 +12,7 @@ from scipy import stats
 from brwllt import errors, exact_dist, gw_brw
 from brwllt.gw_brw import (
     GenerationState,
+    OffspringLaw,
     ReplicateSeed,
     SiteCounts,
     derive_stream,
@@ -89,6 +90,18 @@ class TestOffspring:
                 validate_offspring({key: 1.0})
         for key in [2, 2.0, "2"]:
             assert validate_offspring({key: 1.0}) == validate_offspring([0.0, 1.0])
+
+    def test_offspring_number_named_twice(self):
+        # the later key's mass replaced the earlier's: probs (0, 0.5, 0.5)
+        for table, k in [({2: 0.5, "2": 0.5, 3: 0.5}, 2), ({"3": 1.0, 3: 1.0}, 3)]:
+            with pytest.raises(ValueError, match=f"offspring number {k} is named twice"):
+                validate_offspring(table)
+
+    def test_mean_read_from_probs(self):
+        # a mean of 3.0 stored beside binary probs gave W_3 = 0.296
+        assert OffspringLaw((0.0, 1.0)).mean == 2.0
+        off = validate_offspring({1: 0.25, 3: 0.75})
+        assert off.mean == math.fsum(k * p for k, p in enumerate(off.probs, start=1)) == 2.5
 
 
 class TestBinomialExact:
@@ -237,6 +250,15 @@ class TestGenerationState:
         box = SiteCounts.from_mapping({(0, 0): 8}, 2)
         with pytest.raises(TypeError):
             GenerationState(n=3, d=1, counts=box, total=7)
+
+    def test_n_is_a_step_count(self):
+        # n = 2.5 reached simulate and died there with a bare AttributeError
+        box = SiteCounts.from_mapping({(0,): 1}, 1)
+        state = GenerationState(2.0, box)
+        assert type(state.n) is int and state.n == 2
+        for n in (2.5, True, -1, "2"):
+            with pytest.raises(ValueError, match="number of steps"):
+                GenerationState(n, box)
 
 
 class TestEvolve:
@@ -420,7 +442,7 @@ class TestBatchedStep:
         charged, batches = [], []
         real_charge, real_step = gw_brw.charge, gw_brw._step
         monkeypatch.setattr(gw_brw, "charge", lambda what, n: charged.append(n) or real_charge(what, n))
-        monkeypatch.setattr(gw_brw, "_step", lambda *a: batches.append(len(a[5])) or real_step(*a))
+        monkeypatch.setattr(gw_brw, "_step", lambda *a: batches.append(len(a[4])) or real_step(*a))
 
         def largest_charge(replicates):
             charged.clear()

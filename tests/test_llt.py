@@ -10,8 +10,8 @@ from brwllt.errors import CapacityExceeded
 from brwllt.exact_dist import cf_invert_box, dist_at
 from brwllt.llt import (
     _IDENTITIES,
+    ExpansionConstants,
     bracket_coefficients,
-    constants,
     constants_for,
     expansion_bracket,
     fit_correction_coefficients,
@@ -50,7 +50,7 @@ def random_moments(d, rng):
 
 class TestConstants:
     def test_identity_d1(self):
-        c = constants(identity_moments(1), WalkClass.APERIODIC)
+        c = ExpansionConstants(identity_moments(1), WalkClass.APERIODIC)
         assert abs(c.tau_d - (-0.25)) <= 1e-13
         assert abs(c.lambda_d[0] - (-0.625)) <= 1e-13
         assert abs(c.chi_d - 1.0 / 32.0) <= 1e-13
@@ -59,20 +59,20 @@ class TestConstants:
         # term-by-term: -15/64 + 1/12 + 1/128 - 1/48 + 75/384
         total = -15 / 64 + 1 / 12 + 1 / 128 - 1 / 48 + 75 / 384
         assert abs(total - 1 / 32) <= 1e-15
-        c = constants(identity_moments(1), WalkClass.APERIODIC)
+        c = ExpansionConstants(identity_moments(1), WalkClass.APERIODIC)
         assert abs(c.chi_d - total) <= 1e-13
 
     def test_tau_d2_half_moments(self):
         m = Moments(gamma2=(0.5, 0.5), gamma4=(0.5, 0.5), gamma6=(0.5, 0.5))
         assert (m.det_gamma2, m.tr_g4g2m2, m.tr_g6g2m3, m.tr_g4sq_g2m4) == (0.25, 4.0, 8.0, 8.0)
-        c = constants(m, WalkClass.APERIODIC)
+        c = ExpansionConstants(m, WalkClass.APERIODIC)
         assert abs(c.tau_d - (-0.5)) <= 1e-13
 
     def test_invariants_random(self):
         rng = np.random.default_rng(3)
         for d in (1, 2, 3):
             m = random_moments(d, rng)
-            c = constants(m, WalkClass.APERIODIC)
+            c = ExpansionConstants(m, WalkClass.APERIODIC)
             d_ = float(d)
             assert abs(c.tau_d - (m.tr_g4g2m2 / 8 - d_ * (d_ + 2) / 8)) <= 1e-13
             for s in range(d):
@@ -86,7 +86,8 @@ class TestConstants:
         law = validate(2, 0.1, [[0.2, 0.3], [0.15, 0.25]])
         m = moments(law)
         hand = Moments(gamma2=m.gamma2, gamma4=m.gamma4, gamma6=m.gamma6)
-        assert constants(m, WalkClass.APERIODIC) == constants(hand, WalkClass.APERIODIC)
+        a, b = ExpansionConstants(m, WalkClass.APERIODIC), ExpansionConstants(hand, WalkClass.APERIODIC)
+        assert (a.tau_d, a.lambda_d, a.chi_d, a.norm) == (b.tau_d, b.lambda_d, b.chi_d, b.norm)
 
 
 class TestRwExpansion:
@@ -280,7 +281,7 @@ class TestGaussianIdentities:
 
 class TestBracketCoefficients:
     def test_flipped_bracket_differs_off_origin(self):
-        c = constants(moments(SIMPLE), WalkClass.BIPARTITE)
+        c = ExpansionConstants(moments(SIMPLE), WalkClass.BIPARTITE)
         _, a, b = bracket_coefficients(c, (2,))
         assert a != b
         assert abs((a - b) - 2 * (5 / 8) * 4) <= 1e-12  # 2*|Lambda|*z^2 at d=1

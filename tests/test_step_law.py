@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brwllt import errors, step_law
+from brwllt.exact_dist import delta_dist, walk_dist
+from brwllt.gw_brw import validate_offspring
 from brwllt.harness import load_config, run_experiment
+from brwllt.llt import constants_for, fit_correction_coefficients
 from brwllt.step_law import WalkClass, classify, lazy_simple_law, moments, validate
 
 
@@ -18,6 +21,47 @@ def test_simple_walk_valid():
     assert law.zeta0 == 0.0
     assert law.weights == ((1.0,),)
     assert law.ranges == (1,)
+
+
+def test_dimension_read_from_rows():
+    # d = 1.0 was stored as given, and atoms() and walk_dist raised TypeError
+    law = validate(1.0, 0.0, [[1.0]])
+    assert type(law.d) is int and law.d == 1
+    assert list(law.atoms()) == [((-1,), 0.5), ((1,), 0.5)]
+    assert walk_dist(law, 2).mass.tolist() == [0.5, 0.0, 0.25]
+    # A law built from another's rows reads its own d.
+    assert dataclasses.replace(law, weights=((0.5,), (0.5,))).d == 2
+
+
+@pytest.mark.parametrize(
+    "make, names, derived",
+    [
+        (lambda: validate(2, 0.2, [[0.4], [0.4]]), ["zeta0", "weights"], ["d"]),
+        (lambda: delta_dist(validate(2, 0.2, [[0.4], [0.4]])), ["n", "mass"], ["d", "radius"]),
+        (lambda: validate_offspring({2: 1.0}), ["probs"], ["mean"]),
+        (
+            lambda: constants_for(validate(1, 0.0, [[1.0]])),
+            ["moments", "walk_class"],
+            ["d", "tau_d", "lambda_d", "chi_d", "norm"],
+        ),
+        (
+            lambda: fit_correction_coefficients(validate(1, 0.5, [[0.5]]), (0,), (4, 8, 16)),
+            ["n_list", "c1_seq", "c2_seq", "c1_exact", "c2_theorem", "c2_flipped"],
+            ["c1_hat", "c2_hat"],
+        ),
+    ],
+    ids=["StepLaw", "LatticeDist", "OffspringLaw", "ExpansionConstants", "CoefficientFit"],
+)
+def test_derived_values_are_not_fields(make, names, derived):
+    # Each value read from another field is derived, not stored, so no
+    # object can hold a value that disagrees with its data: the keyword is
+    # refused, also by dataclasses.replace (replace(c, tau_d=0.0) changed
+    # rw_expansion).
+    obj = make()
+    assert [f.name for f in dataclasses.fields(obj)] == names
+    for name in derived:
+        with pytest.raises(TypeError):
+            dataclasses.replace(obj, **{name: getattr(obj, name)})
 
 
 def test_reducible_gcd_two():
