@@ -2,6 +2,11 @@
 
 A single JSON config describes one experiment; every emitted row carries
 the config hash and base seed so it can be reproduced bit-exactly.
+
+A run's verdict is fixed by the code, not by its config.  Its gates are
+``CF_AGREEMENT`` (llt-check, exact against CF), ``IDENTITY_REL_ERR``
+(identities), ``HARMONICITY_REL`` (martingale-check's harmonicity grid)
+and ``C1_REL_ERR`` (coeff-fit's relative c1 error).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .step_law import StepLaw, classify, json_int, json_keys, json_number, latti
 
 FIELDS = (
     "experiment", "step_law", "offspring", "n_values", "z_set", "replicates", "base_seed",
-    "kappa", "z_radius_constant", "n_est", "count_width", "output", "thresholds",
+    "kappa", "n_est", "count_width", "output",
 )
 
 # Version of the random streams behind every sampled figure; it changes
@@ -47,12 +52,10 @@ FIELDS = (
 # lexicographic order.
 STREAM_VERSION = 2
 
-DEFAULT_THRESHOLDS = {
-    "cf_agreement": 1e-9,
-    "identity_rel_err": 1e-8,
-    "harmonicity_rel": 1e-9,
-    "c1_rel_err": 0.01,
-}
+CF_AGREEMENT = 1e-9
+IDENTITY_REL_ERR = 1e-8
+HARMONICITY_REL = 1e-9
+C1_REL_ERR = 0.01
 
 
 @dataclass
@@ -65,11 +68,9 @@ class ExperimentConfig:
     replicates: int
     base_seed: int
     kappa: float
-    z_radius_constant: float
     n_est: int | None
     count_width: int
     output: str | None
-    thresholds: dict
     raw: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -98,13 +99,6 @@ def _field(name: str):
 def _list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def _positive(value) -> float:
-    value = float(json_number(value))
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{value} is not a positive finite number")
     return value
 
 
@@ -176,20 +170,16 @@ def load_config(doc: dict) -> ExperimentConfig:
         count_width = json_int(doc.get("count_width", 64))
     if count_width not in (64, 128):
         raise ConfigError("count_width: must be 64 or 128")
-    thresholds = dict(DEFAULT_THRESHOLDS)
-    with _field("thresholds"):
-        given = doc.get("thresholds", {})
-        if not isinstance(given, dict):
-            raise TypeError(f"expected an object, got {type(given).__name__}")
-        json_keys(given, DEFAULT_THRESHOLDS)
-        thresholds.update({key: _positive(value) for key, value in given.items()})
     with _field("base_seed"):
         base_seed = json_int(doc.get("base_seed", 0))
-    with _field("z_radius_constant"):
-        z_radius_constant = _positive(doc.get("z_radius_constant", 1.0))
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output: expected a path string, got {type(output).__name__}")
+    # The trend gate compares the first probe with the last, so one
+    # distinct probe would fail whatever the law; checked last, so a
+    # fault in another field is still named by that field.
+    if experiment in ("llt-check", "brw-check") and len(set(n_values)) < 2:
+        raise ConfigError(f"n_values: {experiment} needs 2 or more distinct probes, got {list(n_values)}")
     return ExperimentConfig(
         experiment=experiment,
         law=law,
@@ -199,18 +189,16 @@ def load_config(doc: dict) -> ExperimentConfig:
         replicates=replicates,
         base_seed=base_seed,
         kappa=kappa,
-        z_radius_constant=z_radius_constant,
         n_est=n_est,
         count_width=count_width,
         output=output,
-        thresholds=thresholds,
         raw=doc,
     )
 
 
 def admissible_z(cfg: ExperimentConfig, n: int):
-    """The configured z set filtered to ||z|| <= C * n^kappa."""
-    cap = cfg.z_radius_constant * n**cfg.kappa
+    """The configured z set filtered to ||z|| <= n^kappa."""
+    cap = n**cfg.kappa
     return [z for z in cfg.z_set if math.sqrt(sum(c * c for c in z)) <= cap]
 
 
@@ -262,11 +250,11 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
     for n in probes:
         rows.append((n, *("sup",) * cfg.law.d, "", "", "", sup_gamma[n]))
     decreasing = sup_gamma[probes[-1]] < sup_gamma[probes[0]]
-    cf_ok = gap_max <= cfg.thresholds["cf_agreement"]
+    cf_ok = gap_max <= CF_AGREEMENT
     notes = [
         f"sup|gamma| at n={probes[0]}: {sup_gamma[probes[0]]:.6g}",
         f"sup|gamma| at n={probes[-1]}: {sup_gamma[probes[-1]]:.6g}",
-        f"exact/cf agreement within {cfg.thresholds['cf_agreement']}: {cf_ok}",
+        f"exact/cf agreement within {CF_AGREEMENT}: {cf_ok}",
     ]
     cols = ("n", *(f"z{s + 1}" for s in range(cfg.law.d)), "exact", "cf_invert", "predicted", "gamma")
     audit = {
@@ -293,7 +281,7 @@ def run_coeff_fit(cfg: ExperimentConfig) -> RunResult:
             ("verdict", *z, fit.n_list[-1], fit.c1_hat, fit.c2_hat, fit.c2_theorem, verdict)
         )
         c1_err = abs(fit.c1_hat - fit.c1_exact) / max(abs(fit.c1_exact), 1e-30)
-        if c1_err > cfg.thresholds["c1_rel_err"]:
+        if c1_err > C1_REL_ERR:
             ok = False
         notes.append(
             f"z={z}: c1_hat={fit.c1_hat:.6g} (exact {fit.c1_exact:.6g}), "
@@ -306,10 +294,9 @@ def run_coeff_fit(cfg: ExperimentConfig) -> RunResult:
 def run_identities(cfg: ExperimentConfig) -> RunResult:
     """Relative errors of the Gaussian moment identities at the config's z."""
     errs = gaussian_identity_check(moments(cfg.law), cfg.z_set[0])
-    limit = cfg.thresholds["identity_rel_err"]
-    ok = all(e <= limit for e in errs)
+    ok = all(e <= IDENTITY_REL_ERR for e in errs)
     rows = list(enumerate(errs, start=1))
-    return RunResult(("identity", "relative_error"), rows, ok, [f"all {len(errs)} <= {limit}: {ok}"])
+    return RunResult(("identity", "relative_error"), rows, ok, [f"all {len(errs)} <= {IDENTITY_REL_ERR}: {ok}"])
 
 
 def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
@@ -331,7 +318,7 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
             val = functional_value(fid, m, x, n, z=z)
             scale = 1.0 + (max(abs(v) for v in val) if isinstance(val, tuple) else abs(val))
             rel = abs(defect) / scale
-            if rel > cfg.thresholds["harmonicity_rel"]:
+            if rel > HARMONICITY_REL:
                 ok = False
             rows.append(("harmonicity", fid, *x, n, defect, rel))
 

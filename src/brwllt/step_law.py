@@ -158,6 +158,9 @@ def validate(d: int, zeta0: float, weights) -> StepLaw:
     the weight of the pair ``+-r*e_s``.  The weight sum is checked against 1
     to 1e-12 and then the law is renormalized exactly by dividing by the sum.
 
+    ``d`` is read by ``json_int``: 1.0 reads as 1, and ``True``, ``"1"`` or
+    1.5 is a ``ValueError`` that names it.
+
     Raises:
         NegativeWeight: some weight is negative.
         DegenerateLazy: zeta0 is not below 1.
@@ -165,6 +168,10 @@ def validate(d: int, zeta0: float, weights) -> StepLaw:
         Reducible: supported ranges on some axis have gcd > 1.
         NonNormalized: weights do not sum to 1 within tolerance.
     """
+    try:
+        d = json_int(d)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"dimension must be an integer, got {d!r}") from None
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     zeta0 = float(zeta0)
@@ -249,7 +256,7 @@ def law_from_dict(spec: dict) -> StepLaw:
         raise TypeError(f"expected an object with d, zeta0 and axes, got {type(spec).__name__}")
     json_keys(spec, ("d", "zeta0", "axes"))
     weights = [[json_number(w) for w in axis] for axis in spec["axes"]]
-    return validate(json_int(spec["d"]), json_number(spec.get("zeta0", 0.0)), weights)
+    return validate(spec["d"], json_number(spec.get("zeta0", 0.0)), weights)
 
 
 def law_to_dict(law: StepLaw) -> dict:

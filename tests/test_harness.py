@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from brwllt import cli, exact_dist, harness
 from brwllt.errors import BrwlltError, ConfigError, NonNormalized
 from brwllt.harness import (
-    DEFAULT_THRESHOLDS,
     EXPERIMENTS,
     admissible_z,
     load_config,
@@ -53,9 +52,7 @@ def config_docs(draw):
         "z_set": st.lists(st.lists(NUMBER, max_size=2) | JSON, max_size=2),
         "kappa": NUMBER,
         "count_width": NUMBER,
-        "thresholds": st.dictionaries(st.sampled_from(sorted(DEFAULT_THRESHOLDS)), NUMBER | JSON, max_size=2),
         "base_seed": NUMBER,
-        "z_radius_constant": NUMBER,
         "output": JSON,
     }
     doc = {
@@ -68,9 +65,7 @@ def config_docs(draw):
         "z_set": [[0], [1]],
         "kappa": 0.15,
         "count_width": 64,
-        "thresholds": {},
         "base_seed": 7,
-        "z_radius_constant": 1.0,
         "output": "out.csv",
     }
     for key in draw(st.lists(st.sampled_from(sorted(near)), min_size=1, max_size=3, unique=True)):
@@ -89,7 +84,8 @@ class TestConfig:
         assert cfg.law.d == 1
         assert cfg.z_set == ((0,),)
         assert cfg.kappa == 0.15
-        assert cfg.thresholds == DEFAULT_THRESHOLDS
+        gates = (harness.CF_AGREEMENT, harness.IDENTITY_REL_ERR, harness.HARMONICITY_REL, harness.C1_REL_ERR)
+        assert gates == (1e-9, 1e-8, 1e-9, 0.01)
 
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
@@ -113,11 +109,6 @@ class TestConfig:
     def test_count_width_gate(self):
         with pytest.raises(ValueError):
             load_config(base_doc("identities", count_width=32))
-
-    def test_threshold_override(self):
-        cfg = load_config(base_doc("identities", thresholds={"identity_rel_err": 1e-6}))
-        assert cfg.thresholds["identity_rel_err"] == 1e-6
-        assert cfg.thresholds["cf_agreement"] == 1e-9
 
     def test_hash_stable_and_order_independent(self):
         a = load_config({"experiment": "identities", "step_law": LAW_1D_LAZY, "base_seed": 7})
@@ -150,11 +141,9 @@ class TestConfig:
             ("n_values", base_doc("llt-check", n_values=["8"])),
             ("z_set", base_doc("identities", z_set=[[False]])),
             ("kappa", base_doc("identities", kappa="0.1")),
-            ("replicates", base_doc("brw-check", offspring={"2": 1.0}, n_values=[4], replicates=True)),
+            ("replicates", base_doc("brw-check", offspring={"2": 1.0}, n_values=[4, 8], replicates=True)),
             ("base_seed", base_doc("identities", base_seed="7")),
             ("count_width", base_doc("identities", count_width="64")),
-            ("thresholds", base_doc("identities", thresholds={"cf_agreement": "1e-9"})),
-            ("z_radius_constant", base_doc("identities", z_radius_constant=True)),
             ("offspring", base_doc("brw-check", offspring={"2": "1.0"}, n_values=[4])),
             ("offspring", base_doc("brw-check", offspring=[0.0, True], n_values=[4])),
             ("n_values", base_doc("coeff-fit", n_values=[64, 128])),
@@ -163,12 +152,15 @@ class TestConfig:
             ("z_set", base_doc("coeff-fit", step_law=LAW_1D_SIMPLE, n_values=[64, 128, 256], z_set=[[0], [1]])),
             ("config", base_doc("brw-check", offspring={"2": 1.0}, n_values=[4], replicats=16)),
             ("step_law", base_doc("identities", step_law={"d": 1, "zeta": 0.5, "axes": [[0.5]]})),
-            ("thresholds", base_doc("identities", thresholds={"cf_agrement": 1e-30})),
-            ("thresholds", base_doc("coeff-fit", n_values=[64, 128, 256], thresholds={"c2_rel_err": 0.05})),
+            ("config", base_doc("identities", thresholds={"identity_rel_err": 1e-6})),
+            ("config", base_doc("llt-check", n_values=[16, 64], z_radius_constant=1.0)),
             ("z_set", base_doc("identities", z_set=[[0], [1]])),
             ("z_set", base_doc("martingale-check", offspring={"2": 1.0}, z_set=[[0], [2]])),
-            ("z_set", base_doc("llt-check", step_law=LAW_2D, n_values=[4], z_set=[[0.5, 0]])),
-            ("z_set", base_doc("llt-check", step_law=LAW_2D, n_values=[4], z_set=[[1]])),
+            ("z_set", base_doc("llt-check", step_law=LAW_2D, n_values=[4, 8], z_set=[[0.5, 0]])),
+            ("z_set", base_doc("llt-check", step_law=LAW_2D, n_values=[4, 8], z_set=[[1]])),
+            ("n_values", base_doc("llt-check", n_values=[64])),
+            ("n_values", base_doc("llt-check", n_values=[64, 64])),
+            ("n_values", base_doc("brw-check", offspring={"2": 1.0}, n_values=[8], replicates=4)),
         ],
         ids=[
             "n_est_above_max",
@@ -195,8 +187,6 @@ class TestConfig:
             "bool_replicates",
             "str_base_seed",
             "str_count_width",
-            "str_threshold",
-            "bool_z_radius_constant",
             "str_offspring_probability",
             "bool_offspring_probability",
             "coeff_fit_two_probes",
@@ -205,12 +195,15 @@ class TestConfig:
             "coeff_fit_bipartite_parity",
             "unknown_top_level_key",
             "unknown_step_law_key",
-            "unknown_threshold_key",
-            "deleted_c2_threshold",
+            "removed_thresholds",
+            "removed_z_radius_constant",
             "identities_two_points",
             "martingale_check_two_points",
             "fractional_z",
             "short_z",
+            "llt_check_one_probe",
+            "llt_check_one_distinct_probe",
+            "brw_check_one_probe",
         ],
     )
     def test_config_error_names_field(self, field, doc):
@@ -221,7 +214,8 @@ class TestConfig:
         docs = {
             "replicats": base_doc("identities", replicats=16),
             "zeta": base_doc("identities", step_law={"d": 1, "zeta": 0.5, "axes": [[0.5]]}),
-            "cf_agrement": base_doc("identities", thresholds={"cf_agrement": 1e-30}),
+            "thresholds": base_doc("identities", thresholds={"identity_rel_err": 1e-6}),
+            "z_radius_constant": base_doc("llt-check", n_values=[16, 64], z_radius_constant=1.0),
         }
         for key, doc in docs.items():
             with pytest.raises(ConfigError, match=key):
@@ -260,7 +254,7 @@ class TestConfig:
         assert peak < 1 << 20
         assert load_config(base_doc("llt-check", n_values=[60, 20000])).n_values == (60, 20000)
 
-    @pytest.mark.parametrize("experiment, n_values", [("llt-check", [200]), ("coeff-fit", [50, 100, 200])])
+    @pytest.mark.parametrize("experiment, n_values", [("llt-check", [100, 200]), ("coeff-fit", [50, 100, 200])])
     def test_cf_grid_budget_at_the_edge(self, monkeypatch, experiment, n_values):
         # At n = 200 the lazy 2-d box is 401^2 cells and its CF grid 405^2.
         # A budget that holds the box but not the grid refuses the config at
@@ -277,20 +271,10 @@ class TestConfig:
 
 class TestAdmissibleZ:
     def test_filter(self):
-        cfg = load_config(
-            base_doc(
-                "llt-check", n_values=[16], kappa=0.15, z_set=[[0], [1], [5]], z_radius_constant=1.0
-            )
-        )
+        cfg = load_config(base_doc("llt-check", n_values=[8, 16], kappa=0.15, z_set=[[0], [1], [5]]))
         assert admissible_z(cfg, 16) == [(0,), (1,)]
         # 5 <= n^0.15 requires n >= 5^(1/0.15), far beyond this range
         assert admissible_z(cfg, 1000) == [(0,), (1,)]
-
-    def test_constant_scales_cap(self):
-        cfg = load_config(
-            base_doc("llt-check", n_values=[16], kappa=0.15, z_set=[[5]], z_radius_constant=4.0)
-        )
-        assert admissible_z(cfg, 16) == [(5,)]
 
 
 class TestRunners:
@@ -431,22 +415,21 @@ class TestCsvAndDeterminism:
     @pytest.mark.parametrize(
         "law, z_set",
         [
-            (LAW_1D_SIMPLE, [[0], [3], [-1], [9]]),
-            ({"d": 2, "zeta0": 0.0, "axes": [[0.3, 0.0, 0.2], [0.5]]}, [[0, 0], [-1, 2], [5, 0], [0, -8]]),
-            ({"d": 2, "zeta0": 1.0 / 3.0, "axes": [[1.0 / 3.0], [1.0 / 3.0]]}, [[0, 0], [1, -1], [-7, 0]]),
-            ({"d": 3, "zeta0": 0.25, "axes": [[0.25], [0.25], [0.25]]}, [[0, 0, 0], [0, -1, 1], [2, 0, 6]]),
+            (LAW_1D_SIMPLE, [[0], [1], [-1]]),
+            ({"d": 2, "zeta0": 0.0, "axes": [[0.3, 0.0, 0.2], [0.5]]}, [[0, 0], [1, 0], [0, -1]]),
+            ({"d": 2, "zeta0": 1.0 / 3.0, "axes": [[1.0 / 3.0], [1.0 / 3.0]]}, [[0, 0], [-1, 0], [0, 1]]),
+            ({"d": 3, "zeta0": 0.25, "axes": [[0.25], [0.25], [0.25]]}, [[0, 0, 0], [0, -1, 0], [0, 0, 1]]),
         ],
         ids=["simple-1d", "bipartite-2d", "lazy-2d", "lazy-3d"],
     )
     def test_cf_column_reads_the_cf_box(self, law, z_set):
-        # Every cf_invert cell is the CF box's P(S_n = z) bit for bit,
-        # points beyond reach (0.0) included.
-        cfg = load_config(base_doc("llt-check", step_law=law, n_values=[1, 2, 5], z_set=z_set, z_radius_constant=50))
+        # Every cf_invert cell is the CF box's P(S_n = z) bit for bit.  Each
+        # point has ||z|| <= 1 = 1^kappa, so it is admissible at every probe.
+        cfg = load_config(base_doc("llt-check", step_law=law, n_values=[1, 2, 5], z_set=z_set))
         rows = [row for row in run_experiment(cfg).rows if row[1] != "sup"]
         assert len(rows) == 3 * len(z_set)
         for n, *z, _, cf, _, _ in rows:
             assert cf == exact_dist.dist_at(exact_dist.cf_invert_box(cfg.law, n), z)
-        assert any(cf == 0.0 for *_, cf, _, _ in rows)
 
     def test_llt_2d_memory(self):
         # The bench's llt-2d law at n = 240: the CF route builds no mirrored
@@ -525,25 +508,37 @@ class TestCli:
         assert "passed=True" in capsys.readouterr().out
 
     def test_run_failure_exit_code(self, tmp_path):
-        doc = base_doc("identities", thresholds={"identity_rel_err": 1e-30})
+        # Probes 1, 2 and 3 are too early for the 1/n fit: c1 is off by 2.5 %.
+        doc = base_doc("coeff-fit", n_values=[1, 2, 3])
         path = self.write_cfg(tmp_path, doc)
         out = tmp_path / "res.csv"
         assert cli.main(["run", path, "--output", str(out)]) == 1
 
     def test_override(self, tmp_path, capsys):
-        path = self.write_cfg(tmp_path, base_doc("identities"))
+        path = self.write_cfg(tmp_path, base_doc("coeff-fit", n_values=[64, 128, 256]))
         out = tmp_path / "res.csv"
-        code = cli.main(
-            [
-                "run",
-                path,
-                "--output",
-                str(out),
-                "--override",
-                "thresholds.identity_rel_err=1e-30",
-            ]
-        )
+        assert cli.main(["run", path, "--output", str(out)]) == 0
+        code = cli.main(["run", path, "--output", str(out), "--override", "n_values=[1,2,3]"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("thresholds.identity_rel_err=1e-30", "thresholds"),
+            ('thresholds={"c1_rel_err": 1e9}', "thresholds"),
+            ("z_radius_constant=50", "z_radius_constant"),
+        ],
+    )
+    def test_removed_keys_refused(self, tmp_path, capsys, override, key):
+        # The gates and the z radius are fixed by the code; naming them in a
+        # config is refused like any unknown key.
+        path = self.write_cfg(tmp_path, base_doc("llt-check", n_values=[16, 64]))
+        for verb in ("validate", "run"):
+            assert cli.main([verb, path, "--override", override]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"brwllt: config: unknown key {key!r}")
+            assert captured.err.count("\n") == 1
 
     def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BRWLLT_OUTPUT_DIR", str(tmp_path))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -31,6 +32,14 @@ def test_dimension_read_from_rows():
     assert walk_dist(law, 2).mass.tolist() == [0.5, 0.0, 0.25]
     # A law built from another's rows reads its own d.
     assert dataclasses.replace(law, weights=((0.5,), (0.5,))).d == 2
+
+
+@pytest.mark.parametrize("d", [True, "1", 1.5, float("nan")], ids=["bool", "str", "fractional", "nan"])
+def test_dimension_must_be_an_integer(d):
+    # d must be an integer, not merely compare like one: True, "1" and 1.5
+    # are refused by a message that names them.
+    with pytest.raises(ValueError, match=rf"^dimension must be an integer, got {re.escape(repr(d))}$"):
+        validate(d, 0.0, [[1.0]])
 
 
 @pytest.mark.parametrize(
