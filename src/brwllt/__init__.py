@@ -36,7 +36,6 @@ from .gw_brw import (  # noqa: F401
     OffspringLaw,
     ReplicateSeed,
     SiteCounts,
-    evolve_generation,
     initial_state,
     simulate,
     validate_offspring,

@@ -495,37 +495,6 @@ def _batch_size(box: SiteCounts, steps: int, off: OffspringLaw, law: StepLaw, co
     return max(1, exact_dist.ELEMENT_BUDGET // per_replicate)
 
 
-def evolve_generation(
-    state: GenerationState,
-    off: OffspringLaw,
-    law: StepLaw,
-    seed: ReplicateSeed,
-    count_width: int = 64,
-) -> GenerationState:
-    """One branching-and-displacement step: ``simulate(off, law, [seed],
-    [state.n + 1], count_width, start=state)``.
-
-    Offspring and displacement splits of every occupied block are drawn
-    from the generation's stream in lexicographic site order.  The new
-    total equals the integer sum of all sampled offspring exactly.
-
-    Raises:
-        ValueError: ``state`` and ``law`` differ in dimension.
-        CountOverflow: a count of the state or of the new generation does
-            not fit a signed ``count_width``-bit integer.
-        CapacityExceeded: a count needs 2^32 blocks or more, or the blocks
-            times the larger of the offspring and atom numbers, plus the
-            cells of the new box, exceed the element budget; raised
-            before the blocks are allocated.  With binary offspring that is
-            about 2^27 blocks of 2^61 particles, enough for counts near
-            2^80 on each of 150 sites.  The new box alone must fit the
-            budget too: in d = 5 an occupied reach of 22 per axis is the
-            most a nearest-neighbour walk can step from.
-    """
-    ((new,),) = simulate(off, law, [seed], [state.n + 1], count_width, start=state)
-    return new
-
-
 def initial_state(d: int) -> GenerationState:
     """A single ancestor at the origin."""
     return GenerationState(n=0, counts=SiteCounts(np.ones((1,) * (d + 1), dtype=np.int64)))
@@ -555,7 +524,16 @@ def simulate(
             before the start generation, the last does not exceed it (an
             empty schedule included), or ``start`` and ``law`` differ in
             dimension.
-        CountOverflow, CapacityExceeded: as ``evolve_generation``.
+        CountOverflow: a count of ``start`` or of a stepped generation does
+            not fit a signed ``count_width``-bit integer.
+        CapacityExceeded: in a step, a count needs 2^32 blocks or more, or
+            the blocks times the larger of the offspring and atom numbers,
+            plus the cells of the new box, exceed the element budget;
+            raised before the blocks are allocated.  With binary offspring
+            that is about 2^27 blocks of 2^61 particles, enough for counts
+            near 2^80 on each of 150 sites.  The new box alone must fit the
+            budget too: in d = 5 an occupied reach of 22 per axis is the
+            most a nearest-neighbour walk can step from.
         CapacityExceeded: the boxes behind the kept snapshots exceed the
             element budget.
     """

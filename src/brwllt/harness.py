@@ -7,6 +7,11 @@ A run's verdict is fixed by the code, not by its config.  Its gates are
 ``CF_AGREEMENT`` (llt-check, exact against CF), ``IDENTITY_REL_ERR``
 (identities), ``HARMONICITY_REL`` (martingale-check's harmonicity grid)
 and ``C1_REL_ERR`` (coeff-fit's relative c1 error).
+
+Its (n, z) grid is fixed at load: ``load_config`` refuses a repeated
+``z_set`` point and, for llt-check, brw-check and coeff-fit, a point some
+probe cannot check (parity unlike an n of a bipartite law; for llt-check,
+||z|| > n^kappa at the smallest probe), so every runner computes every cell.
 """
 
 from __future__ import annotations
@@ -159,13 +164,20 @@ def load_config(doc: dict) -> ExperimentConfig:
         z_set = tuple(lattice_point(z, law.d) for z in _list(doc.get("z_set", [[0] * law.d])))
     if not z_set:
         raise ConfigError("z_set: needs at least one lattice point")
+    if len(set(z_set)) < len(z_set):
+        repeated = next(z for i, z in enumerate(z_set) if z in z_set[:i])
+        raise ConfigError(f"z_set: z = {repeated} is named more than once")
     if experiment in ("identities", "martingale-check") and len(z_set) > 1:
         raise ConfigError(f"z_set: {experiment} checks one lattice point, got {len(z_set)}")
-    walk_class = classify(law)
-    for z in z_set:
-        mismatched = [n for n in n_values if parity_forbidden(walk_class, n, z)]
-        if experiment == "coeff-fit" and mismatched:
-            raise ConfigError(f"z_set: z = {z} is parity-incompatible with n = {mismatched[0]} (bipartite law)")
+    if experiment in ("llt-check", "brw-check", "coeff-fit"):
+        walk_class = classify(law)
+        n_min = min(n_values)
+        for z in z_set:
+            mismatched = [n for n in n_values if parity_forbidden(walk_class, n, z)]
+            if mismatched:
+                raise ConfigError(f"z_set: z = {z} is parity-incompatible with n = {mismatched[0]} (bipartite law)")
+            if experiment == "llt-check" and not math.sqrt(sum(c * c for c in z)) <= n_min**kappa:
+                raise ConfigError(f"z_set: z = {z} has ||z|| > n^kappa at the smallest probe n = {n_min}")
     with _field("count_width"):
         count_width = json_int(doc.get("count_width", 64))
     if count_width not in (64, 128):
@@ -196,12 +208,6 @@ def load_config(doc: dict) -> ExperimentConfig:
     )
 
 
-def admissible_z(cfg: ExperimentConfig, n: int):
-    """The configured z set filtered to ||z|| <= n^kappa."""
-    cap = n**cfg.kappa
-    return [z for z in cfg.z_set if math.sqrt(sum(c * c for c in z)) <= cap]
-
-
 @dataclass
 class RunResult:
     columns: tuple[str, ...]
@@ -218,7 +224,7 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
     The axis mixture (:func:`axis_mixture`) gives the exact value at the
     probe n only; one CF inversion per probe n (:func:`cf_invert_box`,
     read at orthant cell |z| by :func:`dist_at`) gives the independent
-    value for every admissible z.  The audit figures are the largest
+    value at every z.  The audit figures are the largest
     |exact - cf_invert| over the rows, the largest negative mass of a CF
     law over its whole box (``LatticeDist.negative_mass``, summed on the
     orthant with mirror multiplicities), and 1 - the mixture's whole mass
@@ -232,14 +238,10 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
     probes = sorted(set(cfg.n_values))
     exact_mass, total_mass = axis_mixture(cfg.law, probes, cfg.z_set)
     for n, at in zip(probes, exact_mass.tolist()):
-        exact_at = dict(zip(cfg.z_set, at))
         sup = 0.0
-        zs = admissible_z(cfg, n)
-        if zs:
-            dist = cf_invert_box(cfg.law, n)
-            negative_mass = max(negative_mass, dist.negative_mass())
-        for z in zs:
-            exact = exact_at[z]
+        dist = cf_invert_box(cfg.law, n)
+        negative_mass = max(negative_mass, dist.negative_mass())
+        for z, exact in zip(cfg.z_set, at):
             cf = dist_at(dist, z)
             pred = rw_expansion(c, n, z)
             gamma = n ** (cfg.law.d / 2.0 + 2.0) * (exact - pred)
@@ -376,7 +378,7 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
                 observed = mean ** (-n) * st.counts.get(z, 0)
                 lead = leading_factor(c, n)
                 w_n = st.total / mean**n
-                ratio = 0.0 if parity_forbidden(c.walk_class, n, z) else observed / lead - w_n
+                ratio = observed / lead - w_n
                 per_probe[(n, z)].append(ratio)
                 rows.append((rep, n, *z, observed, lead * w_n, ratio, w_n))
     ok = True

@@ -18,7 +18,7 @@ from brwllt.exact_dist import (
     dump_csv,
     walk_dist,
 )
-from brwllt.gw_brw import GenerationState, ReplicateSeed, SiteCounts, evolve_generation, validate_offspring
+from brwllt.gw_brw import GenerationState, ReplicateSeed, SiteCounts, simulate, validate_offspring
 from brwllt.harness import load_config
 from brwllt.llt import fit_correction_coefficients, gamma_residual
 from brwllt.step_law import WalkClass, classify, law_to_dict, lazy_simple_law, validate
@@ -391,17 +391,17 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
         (r"a box of radius \(200, 200\)", lambda: SiteCounts.from_mapping({(200, 0): 1, (0, 200): 1}, 2)),
         (
             "the next generation's box",
-            lambda: evolve_generation(GenerationState(0, wide), binary, law, ReplicateSeed(0, 0)),
+            lambda: simulate(binary, law, [ReplicateSeed(0, 0)], [1], start=GenerationState(0, wide)),
         ),
         (
             "the next generation's box and count blocks",
-            lambda: evolve_generation(GenerationState(0, deep), binary, SIMPLE, ReplicateSeed(0, 0), 128),
+            lambda: simulate(binary, SIMPLE, [ReplicateSeed(0, 0)], [1], 128, start=GenerationState(0, deep)),
         ),
     ]
-    # The first ``evolve_generation`` of a process leaves ~0.7 MB allocated
-    # for good; one in-budget call before tracing keeps that out of the
-    # peak, whichever tests ran before.
-    evolve_generation(GenerationState(0, SiteCounts.from_mapping({(0,): 2}, 1)), binary, SIMPLE, ReplicateSeed(0, 0))
+    # The first BRW step of a process leaves ~0.7 MB allocated for good;
+    # one in-budget step before tracing keeps that out of the peak,
+    # whichever tests ran before.
+    simulate(binary, SIMPLE, [ReplicateSeed(0, 0)], [1])
     monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2**16)
     tracemalloc.start()
     try:

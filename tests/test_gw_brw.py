@@ -16,7 +16,6 @@ from brwllt.gw_brw import (
     ReplicateSeed,
     SiteCounts,
     derive_stream,
-    evolve_generation,
     initial_state,
     simulate,
     validate_offspring,
@@ -26,6 +25,12 @@ from brwllt.harness import load_config, run_experiment
 from brwllt.step_law import lazy_simple_law, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
+
+
+def next_generation(state, off, law, seed, count_width=64):
+    """The generation after ``state``, stepped by ``simulate``."""
+    ((new,),) = simulate(off, law, [seed], [state.n + 1], count_width, start=state)
+    return new
 
 
 def state_of(counts, d=1, n=0):
@@ -111,14 +116,14 @@ class TestBinomialExact:
     def test_edges(self):
         seed = ReplicateSeed(0, 0)
         # P(N = 2) = 1: exactly two children per particle.
-        new = evolve_generation(state_of({(0,): 10, (4,): 7}), validate_offspring({2: 1.0}), SIMPLE, seed)
+        new = next_generation(state_of({(0,): 10, (4,): 7}), validate_offspring({2: 1.0}), SIMPLE, seed)
         assert new.total == 34
         # P(N = 2) = 0: every site has 1 or 3 children, never 2.
-        new = evolve_generation(spaced(500, 1), validate_offspring({1: 0.5, 3: 0.5}), SIMPLE, seed)
+        new = next_generation(spaced(500, 1), validate_offspring({1: 0.5, 3: 0.5}), SIMPLE, seed)
         per_site = children(new, 500).sum(axis=1)
         assert set(per_site.tolist()) == {1, 3}
         # No particles: nothing is drawn and nothing appears.
-        empty = evolve_generation(state_of({}), validate_offspring({2: 1.0}), SIMPLE, seed)
+        empty = next_generation(state_of({}), validate_offspring({2: 1.0}), SIMPLE, seed)
         assert empty.total == 0
         assert len(empty.counts) == 0
 
@@ -127,7 +132,7 @@ class TestBinomialExact:
         # one step left of a site is Binomial(10^9, 1/2).
         trials, p, reps = 10**9, 0.5, 10**4
         off = validate_offspring({2: 1.0})
-        new = evolve_generation(spaced(reps, trials // 2), off, SIMPLE, ReplicateSeed(1, 0))
+        new = next_generation(spaced(reps, trials // 2), off, SIMPLE, ReplicateSeed(1, 0))
         draws = children(new, reps)[:, 0]
         se = math.sqrt(trials * p * (1 - p) / reps)
         assert abs(np.mean(draws) - trials * p) <= 4 * se
@@ -135,7 +140,7 @@ class TestBinomialExact:
     def test_beyond_int64(self):
         count = 2**64 + 5
         trials = 2 * count
-        new = evolve_generation(
+        new = next_generation(
             state_of({(0,): count}), validate_offspring({2: 1.0}), SIMPLE, ReplicateSeed(2, 0), count_width=128
         )
         x = new.counts[(-1,)]
@@ -154,7 +159,7 @@ class TestBinomialExact:
         off = validate_offspring({5: 1.0})
         draws = Counter()
         for r in range(10):
-            new = evolve_generation(spaced(reps // 10, 1), off, law, ReplicateSeed(3, r))
+            new = next_generation(spaced(reps // 10, 1), off, law, ReplicateSeed(3, r))
             draws.update(children(new, reps // 10)[:, 0].tolist())
         observed = [draws.get(k, 0) for k in range(6)]
         expected = [reps * stats.binom.pmf(k, trials, p) for k in range(6)]
@@ -166,7 +171,7 @@ class TestMultinomial:
     def test_conserves_total(self):
         # 50 sites of 1000 particles, two children each, over three atoms.
         law = validate(1, 0.5, [[0.5]])
-        new = evolve_generation(spaced(50, 1000), validate_offspring({2: 1.0}), law, ReplicateSeed(4, 0))
+        new = next_generation(spaced(50, 1000), validate_offspring({2: 1.0}), law, ReplicateSeed(4, 0))
         parts = children(new, 50)
         assert (parts.sum(axis=1) == 2000).all()
         assert (parts >= 0).all()
@@ -176,7 +181,7 @@ class TestMultinomial:
         # (stay, -1, +1) with probabilities (0.5, 0.25, 0.25).
         reps = 200_000
         law = validate(1, 0.5, [[0.5]])
-        new = evolve_generation(spaced(reps, 1), validate_offspring({3: 1.0}), law, ReplicateSeed(5, 0))
+        new = next_generation(spaced(reps, 1), validate_offspring({3: 1.0}), law, ReplicateSeed(5, 0))
         parts = children(new, reps)
         counts = Counter(zip(parts[:, 1].tolist(), parts[:, 0].tolist(), parts[:, 2].tolist()))
         observed, expected = [], []
@@ -263,7 +268,7 @@ class TestGenerationState:
 
 class TestEvolve:
     def test_binary_one_step(self):
-        state = evolve_generation(
+        state = next_generation(
             initial_state(1), validate_offspring({2: 1.0}), SIMPLE, ReplicateSeed(0, 0)
         )
         assert state.total == 2
@@ -289,7 +294,7 @@ class TestEvolve:
         law = lazy_simple_law(2, 0.25)
         state = initial_state(2)
         for gen in range(8):
-            state = evolve_generation(state, off, law, ReplicateSeed(12, 0))
+            state = next_generation(state, off, law, ReplicateSeed(12, 0))
             assert state.total == sum(state.counts.values())
             assert all(max(abs(c) for c in site) <= state.n for site in state.counts)
 
@@ -297,7 +302,7 @@ class TestEvolve:
         off = validate_offspring({2: 1.0})
         state = initial_state(1)
         for _ in range(6):
-            state = evolve_generation(state, off, SIMPLE, ReplicateSeed(13, 0))
+            state = next_generation(state, off, SIMPLE, ReplicateSeed(13, 0))
             for site in state.counts:
                 assert (state.n - site[0]) % 2 == 0
 
@@ -305,11 +310,11 @@ class TestEvolve:
         off = validate_offspring({2: 1.0})
         state = state_of({(0,): 2**63 - 1})
         with pytest.raises(errors.CountOverflow):
-            evolve_generation(state, off, SIMPLE, ReplicateSeed(14, 0))
-        new = evolve_generation(state, off, SIMPLE, ReplicateSeed(14, 0), count_width=128)
+            next_generation(state, off, SIMPLE, ReplicateSeed(14, 0))
+        new = next_generation(state, off, SIMPLE, ReplicateSeed(14, 0), count_width=128)
         assert new.total == 2**64 - 2
         with pytest.raises(errors.CountOverflow):
-            evolve_generation(state_of({(0,): 2**127}), off, SIMPLE, ReplicateSeed(14, 0), count_width=128)
+            next_generation(state_of({(0,): 2**127}), off, SIMPLE, ReplicateSeed(14, 0), count_width=128)
 
     def test_block_budget(self):
         # 2^90 particles need 2^29 blocks of 2^61, 2^126 need 2^65; both
@@ -320,7 +325,7 @@ class TestEvolve:
             tracemalloc.start()
             try:
                 with pytest.raises(errors.CapacityExceeded):
-                    evolve_generation(state, off, SIMPLE, ReplicateSeed(14, 0), 128)
+                    next_generation(state, off, SIMPLE, ReplicateSeed(14, 0), 128)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -339,20 +344,20 @@ class TestEvolve:
         law = lazy_simple_law(2, 1.0 / 3.0)
         monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2 - 1)
         with pytest.raises(errors.CapacityExceeded, match=r"^the next generation's box exceeds"):
-            evolve_generation(state, off, law, ReplicateSeed(0, 0))
+            next_generation(state, off, law, ReplicateSeed(0, 0))
         assert calls == []
         monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2)
         with pytest.raises(errors.CapacityExceeded, match=r"^the next generation's box and count blocks exceeds"):
-            evolve_generation(state, off, law, ReplicateSeed(0, 0))
+            next_generation(state, off, law, ReplicateSeed(0, 0))
         assert len(calls) == 1
         monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2 + 20)
-        assert evolve_generation(state, off, law, ReplicateSeed(0, 0)).total == 8
+        assert next_generation(state, off, law, ReplicateSeed(0, 0)).total == 8
         assert len(calls) == 2
 
     def test_multinomial_placement_mean(self):
         off = validate_offspring({2: 1.0})
         state = state_of({(0,): 10**6})
-        new = evolve_generation(state, off, SIMPLE, ReplicateSeed(15, 0))
+        new = next_generation(state, off, SIMPLE, ReplicateSeed(15, 0))
         total = 2 * 10**6
         for z in (-1, 1):
             expect = total * 0.5
@@ -390,7 +395,7 @@ class TestBatchedStep:
         for planes, width in ((3, 64), (4, 128)):
             box = SiteCounts(np.array([[5]] + [[0]] * (planes - 1), dtype=np.int64))
             assert box.bit_length() == 3
-            new = evolve_generation(GenerationState(0, box), off, SIMPLE, ReplicateSeed(0, 0), width)
+            new = next_generation(GenerationState(0, box), off, SIMPLE, ReplicateSeed(0, 0), width)
             assert new.total == 10
             assert len(new.counts.digits) == 1
 
@@ -414,7 +419,7 @@ class TestBatchedStep:
             state = initial_state(law.d)
             alone = []
             for _ in range(n):
-                state = evolve_generation(state, off, law, seed, width)
+                state = next_generation(state, off, law, seed, width)
                 if state.n in probes:
                     alone.append(state)
             assert [(st.n, st.total, st.counts) for st in run] == [(st.n, st.total, st.counts) for st in alone]
@@ -543,7 +548,7 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="^the start generation is 2-dimensional but the step law is 1-dim"):
             simulate(off, SIMPLE, [ReplicateSeed(1, 0)], [5], start=start)
         with pytest.raises(ValueError, match="^the start generation is 1-dimensional but the step law is 2-dim"):
-            evolve_generation(initial_state(1), off, lazy_simple_law(2, 0.25), ReplicateSeed(1, 0))
+            next_generation(initial_state(1), off, lazy_simple_law(2, 0.25), ReplicateSeed(1, 0))
 
     def test_replicates_differ(self):
         off = validate_offspring({1: 0.5, 3: 0.5})
@@ -571,9 +576,9 @@ class TestDeterminism:
         backward = GenerationState(6, SiteCounts.from_mapping(dict(reversed(items)), 2))
         seed = ReplicateSeed(30, 0)
         law = lazy_simple_law(2, 0.25)
-        serial = evolve_generation(state, off, law, seed)
-        assert evolve_generation(forward, off, law, seed).counts == serial.counts
-        assert evolve_generation(backward, off, law, seed).counts == serial.counts
+        serial = next_generation(state, off, law, seed)
+        assert next_generation(forward, off, law, seed).counts == serial.counts
+        assert next_generation(backward, off, law, seed).counts == serial.counts
 
     def test_padded_box_same_next_generation(self):
         # The same occupied sites in a larger, zero-padded box draw the same
@@ -587,8 +592,8 @@ class TestDeterminism:
         assert padded.counts.radius == (9, 9)
         assert padded.counts.digits.shape[1:] == (19, 19)
         seed = ReplicateSeed(31, 2)
-        a = evolve_generation(state, off, law, seed)
-        b = evolve_generation(padded, off, law, seed)
+        a = next_generation(state, off, law, seed)
+        b = next_generation(padded, off, law, seed)
         assert a.counts == b.counts
         assert a.total == b.total
         # The new box is sized from the occupied sites, not the old box.

@@ -3,14 +3,13 @@ import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brwllt import cli, exact_dist, harness
 from brwllt.errors import BrwlltError, ConfigError, NonNormalized
 from brwllt.harness import (
     EXPERIMENTS,
-    admissible_z,
     load_config,
     run_experiment,
     write_csv,
@@ -25,6 +24,27 @@ def base_doc(experiment, **extra):
     doc = {"experiment": experiment, "step_law": dict(LAW_1D_LAZY), "base_seed": 7}
     doc.update(extra)
     return doc
+
+
+# Configs whose (n, z) grid some probe cannot check, each refused at load
+# naming z_set.  A trend gate over such a grid compares a value with a
+# parity-forbidden 0, or with a point missing at another probe, so it
+# passes or fails whatever the law does; a repeated point doubles rows.
+GRID_REFUSALS = {
+    "llt_check_parity": base_doc("llt-check", step_law=LAW_1D_SIMPLE, n_values=[16, 33], z_set=[[0]]),
+    "brw_check_parity_at_last_probe": base_doc(
+        "brw-check", step_law=LAW_1D_SIMPLE, offspring={"2": 1.0}, replicates=8, base_seed=3,
+        n_values=[15, 16], z_set=[[1]],
+    ),
+    "llt_check_point_admitted_late": base_doc("llt-check", n_values=[2, 200], z_set=[[0], [2]]),
+    "llt_check_no_checkable_point": base_doc("llt-check", n_values=[16, 64], z_set=[[5]]),
+    "brw_check_parity_at_every_probe": base_doc(
+        "brw-check", step_law=LAW_1D_SIMPLE, offspring={"2": 1.0}, n_values=[8, 16], z_set=[[1]]
+    ),
+    "repeated_point": base_doc(
+        "brw-check", offspring={"2": 1.0}, replicates=5, base_seed=3, n_values=[8, 16], z_set=[[0], [0.0]]
+    ),
+}
 
 
 JSON = st.recursive(
@@ -161,6 +181,7 @@ class TestConfig:
             ("n_values", base_doc("llt-check", n_values=[64])),
             ("n_values", base_doc("llt-check", n_values=[64, 64])),
             ("n_values", base_doc("brw-check", offspring={"2": 1.0}, n_values=[8], replicates=4)),
+            *(("z_set", doc) for doc in GRID_REFUSALS.values()),
         ],
         ids=[
             "n_est_above_max",
@@ -204,10 +225,18 @@ class TestConfig:
             "llt_check_one_probe",
             "llt_check_one_distinct_probe",
             "brw_check_one_probe",
+            *GRID_REFUSALS,
         ],
     )
     def test_config_error_names_field(self, field, doc):
         with pytest.raises(ConfigError, match=f"^{field}:"):
+            load_config(doc)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_repeated_point_refused(self, experiment):
+        # One point named twice, once as a float, would double its rows.
+        doc = base_doc(experiment, offspring={"2": 1.0}, n_values=[8, 16, 32], z_set=[[1], [0], [1.0]])
+        with pytest.raises(ConfigError, match=r"^z_set: z = \(1,\) is named more than once$"):
             load_config(doc)
 
     def test_unknown_keys_are_named(self):
@@ -269,12 +298,43 @@ class TestConfig:
         assert run_experiment(load_config(doc)).rows
 
 
-class TestAdmissibleZ:
-    def test_filter(self):
-        cfg = load_config(base_doc("llt-check", n_values=[8, 16], kappa=0.15, z_set=[[0], [1], [5]]))
-        assert admissible_z(cfg, 16) == [(0,), (1,)]
-        # 5 <= n^0.15 requires n >= 5^(1/0.15), far beyond this range
-        assert admissible_z(cfg, 1000) == [(0,), (1,)]
+class TestGrid:
+    def test_kappa_reads_the_smallest_probe(self):
+        # 2 <= n^0.15 needs n >= 2^(1/0.15) ~ 101.6: a grid from 102 on
+        # admits z = 2; one from 101 refuses it, whatever its largest probe.
+        assert load_config(base_doc("llt-check", n_values=[102, 200], z_set=[[0], [2]])).z_set == ((0,), (2,))
+        refusal = r"^z_set: z = \(2,\) has \|\|z\|\| > n\^kappa at the smallest probe n = 101$"
+        with pytest.raises(ConfigError, match=refusal):
+            load_config(base_doc("llt-check", n_values=[101, 10**4], z_set=[[0], [2]]))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        experiment=st.sampled_from(["llt-check", "brw-check"]),
+        law=st.sampled_from([LAW_1D_LAZY, LAW_1D_SIMPLE, LAW_2D, {"d": 2, "zeta0": 0.0, "axes": [[0.5], [0.5]]}]),
+        n_values=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+        points=st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=1, max_size=4),
+        replicates=st.integers(1, 4),
+    )
+    def test_accepted_run_computes_the_full_grid(self, experiment, law, n_values, points, replicates):
+        # Whatever grid load_config accepts, the run has one data row per
+        # replicate, probe and point: no cell is dropped or forced.
+        doc = base_doc(
+            experiment, step_law=law, offspring={"1": 0.5, "2": 0.5}, n_values=n_values,
+            z_set=[list(z) for z in dict.fromkeys(z[: law["d"]] for z in points)], replicates=replicates,
+        )
+        try:
+            cfg = load_config(doc)
+        except ConfigError:
+            assume(False)
+        res = run_experiment(cfg)
+        probes = sorted(set(cfg.n_values))
+        if experiment == "llt-check":
+            cells = [(n, tuple(z)) for n, *z, _, _, _, _ in res.rows if z[0] != "sup"]
+            grid = [(n, z) for n in probes for z in cfg.z_set]
+        else:
+            cells = [(rep, n, tuple(z)) for rep, n, *z, _, _, _, _ in res.rows if rep != "agg"]
+            grid = [(rep, n, z) for rep in range(cfg.replicates) for n in probes for z in cfg.z_set]
+        assert sorted(cells) == sorted(grid)
 
 
 class TestRunners:
@@ -413,19 +473,20 @@ class TestCsvAndDeterminism:
         assert lines[9] == "n,z1,exact,cf_invert,predicted,gamma"
 
     @pytest.mark.parametrize(
-        "law, z_set",
+        "law, n_values, z_set",
         [
-            (LAW_1D_SIMPLE, [[0], [1], [-1]]),
-            ({"d": 2, "zeta0": 0.0, "axes": [[0.3, 0.0, 0.2], [0.5]]}, [[0, 0], [1, 0], [0, -1]]),
-            ({"d": 2, "zeta0": 1.0 / 3.0, "axes": [[1.0 / 3.0], [1.0 / 3.0]]}, [[0, 0], [-1, 0], [0, 1]]),
-            ({"d": 3, "zeta0": 0.25, "axes": [[0.25], [0.25], [0.25]]}, [[0, 0, 0], [0, -1, 0], [0, 0, 1]]),
+            (LAW_1D_SIMPLE, [1, 3, 5], [[1], [-1]]),
+            ({"d": 2, "zeta0": 0.0, "axes": [[0.3, 0.0, 0.2], [0.5]]}, [1, 3, 5], [[1, 0], [0, -1], [-1, 0]]),
+            ({"d": 2, "zeta0": 1.0 / 3.0, "axes": [[1.0 / 3.0], [1.0 / 3.0]]}, [1, 2, 5], [[0, 0], [-1, 0], [0, 1]]),
+            ({"d": 3, "zeta0": 0.25, "axes": [[0.25], [0.25], [0.25]]}, [1, 2, 5], [[0, 0, 0], [0, -1, 0], [0, 0, 1]]),
         ],
         ids=["simple-1d", "bipartite-2d", "lazy-2d", "lazy-3d"],
     )
-    def test_cf_column_reads_the_cf_box(self, law, z_set):
+    def test_cf_column_reads_the_cf_box(self, law, n_values, z_set):
         # Every cf_invert cell is the CF box's P(S_n = z) bit for bit.  Each
-        # point has ||z|| <= 1 = 1^kappa, so it is admissible at every probe.
-        cfg = load_config(base_doc("llt-check", step_law=law, n_values=[1, 2, 5], z_set=z_set))
+        # point has ||z|| <= 1 = 1^kappa and, on a bipartite law, an odd
+        # coordinate sum like every probe, so it is checked at every probe.
+        cfg = load_config(base_doc("llt-check", step_law=law, n_values=n_values, z_set=z_set))
         rows = [row for row in run_experiment(cfg).rows if row[1] != "sup"]
         assert len(rows) == 3 * len(z_set)
         for n, *z, _, cf, _, _ in rows:
@@ -589,6 +650,14 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith("brwllt: z_set: z = (1,) is parity-incompatible with n = 32")
             assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", GRID_REFUSALS.values(), ids=GRID_REFUSALS)
+    def test_grid_refused_at_load(self, tmp_path, capsys, doc):
+        assert cli.main(["validate", self.write_cfg(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("brwllt: z_set: ")
+        assert captured.err.count("\n") == 1
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, base_doc("identities", kappa=0.9))
