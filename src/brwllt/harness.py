@@ -3,6 +3,10 @@
 A single JSON config describes one experiment; every emitted row carries
 the config hash and base seed so it can be reproduced bit-exactly.
 
+``RUNNERS`` names each experiment once, with its runner and the config
+fields it reads; ``load_config`` refuses any other key as a ``ConfigError``
+naming the key and the experiment.
+
 A run's verdict is fixed by the code, not by its config.  Its gates are
 ``CF_AGREEMENT`` (llt-check, exact against CF), ``IDENTITY_REL_ERR``
 (identities), ``HARMONICITY_REL`` (martingale-check's harmonicity grid)
@@ -22,6 +26,7 @@ import math
 import statistics
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .exact_dist import axis_mixture, cf_grid, cf_invert_box, charge, dist_at
 from .gw_brw import OffspringLaw, ReplicateSeed, simulate, validate_offspring
 from .llt import (
     constants_for,
-    fit_correction_coefficients,
+    fit_points,
     gaussian_identity_check,
     leading_factor,
     parity_forbidden,
@@ -44,12 +49,7 @@ from .martingales import (
     harmonicity_defect,
     readout,
 )
-from .step_law import StepLaw, classify, json_int, json_keys, json_number, lattice_point, law_from_dict, moments
-
-FIELDS = (
-    "experiment", "step_law", "offspring", "n_values", "z_set", "replicates", "base_seed",
-    "kappa", "n_est", "count_width", "output",
-)
+from .step_law import StepLaw, classify, json_int, json_number, lattice_point, law_from_dict, moments
 
 # Version of the random streams behind every sampled figure; it changes
 # whenever the same config and seed would draw different numbers.  2: one
@@ -72,7 +72,6 @@ class ExperimentConfig:
     z_set: tuple[tuple[int, ...], ...]
     replicates: int
     base_seed: int
-    kappa: float
     n_est: int | None
     count_width: int
     output: str | None
@@ -117,26 +116,25 @@ def load_config(doc: dict) -> ExperimentConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(doc).__name__}")
-    with _field("config"):
-        json_keys(doc, FIELDS)
-    for key in ("experiment", "step_law"):
-        if key not in doc:
-            raise ConfigError(f"{key}: required field missing")
+    if "experiment" not in doc:
+        raise ConfigError("experiment: required field missing")
     experiment = doc["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown {experiment!r}; expected one of {EXPERIMENTS}")
+    fields = RUNNERS[experiment].fields
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"config: unknown key {key!r} for {experiment}; expected one of {fields}")
+    if "step_law" not in doc:
+        raise ConfigError("step_law: required field missing")
     with _field("step_law"):
         law = law_from_dict(doc["step_law"])
+    if "offspring" in fields and "offspring" not in doc:
+        raise ConfigError(f"offspring: {experiment} requires an offspring spec")
     offspring = None
     if "offspring" in doc:
         with _field("offspring"):
             offspring = validate_offspring(doc["offspring"])
-    if experiment == "brw-check" and offspring is None:
-        raise ConfigError("offspring: brw-check requires an offspring spec")
-    with _field("kappa"):
-        kappa = float(json_number(doc.get("kappa", 0.15)))
-    if not 0.0 < kappa < 1.0 / 6.0:
-        raise ConfigError(f"kappa: {kappa} outside (0, 1/6)")
     with _field("n_values"):
         n_values = tuple(json_int(n) for n in _list(doc.get("n_values", [])))
     if experiment in ("llt-check", "brw-check") and not n_values:
@@ -154,7 +152,7 @@ def load_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"n_values: coeff-fit needs 3 or more increasing probes, got {list(n_values)}")
     with _field("n_est"):
         n_est = json_int(doc["n_est"]) if "n_est" in doc else None
-    if experiment == "brw-check" and n_est is not None and not 1 <= n_est <= max(n_values):
+    if n_est is not None and not 1 <= n_est <= max(n_values):
         raise ConfigError(f"n_est: {n_est} outside [1, max(n_values) = {max(n_values)}]")
     with _field("replicates"):
         replicates = json_int(doc.get("replicates", 1))
@@ -170,6 +168,11 @@ def load_config(doc: dict) -> ExperimentConfig:
     if experiment in ("identities", "martingale-check") and len(z_set) > 1:
         raise ConfigError(f"z_set: {experiment} checks one lattice point, got {len(z_set)}")
     if experiment in ("llt-check", "brw-check", "coeff-fit"):
+        if experiment == "llt-check":
+            with _field("kappa"):
+                kappa = float(json_number(doc.get("kappa", 0.15)))
+            if not 0.0 < kappa < 1.0 / 6.0:
+                raise ConfigError(f"kappa: {kappa} outside (0, 1/6)")
         walk_class = classify(law)
         n_min = min(n_values)
         for z in z_set:
@@ -200,7 +203,6 @@ def load_config(doc: dict) -> ExperimentConfig:
         z_set=z_set,
         replicates=replicates,
         base_seed=base_seed,
-        kappa=kappa,
         n_est=n_est,
         count_width=count_width,
         output=output,
@@ -272,8 +274,7 @@ def run_coeff_fit(cfg: ExperimentConfig) -> RunResult:
     rows = []
     ok = True
     notes = []
-    for z in cfg.z_set:
-        fit = fit_correction_coefficients(cfg.law, z, cfg.n_values)
+    for z, fit in zip(cfg.z_set, fit_points(cfg.law, cfg.z_set, cfg.n_values)):
         for n, c1, c2 in zip(fit.n_list, fit.c1_seq, fit.c2_seq):
             rows.append(("fit", *z, n, c1, c2, "", ""))
         err_theorem = abs(fit.c2_hat - fit.c2_theorem)
@@ -325,32 +326,31 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
             rows.append(("harmonicity", fid, *x, n, defect, rel))
 
     # (b) one-step annealed martingale check by Monte Carlo.
-    if cfg.offspring is not None:
-        ((base,),) = simulate(cfg.offspring, cfg.law, [ReplicateSeed(cfg.base_seed, 0)], (4,), cfg.count_width)
-        parent = readout(base, cfg.offspring.mean, m, z)
-        samples = {fid: [] for fid in ("W", "N2z", "N4")}
-        reps = max(cfg.replicates, 200)
-        seeds = [ReplicateSeed(cfg.base_seed, r) for r in range(1, reps + 1)]
-        for (child_state,) in simulate(cfg.offspring, cfg.law, seeds, (base.n + 1,), cfg.count_width, start=base):
-            child = readout(child_state, cfg.offspring.mean, m, z)
-            for fid, vals in samples.items():
-                vals.append(getattr(child, fid))
+    ((base,),) = simulate(cfg.offspring, cfg.law, [ReplicateSeed(cfg.base_seed, 0)], (4,), cfg.count_width)
+    parent = readout(base, cfg.offspring.mean, m, z)
+    samples = {fid: [] for fid in ("W", "N2z", "N4")}
+    reps = max(cfg.replicates, 200)
+    seeds = [ReplicateSeed(cfg.base_seed, r) for r in range(1, reps + 1)]
+    for (child_state,) in simulate(cfg.offspring, cfg.law, seeds, (base.n + 1,), cfg.count_width, start=base):
+        child = readout(child_state, cfg.offspring.mean, m, z)
         for fid, vals in samples.items():
-            mean = statistics.fmean(vals)
-            se = statistics.stdev(vals) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-            parent_val = getattr(parent, fid)
-            within = abs(mean - parent_val) <= 4.0 * se + 1e-12
-            if not within:
-                ok = False
-            rows.append(("one-step", fid, *(("",) * cfg.law.d), base.n + 1, mean - parent_val, se))
+            vals.append(getattr(child, fid))
+    for fid, vals in samples.items():
+        mean = statistics.fmean(vals)
+        se = statistics.stdev(vals) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+        parent_val = getattr(parent, fid)
+        within = abs(mean - parent_val) <= 4.0 * se + 1e-12
+        if not within:
+            ok = False
+        rows.append(("one-step", fid, *(("",) * cfg.law.d), base.n + 1, mean - parent_val, se))
 
-        # (c) readout trajectory for visual convergence.
-        n_max = max(cfg.n_values) if cfg.n_values else 30
-        seed = ReplicateSeed(cfg.base_seed, 10**6)
-        (states,) = simulate(cfg.offspring, cfg.law, [seed], range(1, n_max + 1), cfg.count_width)
-        for state in states:
-            ro = readout(state, cfg.offspring.mean, m, z)
-            rows.append(("trajectory", "all", *(("",) * cfg.law.d), ro.n, ro.W, ro.N4))
+    # (c) readout trajectory for visual convergence.
+    n_max = max(cfg.n_values) if cfg.n_values else 30
+    seed = ReplicateSeed(cfg.base_seed, 10**6)
+    (states,) = simulate(cfg.offspring, cfg.law, [seed], range(1, n_max + 1), cfg.count_width)
+    for state in states:
+        ro = readout(state, cfg.offspring.mean, m, z)
+        rows.append(("trajectory", "all", *(("",) * cfg.law.d), ro.n, ro.W, ro.N4))
     cols = ("kind", "functional", *(f"x{s + 1}" for s in range(cfg.law.d)), "n", "value", "aux")
     return RunResult(cols, rows, ok, [f"harmonicity and one-step checks pass: {ok}"])
 
@@ -388,7 +388,7 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
         for n in probes:
             vals = [abs(v) for v in per_probe[(n, z)]]
             meds[n] = statistics.median(vals)
-            q = statistics.quantiles(per_probe[(n, z)], n=4) if len(vals) >= 4 else [0, 0, 0]
+            q = statistics.quantiles(per_probe[(n, z)], n=4) if band else ("",) * 3
             rows.append(("agg", n, *z, meds[n], q[0], q[2], ""))
         if meds[probes[-1]] >= meds[probes[0]]:
             ok = False
@@ -409,18 +409,27 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
     return RunResult(cols, rows, ok, notes)
 
 
+class Experiment(NamedTuple):
+    run: Callable[[ExperimentConfig], RunResult]
+    fields: tuple[str, ...]
+
+
+# Each experiment's runner and the config fields it reads, the only keys
+# load_config accepts for it.
+_COMMON = ("experiment", "step_law", "z_set", "base_seed", "output")
+_BRANCHING = (*_COMMON, "offspring", "n_values", "replicates", "count_width")
 RUNNERS = {
-    "llt-check": run_llt_check,
-    "coeff-fit": run_coeff_fit,
-    "identities": run_identities,
-    "martingale-check": run_martingale_check,
-    "brw-check": run_brw_check,
+    "llt-check": Experiment(run_llt_check, (*_COMMON, "n_values", "kappa")),
+    "coeff-fit": Experiment(run_coeff_fit, (*_COMMON, "n_values")),
+    "identities": Experiment(run_identities, _COMMON),
+    "martingale-check": Experiment(run_martingale_check, _BRANCHING),
+    "brw-check": Experiment(run_brw_check, (*_BRANCHING, "n_est")),
 }
 EXPERIMENTS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    return RUNNERS[cfg.experiment](cfg)
+    return RUNNERS[cfg.experiment].run(cfg)
 
 
 def _fmt(value) -> str:

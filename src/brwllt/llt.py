@@ -168,7 +168,14 @@ def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
     ``n_list`` must be parity-compatible with z.  Needs at least 3 entries
     in increasing order.
     """
-    z, n_list = lattice_point(z, law.d), tuple(map(step_count, n_list))
+    (fit,) = fit_points(law, [z], n_list)
+    return fit
+
+
+def fit_points(law: StepLaw, points, n_list) -> tuple[CoefficientFit, ...]:
+    """:func:`fit_correction_coefficients` at each of ``points``, all read
+    from one CF inversion per probe n."""
+    points, n_list = [lattice_point(z, law.d) for z in points], tuple(map(step_count, n_list))
     if len(n_list) < 3:
         raise ValueError("need at least 3 probe values of n")
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
@@ -176,25 +183,22 @@ def fit_correction_coefficients(law: StepLaw, z, n_list) -> CoefficientFit:
     if n_list[0] < 1:
         raise ValueError(f"every probe n must be >= 1, got {n_list[0]}")
     c = constants_for(law)
+    for z in points:
+        for n in n_list:
+            if parity_forbidden(c.walk_class, n, z):
+                raise ValueError(f"n={n} parity-incompatible with z={z}")
+    # rho[i][j] = P(S_n = z) / leading factor - 1 at probe n_list[i], point j.
+    rho = []
     for n in n_list:
-        if parity_forbidden(c.walk_class, n, z):
-            raise ValueError(f"n={n} parity-incompatible with z={z}")
-    c1_exact, c2_theorem, c2_flipped = bracket_coefficients(c, z)
-
-    c1_seq, c2_seq = [], []
-    for n in n_list:
-        p = dist_at(cf_invert_box(law, n), z)
-        rho = p / leading_factor(c, n) - 1.0
-        c1_seq.append(n * rho)
-        c2_seq.append(n * n * (rho - c1_exact / n))
-    return CoefficientFit(
-        n_list=n_list,
-        c1_seq=tuple(c1_seq),
-        c2_seq=tuple(c2_seq),
-        c1_exact=c1_exact,
-        c2_theorem=c2_theorem,
-        c2_flipped=c2_flipped,
-    )
+        box = cf_invert_box(law, n)
+        rho.append([dist_at(box, z) / leading_factor(c, n) - 1.0 for z in points])
+    fits = []
+    for z, rho_z in zip(points, zip(*rho)):
+        c1_exact, c2_theorem, c2_flipped = bracket_coefficients(c, z)
+        c1_seq = tuple(n * r for n, r in zip(n_list, rho_z))
+        c2_seq = tuple(n * n * (r - c1_exact / n) for n, r in zip(n_list, rho_z))
+        fits.append(CoefficientFit(n_list, c1_seq, c2_seq, c1_exact, c2_theorem, c2_flipped))
+    return tuple(fits)
 
 
 def _g4g2m3(m: Moments, z) -> float:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brwllt import cli, exact_dist, harness
+from brwllt import cli, exact_dist, harness, llt
 from brwllt.errors import BrwlltError, ConfigError, NonNormalized
 from brwllt.harness import (
     EXPERIMENTS,
@@ -24,6 +24,36 @@ def base_doc(experiment, **extra):
     doc = {"experiment": experiment, "step_law": dict(LAW_1D_LAZY), "base_seed": 7}
     doc.update(extra)
     return doc
+
+
+# A valid value for every config field; own_doc keeps the fields that one
+# experiment reads, the only keys load_config accepts for it.
+EVERY_FIELD = {
+    "step_law": LAW_1D_LAZY,
+    "offspring": {"1": 0.5, "3": 0.5},
+    "n_values": [4, 8, 16],
+    "n_est": 8,
+    "replicates": 2,
+    "z_set": [[0]],
+    "kappa": 0.15,
+    "count_width": 64,
+    "base_seed": 7,
+    "output": "out.csv",
+}
+
+
+def own_doc(experiment, **extra):
+    fields = harness.RUNNERS[experiment].fields
+    doc = {key: value for key, value in {**EVERY_FIELD, **extra}.items() if key in fields}
+    return {"experiment": experiment, **doc}
+
+
+UNREAD_FIELDS = [
+    (experiment, key)
+    for experiment in EXPERIMENTS
+    for key in EVERY_FIELD
+    if key not in harness.RUNNERS[experiment].fields
+]
 
 
 # Configs whose (n, z) grid some probe cannot check, each refused at load
@@ -58,8 +88,9 @@ NUMBER = st.integers(-2, 4) | st.floats(-0.5, 1.5) | st.sampled_from([float("nan
 
 @st.composite
 def config_docs(draw):
-    """A valid config document with one to three fields broken: replaced by
-    a near-valid value, by arbitrary JSON, or removed."""
+    """A valid config document, holding the fields its experiment reads,
+    with one to three of them broken: replaced by a near-valid value, by
+    arbitrary JSON, or removed."""
     rows = st.lists(st.lists(NUMBER, max_size=3), max_size=3)
     near = {
         "experiment": st.text(max_size=10),
@@ -75,20 +106,8 @@ def config_docs(draw):
         "base_seed": NUMBER,
         "output": JSON,
     }
-    doc = {
-        "experiment": draw(st.sampled_from(EXPERIMENTS)),
-        "step_law": dict(LAW_1D_LAZY),
-        "offspring": {"1": 0.5, "3": 0.5},
-        "n_values": [4, 8],
-        "n_est": 8,
-        "replicates": 2,
-        "z_set": [[0], [1]],
-        "kappa": 0.15,
-        "count_width": 64,
-        "base_seed": 7,
-        "output": "out.csv",
-    }
-    for key in draw(st.lists(st.sampled_from(sorted(near)), min_size=1, max_size=3, unique=True)):
+    doc = own_doc(draw(st.sampled_from(EXPERIMENTS)))
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), min_size=1, max_size=3, unique=True)):
         kind = draw(st.sampled_from(["near", "json", "absent"]))
         if kind == "absent":
             del doc[key]
@@ -103,7 +122,6 @@ class TestConfig:
         assert cfg.experiment == "identities"
         assert cfg.law.d == 1
         assert cfg.z_set == ((0,),)
-        assert cfg.kappa == 0.15
         gates = (harness.CF_AGREEMENT, harness.IDENTITY_REL_ERR, harness.HARMONICITY_REL, harness.C1_REL_ERR)
         assert gates == (1e-9, 1e-8, 1e-9, 0.01)
 
@@ -114,9 +132,14 @@ class TestConfig:
     def test_kappa_gate(self):
         for bad in (0.0, 1.0 / 6.0, 0.3, -0.1):
             with pytest.raises(ValueError):
-                load_config(base_doc("identities", kappa=bad))
-        cfg = load_config(base_doc("identities", kappa=0.1))
-        assert cfg.kappa == 0.1
+                load_config(base_doc("llt-check", n_values=[16, 64], kappa=bad))
+        # 4096^0.1 ~ 2.30 and 4096^0.15 ~ 3.48: kappa = 0.1 admits z = 2 and
+        # refuses z = 3, which the default 0.15 admits.
+        doc = base_doc("llt-check", n_values=[4096, 8192], kappa=0.1)
+        assert load_config({**doc, "z_set": [[2]]}).z_set == ((2,),)
+        assert load_config({**doc, "kappa": 0.15, "z_set": [[3]]}).z_set == ((3,),)
+        with pytest.raises(ConfigError, match=r"^z_set: z = \(3,\) has"):
+            load_config({**doc, "z_set": [[3]]})
 
     def test_z_dimension_gate(self):
         with pytest.raises(ValueError):
@@ -128,7 +151,31 @@ class TestConfig:
 
     def test_count_width_gate(self):
         with pytest.raises(ValueError):
-            load_config(base_doc("identities", count_width=32))
+            load_config(base_doc("brw-check", offspring={"2": 1.0}, n_values=[8, 16], count_width=32))
+
+    @pytest.mark.parametrize("experiment, key", UNREAD_FIELDS, ids=[f"{e}-{k}" for e, k in UNREAD_FIELDS])
+    def test_unread_field_refused(self, tmp_path, capsys, experiment, key):
+        # A field the experiment does not read is refused, naming the key and
+        # the experiment, at load and by `brwllt validate` (exit 2).
+        assert load_config(own_doc(experiment)).experiment == experiment
+        doc = {**own_doc(experiment), key: EVERY_FIELD[key]}
+        refusal = f"config: unknown key {key!r} for {experiment}; "
+        with pytest.raises(ConfigError, match=f"^{refusal}"):
+            load_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"brwllt: {refusal}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment", ["martingale-check", "brw-check"])
+    def test_offspring_required(self, experiment):
+        doc = own_doc(experiment)
+        del doc["offspring"]
+        with pytest.raises(ConfigError, match=f"^offspring: {experiment} requires an offspring spec$"):
+            load_config(doc)
 
     def test_hash_stable_and_order_independent(self):
         a = load_config({"experiment": "identities", "step_law": LAW_1D_LAZY, "base_seed": 7})
@@ -160,10 +207,10 @@ class TestConfig:
             ("n_values", base_doc("llt-check", n_values=[True, "8"])),
             ("n_values", base_doc("llt-check", n_values=["8"])),
             ("z_set", base_doc("identities", z_set=[[False]])),
-            ("kappa", base_doc("identities", kappa="0.1")),
+            ("kappa", base_doc("llt-check", n_values=[16, 64], kappa="0.1")),
             ("replicates", base_doc("brw-check", offspring={"2": 1.0}, n_values=[4, 8], replicates=True)),
             ("base_seed", base_doc("identities", base_seed="7")),
-            ("count_width", base_doc("identities", count_width="64")),
+            ("count_width", base_doc("brw-check", offspring={"2": 1.0}, n_values=[8, 16], count_width="64")),
             ("offspring", base_doc("brw-check", offspring={"2": "1.0"}, n_values=[4])),
             ("offspring", base_doc("brw-check", offspring=[0.0, True], n_values=[4])),
             ("n_values", base_doc("coeff-fit", n_values=[64, 128])),
@@ -235,7 +282,7 @@ class TestConfig:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_repeated_point_refused(self, experiment):
         # One point named twice, once as a float, would double its rows.
-        doc = base_doc(experiment, offspring={"2": 1.0}, n_values=[8, 16, 32], z_set=[[1], [0], [1.0]])
+        doc = own_doc(experiment, n_values=[8, 16, 32], z_set=[[1], [0], [1.0]])
         with pytest.raises(ConfigError, match=r"^z_set: z = \(1,\) is named more than once$"):
             load_config(doc)
 
@@ -318,10 +365,10 @@ class TestGrid:
     def test_accepted_run_computes_the_full_grid(self, experiment, law, n_values, points, replicates):
         # Whatever grid load_config accepts, the run has one data row per
         # replicate, probe and point: no cell is dropped or forced.
-        doc = base_doc(
-            experiment, step_law=law, offspring={"1": 0.5, "2": 0.5}, n_values=n_values,
-            z_set=[list(z) for z in dict.fromkeys(z[: law["d"]] for z in points)], replicates=replicates,
-        )
+        # Only brw-check reads an offspring law and a replicate count.
+        brw = {"offspring": {"1": 0.5, "2": 0.5}, "replicates": replicates} if experiment == "brw-check" else {}
+        z_set = [list(z) for z in dict.fromkeys(z[: law["d"]] for z in points)]
+        doc = base_doc(experiment, step_law=law, n_values=n_values, z_set=z_set, **brw)
         try:
             cfg = load_config(doc)
         except ConfigError:
@@ -431,6 +478,35 @@ class TestRunners:
         )
         run_experiment(cfg)
         assert len(calls) == (replicates * len(z_set) if replicates >= 4 else 0)
+
+    @pytest.mark.parametrize("replicates", [2, 4])
+    def test_brw_check_quartiles_only_with_band(self, replicates):
+        # An agg row's IQR cells are written only where the F1 band is
+        # checked, with 4 or more replicates; else they are left empty.
+        doc = base_doc("brw-check", offspring={"2": 1.0}, replicates=replicates, n_values=[8, 16], z_set=[[0], [2]])
+        aggs = [row for row in run_experiment(load_config(doc)).rows if row[0] == "agg"]
+        assert len(aggs) == 4
+        for _, _, _, median, q1, q3, _ in aggs:
+            if replicates < 4:
+                assert (q1, q3) == ("", "")
+            else:
+                assert isinstance(q1, float) and q1 <= q3
+
+    def test_coeff_fit_inverts_each_probe_once(self, monkeypatch):
+        # Every point is read from one CF box per probe, not one per point.
+        probes = []
+        real = llt.cf_invert_box
+        monkeypatch.setattr(llt, "cf_invert_box", lambda law, n: probes.append(n) or real(law, n))
+        doc = {
+            "experiment": "coeff-fit",
+            "step_law": {"d": 2, "zeta0": 0.2, "axes": [[0.3, 0.1], [0.4]]},
+            "n_values": [40, 80, 160, 240],
+            "z_set": [[0, 0], [1, -1], [-3, 2], [0, 250]],
+            "base_seed": 1,
+        }
+        rows = run_experiment(load_config(doc)).rows
+        assert probes == [40, 80, 160, 240]
+        assert len([row for row in rows if row[0] == "verdict"]) == 4
 
     def test_unknown_runner_rejected(self):
         # one runner per experiment, in the order load_config names them
@@ -660,7 +736,7 @@ class TestCli:
         assert captured.err.count("\n") == 1
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
-        path = self.write_cfg(tmp_path, base_doc("identities", kappa=0.9))
+        path = self.write_cfg(tmp_path, base_doc("llt-check", n_values=[16, 64], kappa=0.9))
         assert cli.main(["validate", path]) == 2
         assert capsys.readouterr().err == "brwllt: kappa: 0.9 outside (0, 1/6)\n"
 
