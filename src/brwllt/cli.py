@@ -12,6 +12,11 @@ line wins.
 
 A package error (``BrwlltError``) ends the command with one
 ``brwllt: <message>`` line on stderr and exit code 2.
+
+Configs are loaded by ``brwllt.config``, which needs no numpy: only
+``run`` imports the runners (``brwllt.harness``) and only ``dump-dist``
+the exact distributions, so ``validate``, ``version`` and a config
+refused at load start without numpy.
 """
 
 from __future__ import annotations
@@ -22,9 +27,8 @@ import os
 import sys
 
 from . import __version__
+from .config import load_config
 from .errors import BrwlltError, ConfigError
-from .exact_dist import dump_csv, walk_dist
-from .harness import load_config, run_experiment, write_csv
 
 
 def _apply_overrides(doc: dict, overrides) -> dict:
@@ -113,9 +117,13 @@ def _run_verb(args) -> int:
         return 0
 
     if args.verb == "dump-dist":
+        from .exact_dist import dump_csv, walk_dist
+
         dump_csv(walk_dist(cfg.law, args.n), args.output)
         print(f"wrote {args.output}")
         return 0
+
+    from .harness import run_experiment, write_csv
 
     result = run_experiment(cfg)
     path = _output_path(cfg, args.output)

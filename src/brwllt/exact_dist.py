@@ -17,12 +17,12 @@ moves along one axis or stays put, so P(S_n = z) is a binomial mixture of
 kernel; every term is nonnegative, so its error is relative in every
 cell.  The characteristic-function route (``cf_invert_box``) samples
 psi(phi)^n on a uniform torus grid of least 5-smooth size >= 2*n*t_s + 1
-per axis (``cf_grid``), on the orthant phi_s <= pi only, raises it to the
+per axis (``step_law.cf_grid``), on the orthant phi_s <= pi only, raises it to the
 n-th power by repeated squaring, and inverts it with a real FFT per axis
 into the orthant of the law; the integrand is a trigonometric polynomial
 of known degree, so the grid rule is exact up to rounding and serves as a
 genuinely independent second method.  Every route charges the element
-budget before it allocates: the stepped oracle the kernel's two buffers,
+budget (``config.charge``) before it allocates: the stepped oracle the kernel's two buffers,
 the mixture its tables and then those buffers, the CF route its whole
 grid.
 """
@@ -36,12 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded
-from .step_law import StepLaw, lattice_point, step_count
+from .config import charge
+from .step_law import StepLaw, cf_grid, lattice_point, step_count
 
-# The one memory policy of every dense array in the package, in elements;
-# ``charge`` reads it at call time.
-ELEMENT_BUDGET = 2**28
 DUMP_SLICE_CELLS = 2**14
 
 
@@ -88,18 +85,6 @@ def _mirror_sum(cells: np.ndarray) -> float:
 def delta_dist(law: StepLaw) -> LatticeDist:
     """The 0-step distribution: unit mass at the origin."""
     return LatticeDist(n=0, mass=np.ones((1,) * law.d))
-
-
-def box_shape(law: StepLaw, n: int) -> tuple[int, ...]:
-    """Shape of the box the n-step walk can reach: 2*n*t_s + 1 per axis."""
-    return tuple(2 * n * t + 1 for t in law.ranges)
-
-
-def charge(what: str, elements: int) -> None:
-    """Refuse, before anything is allocated, ``elements`` dense elements
-    that exceed ``ELEMENT_BUDGET``; ``what`` names them in the message."""
-    if elements > ELEMENT_BUDGET:
-        raise CapacityExceeded(f"{what} exceeds element budget {ELEMENT_BUDGET} ({elements} elements)")
 
 
 def _orthant_steps(start: np.ndarray, t, zeta0, terms, n: int):
@@ -273,28 +258,6 @@ def _psi_grid(law: StepLaw, phis) -> np.ndarray:
         shape[s] = len(phis[s])
         out = out + axis.reshape(shape)
     return out
-
-
-def _smooth(m: int) -> int:
-    """The least 2^a 3^b 5^c >= m, a size the FFT factors into radix 2/3/5 passes."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            size = p35
-            while size < m:
-                size *= 2
-            best = min(best, size)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def cf_grid(law: StepLaw, n: int) -> tuple[int, ...]:
-    """Shape of the torus grid ``cf_invert_box`` samples: the least 5-smooth
-    size >= 2*n*t_s + 1 per axis."""
-    return tuple(_smooth(m) for m in box_shape(law, n))
 
 
 def _power(x: np.ndarray, n: int) -> np.ndarray:

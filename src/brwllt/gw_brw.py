@@ -36,7 +36,6 @@ in int64; independent blocks realize the exact law of the whole count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Mapping, Sequence
@@ -44,31 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact_dist
-from .errors import CapacityExceeded, CountOverflow, HasExtinction, NonNormalized, SubcriticalOrCritical
-from .exact_dist import charge
-from .step_law import NORMALIZATION_TOL, StepLaw, json_int, json_number, lattice_point, step_count
+from . import config
+from .config import OffspringLaw, charge
+from .errors import CapacityExceeded, CountOverflow
+from .step_law import StepLaw, lattice_point, step_count
 
-# An offspring table longer than this is refused: every occupied cell
-# draws one count per offspring value.
-MAX_OFFSPRING = 2**16
 _DIGIT = 32
 _DIGIT_MASK = (1 << _DIGIT) - 1
 _INT64_MAX = 2**63 - 1
-
-
-@dataclass(frozen=True)
-class OffspringLaw:
-    """Finite offspring distribution with p_0 = 0 and mean > 1.
-
-    ``probs[k-1]`` is P(N = k) for k = 1..K; the mean is read from them.
-    """
-
-    probs: tuple[float, ...]
-
-    @functools.cached_property
-    def mean(self) -> float:
-        return math.fsum(k * p for k, p in enumerate(self.probs, start=1))
 
 
 class SiteCounts(Mapping):
@@ -238,57 +220,6 @@ class GenerationState:
 class ReplicateSeed:
     base_seed: int
     replicate_index: int
-
-
-def validate_offspring(raw) -> OffspringLaw:
-    """Validate an offspring table and return the normalized law.
-
-    ``raw`` is either a mapping {k: P(N = k)} or a sequence of
-    probabilities for k = 1..K.  Each k is read by ``json_int``, a JSON key
-    string through ``int`` first: 2, 2.0 and "2" read as 2.
-
-    Raises:
-        TypeError: a probability, or an offspring number, is a bool or a str.
-        ValueError: an empty table, an offspring number that is negative
-            or not an integer (2.5, "2.5"), or one named twice (2 and "2").
-        CapacityExceeded: an offspring number above ``MAX_OFFSPRING``.
-        HasExtinction: positive mass on zero offspring.
-        NonNormalized: negative entries, or sum != 1 within 1e-12.
-        SubcriticalOrCritical: mean offspring number is <= 1.
-    """
-    if isinstance(raw, dict):
-        table = {}
-        for key, p in raw.items():
-            k = json_int(int(key) if isinstance(key, str) else key)
-            if k in table:
-                raise ValueError(f"offspring number {k} is named twice")
-            table[k] = p
-        if not table:
-            raise ValueError("empty offspring table")
-        if min(table) < 0:
-            raise ValueError("offspring counts must be nonnegative")
-        if max(table) > MAX_OFFSPRING:
-            raise CapacityExceeded(f"offspring number {max(table)} above {MAX_OFFSPRING}")
-        p0 = float(json_number(table.get(0, 0.0)))
-        if p0 > 0.0:
-            raise HasExtinction(f"P(N=0) = {p0} > 0")
-        probs = [0.0] * max(table)
-        for k, p in table.items():
-            if k >= 1:
-                probs[k - 1] = float(json_number(p))
-    else:
-        probs = [float(json_number(p)) for p in raw]
-        if len(probs) > MAX_OFFSPRING:
-            raise CapacityExceeded(f"offspring number {len(probs)} above {MAX_OFFSPRING}")
-    if any(p < 0.0 for p in probs):
-        raise NonNormalized("offspring probabilities must be nonnegative")
-    total = math.fsum(probs)
-    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # also refuses NaN entries
-        raise NonNormalized(f"offspring probabilities sum to {total!r}")
-    law = OffspringLaw(probs=tuple(p / total for p in probs))
-    if law.mean <= 1.0:
-        raise SubcriticalOrCritical(f"offspring mean {law.mean} <= 1")
-    return law
 
 
 def _mix64(x: int) -> int:
@@ -492,7 +423,7 @@ def _batch_size(box: SiteCounts, steps: int, off: OffspringLaw, law: StepLaw, co
     total = min(box.total() * n_values**e, cells << count_width)
     blocks = cells + (total >> _block_bits(n_values))
     per_replicate = cells + max(n_values, len(list(law.atoms()))) * blocks
-    return max(1, exact_dist.ELEMENT_BUDGET // per_replicate)
+    return max(1, config.ELEMENT_BUDGET // per_replicate)
 
 
 def initial_state(d: int) -> GenerationState:

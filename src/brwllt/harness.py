@@ -1,47 +1,32 @@
-"""Experiment orchestration: config ingestion, runners, CSV emission.
+"""Experiment runners and CSV emission.
 
-A single JSON config describes one experiment; every emitted row carries
-the config hash and base seed so it can be reproduced bit-exactly.
-
-``RUNNERS`` names each experiment once, with its runner and the config
-fields it reads; ``load_config`` refuses any other key as a ``ConfigError``
-naming the key and the experiment.
+Config loading lives in ``brwllt.config``: ``load_config`` builds the
+``ExperimentConfig`` a runner takes, and ``config.EXPERIMENTS`` names the
+fields each experiment reads.  ``RUNNERS`` gives each of those experiments
+its runner; every emitted row carries the config hash and base seed so it
+can be reproduced bit-exactly.
 
 A run's verdict is fixed by the code, not by its config.  Its gates are
 ``CF_AGREEMENT`` (llt-check, exact against CF), ``IDENTITY_REL_ERR``
 (identities), ``HARMONICITY_REL`` (martingale-check's harmonicity grid)
-and ``C1_REL_ERR`` (coeff-fit's relative c1 error).
-
-Its (n, z) grid is fixed at load: ``load_config`` refuses a repeated
-``z_set`` point and, for llt-check, brw-check and coeff-fit, a point some
-probe cannot check (parity unlike an n of a bipartite law; for llt-check,
-||z|| > n^kappa at the smallest probe), so every runner computes every cell.
+and ``C1_REL_ERR`` (coeff-fit's relative c1 error), and martingale-check
+draws ``HARMONICITY_POINTS`` grid points and ``ONE_STEP_SAMPLES``
+one-step children whatever its config.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import statistics
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .errors import BrwlltError, CapacityExceeded, ConfigError
-from .exact_dist import axis_mixture, cf_grid, cf_invert_box, charge, dist_at
-from .gw_brw import OffspringLaw, ReplicateSeed, simulate, validate_offspring
-from .llt import (
-    constants_for,
-    fit_points,
-    gaussian_identity_check,
-    leading_factor,
-    parity_forbidden,
-    rw_expansion,
-)
+from .config import ExperimentConfig
+from .exact_dist import axis_mixture, cf_invert_box, dist_at
+from .gw_brw import ReplicateSeed, simulate
+from .llt import constants_for, fit_points, gaussian_identity_check, leading_factor, rw_expansion
 from .martingales import (
     FUNCTIONALS,
     f1_eval,
@@ -49,7 +34,7 @@ from .martingales import (
     harmonicity_defect,
     readout,
 )
-from .step_law import StepLaw, classify, json_int, json_number, lattice_point, law_from_dict, moments
+from .step_law import moments
 
 # Version of the random streams behind every sampled figure; it changes
 # whenever the same config and seed would draw different numbers.  2: one
@@ -61,153 +46,8 @@ CF_AGREEMENT = 1e-9
 IDENTITY_REL_ERR = 1e-8
 HARMONICITY_REL = 1e-9
 C1_REL_ERR = 0.01
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    law: StepLaw
-    offspring: OffspringLaw | None
-    n_values: tuple[int, ...]
-    z_set: tuple[tuple[int, ...], ...]
-    replicates: int
-    base_seed: int
-    n_est: int | None
-    count_width: int
-    output: str | None
-    raw: dict = field(repr=False, default_factory=dict)
-
-    @property
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-@contextmanager
-def _field(name: str):
-    """Re-raise a failure to read config field ``name`` as an error that
-    names it: typed package errors keep their type, bare Python errors
-    become ``ConfigError``."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except BrwlltError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
-    except KeyError as exc:
-        raise ConfigError(f"{name}: missing key {exc}") from exc
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def load_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document and build the typed experiment config.
-
-    Missing, malformed or inconsistent fields raise a ``BrwlltError`` whose
-    message starts with the field name (``ConfigError`` unless the step law
-    or offspring validator raised a more specific type), here rather than
-    deep inside a runner.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config: expected a JSON object, got {type(doc).__name__}")
-    if "experiment" not in doc:
-        raise ConfigError("experiment: required field missing")
-    experiment = doc["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment: unknown {experiment!r}; expected one of {EXPERIMENTS}")
-    fields = RUNNERS[experiment].fields
-    for key in doc:
-        if key not in fields:
-            raise ConfigError(f"config: unknown key {key!r} for {experiment}; expected one of {fields}")
-    if "step_law" not in doc:
-        raise ConfigError("step_law: required field missing")
-    with _field("step_law"):
-        law = law_from_dict(doc["step_law"])
-    if "offspring" in fields and "offspring" not in doc:
-        raise ConfigError(f"offspring: {experiment} requires an offspring spec")
-    offspring = None
-    if "offspring" in doc:
-        with _field("offspring"):
-            offspring = validate_offspring(doc["offspring"])
-    with _field("n_values"):
-        n_values = tuple(json_int(n) for n in _list(doc.get("n_values", [])))
-    if experiment in ("llt-check", "brw-check") and not n_values:
-        raise ConfigError(f"n_values: {experiment} needs at least one probe n")
-    if any(n < 1 for n in n_values):
-        raise ConfigError(f"n_values: every probe n must be >= 1, got {list(n_values)}")
-    if experiment in ("llt-check", "coeff-fit") and n_values:
-        shape = cf_grid(law, max(n_values))
-        try:
-            charge(f"the {max(n_values)}-step CF grid {shape}", math.prod(shape))
-        except CapacityExceeded as exc:
-            raise ConfigError(f"n_values: {exc}") from None
-    increasing = all(a < b for a, b in zip(n_values, n_values[1:]))
-    if experiment == "coeff-fit" and not (len(n_values) >= 3 and increasing):
-        raise ConfigError(f"n_values: coeff-fit needs 3 or more increasing probes, got {list(n_values)}")
-    with _field("n_est"):
-        n_est = json_int(doc["n_est"]) if "n_est" in doc else None
-    if n_est is not None and not 1 <= n_est <= max(n_values):
-        raise ConfigError(f"n_est: {n_est} outside [1, max(n_values) = {max(n_values)}]")
-    with _field("replicates"):
-        replicates = json_int(doc.get("replicates", 1))
-    if replicates < 1:
-        raise ConfigError(f"replicates: {replicates} must be >= 1")
-    with _field("z_set"):
-        z_set = tuple(lattice_point(z, law.d) for z in _list(doc.get("z_set", [[0] * law.d])))
-    if not z_set:
-        raise ConfigError("z_set: needs at least one lattice point")
-    if len(set(z_set)) < len(z_set):
-        repeated = next(z for i, z in enumerate(z_set) if z in z_set[:i])
-        raise ConfigError(f"z_set: z = {repeated} is named more than once")
-    if experiment in ("identities", "martingale-check") and len(z_set) > 1:
-        raise ConfigError(f"z_set: {experiment} checks one lattice point, got {len(z_set)}")
-    if experiment in ("llt-check", "brw-check", "coeff-fit"):
-        if experiment == "llt-check":
-            with _field("kappa"):
-                kappa = float(json_number(doc.get("kappa", 0.15)))
-            if not 0.0 < kappa < 1.0 / 6.0:
-                raise ConfigError(f"kappa: {kappa} outside (0, 1/6)")
-        walk_class = classify(law)
-        n_min = min(n_values)
-        for z in z_set:
-            mismatched = [n for n in n_values if parity_forbidden(walk_class, n, z)]
-            if mismatched:
-                raise ConfigError(f"z_set: z = {z} is parity-incompatible with n = {mismatched[0]} (bipartite law)")
-            if experiment == "llt-check" and not math.sqrt(sum(c * c for c in z)) <= n_min**kappa:
-                raise ConfigError(f"z_set: z = {z} has ||z|| > n^kappa at the smallest probe n = {n_min}")
-    with _field("count_width"):
-        count_width = json_int(doc.get("count_width", 64))
-    if count_width not in (64, 128):
-        raise ConfigError("count_width: must be 64 or 128")
-    with _field("base_seed"):
-        base_seed = json_int(doc.get("base_seed", 0))
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output: expected a path string, got {type(output).__name__}")
-    # The trend gate compares the first probe with the last, so one
-    # distinct probe would fail whatever the law; checked last, so a
-    # fault in another field is still named by that field.
-    if experiment in ("llt-check", "brw-check") and len(set(n_values)) < 2:
-        raise ConfigError(f"n_values: {experiment} needs 2 or more distinct probes, got {list(n_values)}")
-    return ExperimentConfig(
-        experiment=experiment,
-        law=law,
-        offspring=offspring,
-        n_values=n_values,
-        z_set=z_set,
-        replicates=replicates,
-        base_seed=base_seed,
-        n_est=n_est,
-        count_width=count_width,
-        output=output,
-        raw=doc,
-    )
+HARMONICITY_POINTS = 100
+ONE_STEP_SAMPLES = 200
 
 
 @dataclass
@@ -311,9 +151,8 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
     ok = True
 
     # (a) harmonicity on a randomized grid.
-    grid = max(cfg.replicates, 100)
     span = 5 * cfg.law.max_range
-    for _ in range(grid):
+    for _ in range(HARMONICITY_POINTS):
         x = tuple(rng.integers(-span, span + 1, size=cfg.law.d).tolist())
         n = rng.integers(0, 60).item()
         for fid in FUNCTIONALS:
@@ -329,8 +168,7 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
     ((base,),) = simulate(cfg.offspring, cfg.law, [ReplicateSeed(cfg.base_seed, 0)], (4,), cfg.count_width)
     parent = readout(base, cfg.offspring.mean, m, z)
     samples = {fid: [] for fid in ("W", "N2z", "N4")}
-    reps = max(cfg.replicates, 200)
-    seeds = [ReplicateSeed(cfg.base_seed, r) for r in range(1, reps + 1)]
+    seeds = [ReplicateSeed(cfg.base_seed, r) for r in range(1, ONE_STEP_SAMPLES + 1)]
     for (child_state,) in simulate(cfg.offspring, cfg.law, seeds, (base.n + 1,), cfg.count_width, start=base):
         child = readout(child_state, cfg.offspring.mean, m, z)
         for fid, vals in samples.items():
@@ -409,27 +247,18 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
     return RunResult(cols, rows, ok, notes)
 
 
-class Experiment(NamedTuple):
-    run: Callable[[ExperimentConfig], RunResult]
-    fields: tuple[str, ...]
-
-
-# Each experiment's runner and the config fields it reads, the only keys
-# load_config accepts for it.
-_COMMON = ("experiment", "step_law", "z_set", "base_seed", "output")
-_BRANCHING = (*_COMMON, "offspring", "n_values", "replicates", "count_width")
+# One runner per experiment of ``config.EXPERIMENTS``, in its order.
 RUNNERS = {
-    "llt-check": Experiment(run_llt_check, (*_COMMON, "n_values", "kappa")),
-    "coeff-fit": Experiment(run_coeff_fit, (*_COMMON, "n_values")),
-    "identities": Experiment(run_identities, _COMMON),
-    "martingale-check": Experiment(run_martingale_check, _BRANCHING),
-    "brw-check": Experiment(run_brw_check, (*_BRANCHING, "n_est")),
+    "llt-check": run_llt_check,
+    "coeff-fit": run_coeff_fit,
+    "identities": run_identities,
+    "martingale-check": run_martingale_check,
+    "brw-check": run_brw_check,
 }
-EXPERIMENTS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    return RUNNERS[cfg.experiment].run(cfg)
+    return RUNNERS[cfg.experiment](cfg)
 
 
 def _fmt(value) -> str:

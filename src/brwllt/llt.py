@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact_dist import cf_invert_box, dist_at, walk_dist
-from .step_law import Moments, StepLaw, WalkClass, classify, lattice_point, moments, step_count
+from .step_law import Moments, StepLaw, WalkClass, classify, lattice_point, moments, parity_forbidden, step_count
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,6 @@ class ExpansionConstants:
 
 def constants_for(law: StepLaw) -> ExpansionConstants:
     return ExpansionConstants(moments(law), classify(law))
-
-
-def parity_matched(n: int, z) -> bool:
-    return (n - sum(z)) % 2 == 0
-
-
-def parity_forbidden(walk_class: WalkClass, n: int, z) -> bool:
-    """P(S_n = z) = 0 by parity: a bipartite walk cannot reach z in n steps."""
-    return walk_class is WalkClass.BIPARTITE and not parity_matched(n, z)
 
 
 def quad_form(m: Moments, z) -> float:

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gw_brw import GenerationState
-from .llt import ExpansionConstants, bracket_coefficients, leading_factor, parity_forbidden, quad_form
-from .step_law import Moments, StepLaw, lattice_point, moments
+from .llt import ExpansionConstants, bracket_coefficients, leading_factor, quad_form
+from .step_law import Moments, StepLaw, lattice_point, moments, parity_forbidden
 
 FUNCTIONALS = ("W", "N1", "N2", "N2z", "N3", "N4")
 

@@ -3,6 +3,11 @@
 A step law puts weight ``zeta0`` on staying put and weight ``zeta[s][r-1]/2``
 on each of the two moves ``+-r*e_s`` along axis ``s``.  The law is symmetric
 by construction, so its mean is exactly zero.
+
+The walk class fixes which points an n-step walk can reach by parity
+(``parity_forbidden``), and the ranges fix its box (``box_shape``) and the
+torus grid its CF is sampled on (``cf_grid``).  Like the rest of this
+module they need no numpy, so a config is validated without it.
 """
 
 from __future__ import annotations
@@ -229,6 +234,42 @@ def classify(law: StepLaw) -> WalkClass:
             if w > 0.0 and r % 2 == 0:
                 return WalkClass.APERIODIC
     return WalkClass.BIPARTITE
+
+
+def parity_matched(n: int, z) -> bool:
+    return (n - sum(z)) % 2 == 0
+
+
+def parity_forbidden(walk_class: WalkClass, n: int, z) -> bool:
+    """P(S_n = z) = 0 by parity: a bipartite walk cannot reach z in n steps."""
+    return walk_class is WalkClass.BIPARTITE and not parity_matched(n, z)
+
+
+def box_shape(law: StepLaw, n: int) -> tuple[int, ...]:
+    """Shape of the box the n-step walk can reach: 2*n*t_s + 1 per axis."""
+    return tuple(2 * n * t + 1 for t in law.ranges)
+
+
+def _smooth(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m, a size the FFT factors into radix 2/3/5 passes."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < m:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def cf_grid(law: StepLaw, n: int) -> tuple[int, ...]:
+    """Shape of the torus grid ``exact_dist.cf_invert_box`` samples: the
+    least 5-smooth size >= 2*n*t_s + 1 per axis."""
+    return tuple(_smooth(m) for m in box_shape(law, n))
 
 
 def moments(law: StepLaw) -> Moments:

@@ -9,13 +9,13 @@ import math
 import numpy as np
 import pytest
 
+from brwllt.config import load_config
 from brwllt.exact_dist import cf_invert_box, convolve_step, delta_dist, dist_at, walk_dist
-from brwllt.harness import load_config, run_experiment, write_csv
+from brwllt.harness import run_experiment, write_csv
 from brwllt.llt import (
     constants_for,
     fit_correction_coefficients,
     gaussian_identity_check,
-    parity_matched,
     rw_expansion,
 )
 from brwllt.martingales import (
@@ -27,7 +27,7 @@ from brwllt.martingales import (
     functional_value,
     harmonicity_defect,
 )
-from brwllt.step_law import WalkClass, lazy_simple_law, moments, validate
+from brwllt.step_law import WalkClass, lazy_simple_law, moments, parity_matched, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
 

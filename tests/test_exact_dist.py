@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brwllt import errors, exact_dist
+from brwllt import config, errors, exact_dist
+from brwllt.config import load_config, validate_offspring
 from brwllt.exact_dist import (
     LatticeDist,
     axis_mixture,
-    box_shape,
-    cf_grid,
     cf_invert_box,
     convolve_step,
     delta_dist,
@@ -18,10 +17,9 @@ from brwllt.exact_dist import (
     dump_csv,
     walk_dist,
 )
-from brwllt.gw_brw import GenerationState, ReplicateSeed, SiteCounts, simulate, validate_offspring
-from brwllt.harness import load_config
+from brwllt.gw_brw import GenerationState, ReplicateSeed, SiteCounts, simulate
 from brwllt.llt import fit_correction_coefficients, gamma_residual
-from brwllt.step_law import WalkClass, classify, law_to_dict, lazy_simple_law, validate
+from brwllt.step_law import WalkClass, box_shape, cf_grid, classify, law_to_dict, lazy_simple_law, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
 LAZY = validate(1, 0.5, [[0.5]])
@@ -313,7 +311,7 @@ def test_bipartite_parity_zero_pattern():
 
 
 def test_capacity_budget(monkeypatch):
-    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 10)
+    monkeypatch.setattr(config, "ELEMENT_BUDGET", 10)
     with pytest.raises(errors.CapacityExceeded):
         walk_dist(SIMPLE, 10)
 
@@ -332,7 +330,7 @@ def test_walk_budget_checked_before_first_step(monkeypatch):
     monkeypatch.setattr(exact_dist, "_orthant_steps", spy)
     law = lazy_simple_law(2, 1.0 / 3.0)
     with monkeypatch.context() as budget:
-        budget.setattr(exact_dist, "ELEMENT_BUDGET", 200**2)
+        budget.setattr(config, "ELEMENT_BUDGET", 200**2)
         with pytest.raises(errors.CapacityExceeded):
             walk_dist(law, 10**6)
     assert calls == []
@@ -345,7 +343,7 @@ def test_walk_budget_checked_before_first_step(monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert calls == []
-    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 199**2)
+    monkeypatch.setattr(config, "ELEMENT_BUDGET", 199**2)
     assert walk_dist(law, 99).radius == (99, 99)
 
 
@@ -356,7 +354,7 @@ def test_stepping_buffers_charged_before_allocating(monkeypatch):
     # the buffers is refused before any buffer is allocated, by walk_dist,
     # which charges only the buffers, and by axis_mixture, after its tables.
     n = 10**5
-    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2 * n + 2)
+    monkeypatch.setattr(config, "ELEMENT_BUDGET", 2 * n + 2)
     refusal = r"^two stepping buffers \(1, 100003\) exceeds element budget 200002 \(200006 elements\)$"
     tracemalloc.start()
     try:
@@ -368,7 +366,7 @@ def test_stepping_buffers_charged_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2 * (3 * 10 + 1 + 2 * 3))
+    monkeypatch.setattr(config, "ELEMENT_BUDGET", 2 * (3 * 10 + 1 + 2 * 3))
     assert walk_dist(LAWS[1], 10).radius == (30,)
 
 
@@ -402,7 +400,7 @@ def test_one_budget_governs_every_dense_path(monkeypatch):
     # one in-budget step before tracing keeps that out of the peak,
     # whichever tests ran before.
     simulate(binary, SIMPLE, [ReplicateSeed(0, 0)], [1])
-    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 2**16)
+    monkeypatch.setattr(config, "ELEMENT_BUDGET", 2**16)
     tracemalloc.start()
     try:
         refusal = r" exceeds element budget 65536 \(\d+ elements\)$"
@@ -456,7 +454,7 @@ def test_cf_budget_checked_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 10)
+    monkeypatch.setattr(config, "ELEMENT_BUDGET", 10)
     with pytest.raises(errors.CapacityExceeded):
         cf_invert_box(SIMPLE, 10)
 

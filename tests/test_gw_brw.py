@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from brwllt import errors, exact_dist, gw_brw
+from brwllt import config, errors, gw_brw
+from brwllt.config import OffspringLaw, load_config, validate_offspring
 from brwllt.gw_brw import (
     GenerationState,
-    OffspringLaw,
     ReplicateSeed,
     SiteCounts,
     derive_stream,
     initial_state,
     simulate,
-    validate_offspring,
 )
 from brwllt.exact_dist import dist_at, walk_dist
-from brwllt.harness import load_config, run_experiment
+from brwllt.harness import run_experiment
 from brwllt.step_law import lazy_simple_law, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
@@ -342,15 +341,15 @@ class TestEvolve:
         state = GenerationState(0, far)
         off = validate_offspring({2: 1.0})
         law = lazy_simple_law(2, 1.0 / 3.0)
-        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2 - 1)
+        monkeypatch.setattr(config, "ELEMENT_BUDGET", 257**2 - 1)
         with pytest.raises(errors.CapacityExceeded, match=r"^the next generation's box exceeds"):
             next_generation(state, off, law, ReplicateSeed(0, 0))
         assert calls == []
-        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2)
+        monkeypatch.setattr(config, "ELEMENT_BUDGET", 257**2)
         with pytest.raises(errors.CapacityExceeded, match=r"^the next generation's box and count blocks exceeds"):
             next_generation(state, off, law, ReplicateSeed(0, 0))
         assert len(calls) == 1
-        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 257**2 + 20)
+        monkeypatch.setattr(config, "ELEMENT_BUDGET", 257**2 + 20)
         assert next_generation(state, off, law, ReplicateSeed(0, 0)).total == 8
         assert len(calls) == 2
 
@@ -457,8 +456,8 @@ class TestBatchedStep:
         one, _ = largest_charge(1)
         eight, rows = largest_charge(8)
         assert set(batches) == {1, 8}
-        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 3 * one)
-        assert one <= exact_dist.ELEMENT_BUDGET < eight
+        monkeypatch.setattr(config, "ELEMENT_BUDGET", 3 * one)
+        assert one <= config.ELEMENT_BUDGET < eight
         batches.clear()
         assert run_experiment(load_config(doc)).rows == rows
         assert 1 <= max(batches) < 8
@@ -486,7 +485,7 @@ class TestBatchedStep:
         (whole,), _ = kept(seeds, [24])
         # A budget of one batch's box at the one probe splits the replicates
         # into batches, whose boxes are no larger; one box per batch.
-        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", whole)
+        monkeypatch.setattr(config, "ELEMENT_BUDGET", whole)
         snaps, boxes = kept(seeds, [24])
         assert 1 < len(snaps) < 8
         assert snaps == sorted(snaps)

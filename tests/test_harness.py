@@ -6,14 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brwllt import cli, exact_dist, harness, llt
+from brwllt import cli, config, exact_dist, harness, llt
+from brwllt.config import EXPERIMENTS, load_config
 from brwllt.errors import BrwlltError, ConfigError, NonNormalized
-from brwllt.harness import (
-    EXPERIMENTS,
-    load_config,
-    run_experiment,
-    write_csv,
-)
+from brwllt.harness import run_experiment, write_csv
 
 LAW_1D_LAZY = {"d": 1, "zeta0": 0.5, "axes": [[0.5]]}
 LAW_1D_SIMPLE = {"d": 1, "zeta0": 0.0, "axes": [[1.0]]}
@@ -43,7 +39,7 @@ EVERY_FIELD = {
 
 
 def own_doc(experiment, **extra):
-    fields = harness.RUNNERS[experiment].fields
+    fields = EXPERIMENTS[experiment]
     doc = {key: value for key, value in {**EVERY_FIELD, **extra}.items() if key in fields}
     return {"experiment": experiment, **doc}
 
@@ -52,7 +48,7 @@ UNREAD_FIELDS = [
     (experiment, key)
     for experiment in EXPERIMENTS
     for key in EVERY_FIELD
-    if key not in harness.RUNNERS[experiment].fields
+    if key not in EXPERIMENTS[experiment]
 ]
 
 
@@ -106,7 +102,7 @@ def config_docs(draw):
         "base_seed": NUMBER,
         "output": JSON,
     }
-    doc = own_doc(draw(st.sampled_from(EXPERIMENTS)))
+    doc = own_doc(draw(st.sampled_from(tuple(EXPERIMENTS))))
     for key in draw(st.lists(st.sampled_from(sorted(doc)), min_size=1, max_size=3, unique=True)):
         kind = draw(st.sampled_from(["near", "json", "absent"]))
         if kind == "absent":
@@ -338,10 +334,10 @@ class TestConfig:
         # fit.
         law_2d = {"d": 2, "zeta0": 0.2, "axes": [[0.4], [0.4]]}
         doc = base_doc(experiment, step_law=law_2d, n_values=n_values, z_set=[[0, 0]])
-        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 405**2 - 1)
+        monkeypatch.setattr(config, "ELEMENT_BUDGET", 405**2 - 1)
         with pytest.raises(ConfigError, match=r"^n_values: the 200-step CF grid \(405, 405\) exceeds element budget"):
             load_config(doc)
-        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 405**2)
+        monkeypatch.setattr(config, "ELEMENT_BUDGET", 405**2)
         assert run_experiment(load_config(doc)).rows
 
 
@@ -417,12 +413,14 @@ class TestRunners:
 
     def test_martingale_check(self):
         cfg = load_config(
-            base_doc("martingale-check", offspring={"2": 1.0}, replicates=50, n_values=[10])
+            base_doc("martingale-check", offspring={"2": 1.0}, n_values=[10])
         )
         res = run_experiment(cfg)
         assert res.passed
-        kinds = {r[0] for r in res.rows}
-        assert kinds == {"harmonicity", "one-step", "trajectory"}
+        kinds = [r[0] for r in res.rows]
+        assert kinds.count("harmonicity") == harness.HARMONICITY_POINTS * len(harness.FUNCTIONALS)
+        assert kinds.count("one-step") == 3
+        assert kinds.count("trajectory") == 10
 
     def test_brw_check_shape(self):
         cfg = load_config(
@@ -510,7 +508,8 @@ class TestRunners:
 
     def test_unknown_runner_rejected(self):
         # one runner per experiment, in the order load_config names them
-        assert EXPERIMENTS == ("llt-check", "coeff-fit", "identities", "martingale-check", "brw-check")
+        assert tuple(EXPERIMENTS) == ("llt-check", "coeff-fit", "identities", "martingale-check", "brw-check")
+        assert tuple(harness.RUNNERS) == tuple(EXPERIMENTS)
 
 
 class TestCsvAndDeterminism:

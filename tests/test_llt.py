@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from brwllt import exact_dist
+from brwllt import config
 from brwllt.errors import CapacityExceeded
 from brwllt.exact_dist import cf_invert_box, dist_at
 from brwllt.llt import (
@@ -204,7 +204,7 @@ class TestCoefficientFit:
             fit_correction_coefficients(SIMPLE, (0,), (0, 2, 4))
 
     def test_element_budget(self, monkeypatch):
-        monkeypatch.setattr(exact_dist, "ELEMENT_BUDGET", 10)
+        monkeypatch.setattr(config, "ELEMENT_BUDGET", 10)
         with pytest.raises(CapacityExceeded):
             fit_correction_coefficients(SIMPLE, (0,), (64, 128, 256))
 

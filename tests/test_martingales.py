@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from brwllt.config import validate_offspring
 from brwllt.gw_brw import (
     GenerationState,
     ReplicateSeed,
     SiteCounts,
     initial_state,
     simulate,
-    validate_offspring,
 )
 from brwllt.llt import constants_for, leading_factor, rw_expansion
 from brwllt.martingales import (

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from brwllt.config import load_config
 from brwllt.exact_dist import dump_csv, walk_dist
-from brwllt.harness import load_config, run_experiment, write_csv
+from brwllt.harness import run_experiment, write_csv
 from brwllt.step_law import lazy_simple_law, validate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"

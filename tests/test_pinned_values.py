@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brwllt.gw_brw import ReplicateSeed, simulate, validate_offspring
-from brwllt.harness import load_config, run_experiment, write_csv
+from brwllt.config import load_config, validate_offspring
+from brwllt.gw_brw import ReplicateSeed, simulate
+from brwllt.harness import run_experiment, write_csv
 from brwllt.llt import bracket_coefficients, constants_for, rw_expansion
 from brwllt.martingales import (
     FUNCTIONALS,

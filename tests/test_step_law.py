@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brwllt import errors, step_law
+from brwllt.config import load_config, validate_offspring
 from brwllt.exact_dist import delta_dist, walk_dist
-from brwllt.gw_brw import validate_offspring
-from brwllt.harness import load_config, run_experiment
+from brwllt.harness import run_experiment
 from brwllt.llt import constants_for, fit_correction_coefficients
 from brwllt.step_law import WalkClass, classify, lazy_simple_law, moments, validate
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from brwllt import gw_brw
-from brwllt.gw_brw import ReplicateSeed, derive_stream, simulate, validate_offspring
+from brwllt.config import validate_offspring
+from brwllt.gw_brw import ReplicateSeed, derive_stream, simulate
 from brwllt.step_law import lazy_simple_law, validate
 
 SIMPLE = validate(1, 0.0, [[1.0]])
