@@ -32,6 +32,14 @@ Counts are exact at any size.  A box keeps every count as base-2^32
 digits, and a count too large for one int64 draw is split into blocks of
 2^s particles, with s chosen so that the offspring of a block still fit
 in int64; independent blocks realize the exact law of the whole count.
+A step does only the work its counts need.  While every count is below
+2^s, each cell is one block, and the blocks are the counts themselves:
+no block sums run.  A cell of the new box then receives at most one
+displaced count per atom, so while A times the largest displaced count
+is below 2^63 the counts are scattered and carried as one int64 part.
+Otherwise, and always once a cell is cut into several blocks, each
+displaced count is split into low and high 32-bit halves, summed per
+cell and carried apart.  None of this changes a draw.
 """
 
 from __future__ import annotations
@@ -290,17 +298,23 @@ def _block_bits(n_values: int) -> int:
 
 
 def _blocks(digits: np.ndarray, s: int, per_block: int, reserved: int):
-    """Counts, given as base-2^32 digits of shape (digits, cells), cut into
-    blocks of at most 2^s particles, 32 <= s < 63.
+    """Positive counts, given as base-2^32 digits of shape (digits, cells),
+    cut into blocks of at most 2^s particles, 32 <= s < 63.
 
     A count q * 2^s + r becomes q blocks of 2^s and, if r > 0, one of r.
     Returns the block sizes cell after cell and the index of each cell's
-    first block.  Each block is charged ``per_block`` elements on top of
-    ``reserved`` ones, before the blocks are allocated.
+    first block.  When every count is below 2^s, each cell is one block: the
+    sizes are the counts themselves and the starts ``arange``.  Each block
+    is charged ``per_block`` elements on top of ``reserved`` ones, on either
+    route, before the blocks are allocated.
     """
     bits = _bit_length(digits)
     if bits - s > _DIGIT:
         raise CapacityExceeded(f"counts of {bits} bits need over 2^32 blocks each")
+    if bits <= s:
+        charge("the next generation's box and count blocks", reserved + digits.shape[1] * per_block)
+        sizes = digits[0] | (digits[1] << _DIGIT) if len(digits) > 1 else digits[0]
+        return sizes, np.arange(digits.shape[1])
     rest = digits[0]
     full = np.zeros_like(rest)
     if len(digits) > 1:
@@ -342,30 +356,34 @@ def _check_width(digits: np.ndarray, count_width: int, generation: int) -> None:
         )
 
 
-def _step(digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, keys, count_width: int, rekey):
+def _step(digits: np.ndarray, n: int, off: OffspringLaw, walk, keys, count_width: int, rekey):
     """Generation ``n`` -> ``n + 1`` of ``len(keys)`` replicates held in one box.
 
     ``digits`` has shape (digits, replicates, *cells): replicate r's counts,
     digit by digit as in ``SiteCounts``, on a box whose radius is read from
-    its odd cell extents.  Returns the digits of the next generation in the
-    same layout; the new box is the bounding box of every replicate's
-    occupied sites grown by one step, whatever box holds them now.  Replicate r draws its offspring
-    and displacement splits from the generator ``rekey`` (``_rekeyer``)
-    resets to ``keys[r]``, the ``_seed_key`` of its seed: the draws of
-    ``derive_stream(seed, n)``.
+    its odd cell extents.  ``walk`` is the step law's (points, probabilities,
+    ranges), its atoms in canonical order.  Returns the digits of the next
+    generation in the same layout; the new box is the bounding box of every
+    replicate's occupied sites grown by one step, whatever box holds them
+    now.  Replicate r draws its offspring and displacement splits from the
+    generator ``rekey`` (``_rekeyer``) resets to ``keys[r]``, the
+    ``_seed_key`` of its seed: the draws of ``derive_stream(seed, n)``.
+    The block sums per cell run only when some cell is cut into more than
+    one block, and the displaced counts are split into low and high 32-bit
+    halves only when some sum into a cell of the new box could reach 2^63.
     The new box's counts are checked against ``count_width``.
     """
+    points, probs, ranges = walk
     n_values = len(off.probs)
-    atoms = list(law.atoms())
     # Occupied cells in lexicographic order of (replicate, site): each
     # replicate's cells, and so its blocks, form one run in site order.
     rep, *cells = np.nonzero(digits.any(axis=0))
     sites = [c - e // 2 for c, e in zip(cells, digits.shape[2:])]
-    radius = tuple(int(np.abs(x).max(initial=0)) + t for x, t in zip(sites, law.ranges))
+    radius = tuple(int(np.abs(x).max(initial=0)) + t for x, t in zip(sites, ranges))
     shape = (len(keys), *(2 * r + 1 for r in radius))
     charge("the next generation's box", math.prod(shape))
     sizes, starts = _blocks(
-        digits[(slice(None), rep, *cells)], _block_bits(n_values), max(n_values, len(atoms)), math.prod(shape)
+        digits[(slice(None), rep, *cells)], _block_bits(n_values), max(n_values, len(points)), math.prod(shape)
     )
     bounds = np.append(starts, len(sizes))[np.searchsorted(rep, np.arange(len(keys) + 1))]
 
@@ -376,8 +394,7 @@ def _step(digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, keys, cou
     # a smaller number draws, at its binomial of p = 1.
     one_point = not any(off.probs[:-1])
     values = np.arange(1, n_values + 1, dtype=np.int64)
-    probs = [p for _, p in atoms]
-    placed = np.empty((len(sizes), len(atoms)), dtype=np.int64)
+    placed = np.empty((len(sizes), len(points)), dtype=np.int64)
     mixed = _mix64(n)
     for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
         rng = rekey(key, mixed)
@@ -387,27 +404,37 @@ def _step(digits: np.ndarray, n: int, off: OffspringLaw, law: StepLaw, keys, cou
             offspring = rng.multinomial(sizes[lo:hi], off.probs) @ values
         placed[lo:hi] = rng.multinomial(offspring, probs)
 
-    # Each displaced block count (< 2^63) enters as two base-2^32 digits,
-    # summed per cell far below 2^63 and carried at the end.  Shifting the
-    # box by an atom shifts every flat index of the new box by one offset.
-    high = np.add.reduceat(placed >> _DIGIT, starts, axis=0)
-    placed &= _DIGIT_MASK
-    low = np.add.reduceat(placed, starts, axis=0)
+    # A cell of the new box receives at most one displaced count per atom.
+    # When every cell is one block, those are single entries of ``placed``,
+    # so with A atoms the cell's sum is at most A max(placed): below 2^63,
+    # the counts are scattered as one part.  Otherwise each displaced count
+    # (< 2^63) enters as its low and high 32-bit halves, summed over the
+    # blocks of a cell when some cell is cut; their sums per cell stay far
+    # below 2^63, as the element budget holds fewer than 2^28 blocks.  The
+    # parts are carried at the end.  Shifting the box by an atom shifts
+    # every flat index of the new box by one offset.
+    split = len(sizes) > len(starts)
+    if split or int(placed.max(initial=0)) > _INT64_MAX // len(points):
+        parts = [placed & _DIGIT_MASK, placed >> _DIGIT]
+        if split:
+            parts = [np.add.reduceat(part, starts, axis=0) for part in parts]
+    else:
+        parts = [placed]
     origin = np.ravel_multi_index((rep, *(x + r for x, r in zip(sites, radius))), shape)
     strides = [math.prod(shape[s + 1 :]) for s in range(1, len(shape))]
-    parts = np.zeros((2, math.prod(shape)), dtype=np.int64)
-    for a, (point, _) in enumerate(atoms):
+    sums = np.zeros((len(parts), math.prod(shape)), dtype=np.int64)
+    for a, point in enumerate(points):
         dest = origin + sum(p * st for p, st in zip(point, strides))
-        parts[0, dest] += low[:, a]
-        parts[1, dest] += high[:, a]
-    digits = _carry(parts.reshape(2, *shape))
+        for sum_, part in zip(sums, parts):
+            sum_[dest] += part[:, a]
+    digits = _carry(sums.reshape(len(parts), *shape))
     _check_width(digits, count_width, n + 1)
     return digits
 
 
-def _batch_size(box: SiteCounts, steps: int, off: OffspringLaw, law: StepLaw, count_width: int) -> int:
+def _batch_size(box: SiteCounts, steps: int, off: OffspringLaw, walk, count_width: int) -> int:
     """How many replicates of ``box`` one batch can step ``steps``
-    generations on within the element budget.
+    generations on within the element budget; ``walk`` is as for ``_step``.
 
     A step charges each replicate at most the cells it can reach, C =
     prod_s (2 (radius_s + steps t_s) + 1), plus max(K, atoms) elements per
@@ -416,13 +443,14 @@ def _batch_size(box: SiteCounts, steps: int, off: OffspringLaw, law: StepLaw, co
     A batch holds the budget's worth of that bound, and at least one
     replicate, which is charged only what it uses.
     """
-    cells = math.prod(2 * (r + steps * t) + 1 for r, t in zip(box.radius, law.ranges))
+    points, _, ranges = walk
+    cells = math.prod(2 * (r + steps * t) + 1 for r, t in zip(box.radius, ranges))
     n_values = len(off.probs)
     # From this exponent on, K^e >= 2^e exceeds C 2^count_width.
     e = min(steps - 1, count_width + cells.bit_length())
     total = min(box.total() * n_values**e, cells << count_width)
     blocks = cells + (total >> _block_bits(n_values))
-    per_replicate = cells + max(n_values, len(list(law.atoms()))) * blocks
+    per_replicate = cells + max(n_values, len(points)) * blocks
     return max(1, config.ELEMENT_BUDGET // per_replicate)
 
 
@@ -481,7 +509,9 @@ def simulate(
     keys = [_seed_key(seed) for seed in seeds]
     box = start.counts
     _check_width(box.digits, count_width, start.n)
-    batch = _batch_size(box, n_max - start.n, off, law, count_width)
+    points, probs = zip(*law.atoms())
+    walk = (points, probs, law.ranges)
+    batch = _batch_size(box, n_max - start.n, off, walk, count_width)
     rekey = _rekeyer(np.random.Generator(np.random.Philox(0)))
     runs = []
     kept = 0
@@ -490,7 +520,7 @@ def simulate(
         snaps = [[start] if start.n in probes else [] for _ in chunk]
         digits = np.broadcast_to(box.digits[:, np.newaxis], (len(box.digits), len(chunk), *box.digits.shape[1:]))
         for n in range(start.n, n_max):
-            digits = _step(digits, n, off, law, chunk, count_width, rekey)
+            digits = _step(digits, n, off, walk, chunk, count_width, rekey)
             if n + 1 not in probes:
                 continue
             # Each snapshot is a view that keeps this whole box alive.

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -353,6 +354,19 @@ class TestEvolve:
         assert next_generation(state, off, law, ReplicateSeed(0, 0)).total == 8
         assert len(calls) == 2
 
+    def test_one_block_past_the_one_part_bound(self):
+        # 2^61 particles are one block of 2^61 (s = 61 for binary
+        # offspring), whose 2^62 children mostly stay put: a displaced count
+        # above (2^63 - 1) // 3 is summed as two halves, without block sums.
+        # The new counts are the displacement split's draws, atom by atom.
+        law = lazy_simple_law(1, 0.9)
+        seed = ReplicateSeed(8, 0)
+        new = next_generation(state_of({(0,): 2**61}), validate_offspring({2: 1.0}), law, seed, 128)
+        points, probs = zip(*law.atoms())
+        placed = derive_stream(seed, 0).multinomial(np.array([2**62]), probs)[0].tolist()
+        assert placed[points.index((0,))] > (2**63 - 1) // 3
+        assert dict(new.counts.items()) == {p: c for p, c in zip(points, placed) if c}
+
     def test_multinomial_placement_mean(self):
         off = validate_offspring({2: 1.0})
         state = state_of({(0,): 10**6})
@@ -597,6 +611,42 @@ class TestDeterminism:
         assert a.total == b.total
         # The new box is sized from the occupied sites, not the old box.
         assert a.counts.radius == b.counts.radius
+
+
+@st.composite
+def count_boxes(draw):
+    """(digits, s, counts): 1 to 6 positive counts as 1 to 3 base-2^32
+    digits, 32 <= s <= 62.  In half the draws every count is below 2^s; in
+    the rest a count is up to 4 blocks of 2^s and a rest."""
+    s = draw(st.integers(32, 62))
+    below = draw(st.booleans())
+    counts = []
+    for _ in range(draw(st.integers(1, 6))):
+        q = 0 if below else draw(st.integers(0, 4))
+        counts.append(q * 2**s + draw(st.integers(0 if q else 1, 2**s - 1)))
+    n_digits = max(draw(st.integers(1, 3)), *(-(-c.bit_length() // 32) for c in counts))
+    digits = np.array([[(c >> (32 * k)) % 2**32 for c in counts] for k in range(n_digits)], dtype=np.int64)
+    return digits, s, counts
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(box=count_boxes(), per_block=st.integers(1, 8), reserved=st.integers(0, 100))
+def test_blocks_match_divmod(box, per_block, reserved):
+    # Each count q 2^s + r is q blocks of 2^s and, if r > 0, one of r, in
+    # cell order, and reserved + blocks * per_block elements are charged,
+    # whether every cell is one block or some are cut.
+    digits, s, counts = box
+    sizes, starts = [], []
+    for c in counts:
+        q, r = divmod(c, 2**s)
+        starts.append(len(sizes))
+        sizes += [2**s] * q + [r] * (r > 0)
+    charged = []
+    with mock.patch.object(gw_brw, "charge", lambda what, n: charged.append(n)):
+        got_sizes, got_starts = gw_brw._blocks(digits, s, per_block, reserved)
+    assert got_sizes.tolist() == sizes
+    assert got_starts.tolist() == starts
+    assert charged == [reserved + len(sizes) * per_block]
 
 
 @st.composite
