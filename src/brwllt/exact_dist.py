@@ -17,14 +17,17 @@ moves along one axis or stays put, so P(S_n = z) is a binomial mixture of
 kernel; every term is nonnegative, so its error is relative in every
 cell.  The characteristic-function route (``cf_invert_box``) samples
 psi(phi)^n on a uniform torus grid of least 5-smooth size >= 2*n*t_s + 1
-per axis (``step_law.cf_grid``), on the orthant phi_s <= pi only, raises it to the
-n-th power by repeated squaring, and inverts it with a real FFT per axis
-into the orthant of the law; the integrand is a trigonometric polynomial
-of known degree, so the grid rule is exact up to rounding and serves as a
-genuinely independent second method.  Every route charges the element
-budget (``config.charge``) before it allocates: the stepped oracle the kernel's two buffers,
-the mixture its tables and then those buffers, the CF route its whole
-grid.
+per axis (``step_law.cf_grid``), on the orthant phi_s <= pi only, and
+inverts it with a real FFT per axis into the orthant of the law, one slice
+of lanes at a time (``CF_SLICE_CELLS``): psi is formed and raised to the
+n-th power by repeated squaring on each slice of axis 0, and later axes
+are inverted in place in one stage array, so no whole-grid temporary is
+built; the integrand is a trigonometric polynomial of known degree, so the
+grid rule is exact up to rounding and serves as a genuinely independent
+second method.  Every route charges the element budget
+(``config.charge``) before it allocates: the stepped oracle the kernel's
+two buffers, the mixture its tables and then those buffers, the CF route
+its whole grid.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ from .config import charge
 from .step_law import StepLaw, cf_grid, lattice_point, step_count
 
 DUMP_SLICE_CELLS = 2**14
+# Spectrum cells per slice of lanes in ``cf_invert_box``.  On a 2-d law of
+# ranges (2, 1), 2**13 made n = 1024 slower and 2**15 made every n = 240
+# call fault its slices in afresh.
+CF_SLICE_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -214,8 +221,12 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
     rows, ranges = np.arange(law.d)[:, None], law.ranges
     for k, orthant in enumerate(itertools.chain([first], stages)):
         tables[:, k, :-1] = orthant[rows, at]
+        # Each row's cells doubled past z = 0, its mirror image, and summed
+        # over the cells ``_mirror_sum`` would sum: the same total.
+        doubled = orthant[:, : k * t + 1] * 2.0
+        doubled[:, 0] = orthant[:, 0]
         for s, ts in enumerate(ranges):
-            tables[s, k, -1] = _mirror_sum(orthant[s, : k * ts + 1].copy())
+            tables[s, k, -1] = doubled[s, : k * ts + 1].sum()
     # mixed[m]: the law of the steps on axes s.., given that m steps fall there.
     mixed = tables[-1]
     for s in range(law.d - 2, -1, -1):
@@ -223,15 +234,15 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
         a, b = p[s] / tail, math.fsum(p[s + 1 :]) / tail
         wanted = set(probes) if s == 0 else range(n_max + 1)
         out = np.zeros((n_max + 1, cols))
-        weights = np.ones(1)
+        weights = np.zeros(n_max + 1)
+        weights[0] = 1.0
         for m in range(n_max + 1):
             if m:
-                step = np.zeros(m + 1)
-                step[:-1] = b * weights
-                step[1:] += a * weights
-                weights = step
+                carried = a * weights[:m]
+                weights[:m] *= b
+                weights[1 : m + 1] += carried
             if m in wanted:
-                out[m] = (weights[:, None] * tables[s][: m + 1] * mixed[m::-1]).sum(axis=0)
+                out[m] = (weights[: m + 1, None] * tables[s][: m + 1] * mixed[m::-1]).sum(axis=0)
         mixed = out
     return mixed[probes, :-1], mixed[probes, -1]
 
@@ -245,19 +256,25 @@ def dist_at(dist: LatticeDist, z) -> float:
     return float(dist.mass[idx])
 
 
-def _psi_grid(law: StepLaw, phis) -> np.ndarray:
-    """psi(phi) = zeta0 + sum_{s,r} zeta_{s,r} cos(r phi_s) on a product grid."""
-    d = law.d
-    out = np.full((1,) * d, law.zeta0)
-    for s in range(d):
-        axis = np.zeros_like(phis[s])
-        for r, w in enumerate(law.weights[s], start=1):
-            if w > 0.0:
-                axis = axis + w * np.cos(r * phis[s])
-        shape = [1] * d
-        shape[s] = len(phis[s])
-        out = out + axis.reshape(shape)
-    return out
+def _cos_sum(weights, m: int) -> np.ndarray:
+    """sum_r zeta_r cos(r phi) at phi = 2 pi k / m, k = 0 .. m // 2: one
+    axis's part of psi on the half grid."""
+    phi = 2.0 * np.pi * np.arange(m // 2 + 1) / m
+    axis = np.zeros_like(phi)
+    for r, w in enumerate(weights, start=1):
+        if w > 0.0:
+            axis = axis + w * np.cos(r * phi)
+    return axis
+
+
+def _lane_slices(extents, cells: int):
+    """Index arrays of the lanes of a grid whose other axes have these
+    ``extents``, in C order, about ``CF_SLICE_CELLS`` cells (at least one
+    lane of ``cells``) at a time."""
+    size = math.prod(extents)
+    step = max(1, CF_SLICE_CELLS // cells)
+    for lo in range(0, size, step):
+        yield np.unravel_index(np.arange(lo, min(lo + step, size)), extents) if extents else ()
 
 
 def _power(x: np.ndarray, n: int) -> np.ndarray:
@@ -283,27 +300,40 @@ def cf_invert_box(law: StepLaw, n: int) -> LatticeDist:
     k mod M_s, and an inverse DFT returns them exactly up to rounding.  M_s
     is the least 5-smooth such size (``cf_grid``), which the FFT factors
     into small radices.  psi is real and even in each phi_s, so its samples
-    with every phi_s <= pi determine the grid and are raised to the n-th
-    power by repeated squaring; each axis in turn is inverted by a real FFT
-    (``irfft``) and cut to the orthant cells 0 <= z_s <= n*t_s.  The full
-    grid is charged to the element budget before anything is allocated,
-    and each stage is cast to complex (the cast ``irfft`` would make, laid
-    out with the transformed axis innermost) and dropped before its
-    transform, so at most two stages are alive at once.  The error is
-    absolute, about 1e-16, so far-tail cells are not relatively accurate.
+    with every phi_s <= pi determine the grid.  The full grid is charged to
+    the element budget before anything is allocated; then no whole-grid
+    temporary is ever built.  Each axis's cosine sum is built once, and the
+    lanes along axis 0 are taken ``CF_SLICE_CELLS`` cells at a time: psi is
+    formed on the slice (zeta0 + a_0 + a_1 + ..., in that order), raised to
+    the n-th power by repeated squaring, cast to complex with the lanes
+    contiguous and inverted by a real FFT (``irfft``), and its orthant cells
+    0 <= z_0 <= n*t_0 are copied into the one stage array.  Every later axis
+    is inverted slice by slice in the same way, in place in that array: a
+    lane is read whole before its orthant cells overwrite its start.  The
+    result is a cut of the stage array.  The error is absolute, about
+    1e-16, so far-tail cells are not relatively accurate.
     """
     n = step_count(n)
     grid = cf_grid(law, n)
     charge("CF grid", math.prod(grid))
-    vals = _power(_psi_grid(law, [2.0 * np.pi * np.arange(m // 2 + 1) / m for m in grid]), n)
-    for s, (m, t) in enumerate(zip(grid, law.ranges)):
-        # Cast with axis s innermost: each transformed lane is then
-        # contiguous, which speeds the FFT and leaves its values as they are.
-        spectrum = np.moveaxis(np.moveaxis(vals, s, -1).astype(complex, order="C"), -1, s)
-        del vals
-        vals = np.fft.irfft(spectrum, n=m, axis=s)[(slice(None),) * s + (slice(n * t + 1),)]
-        del spectrum
-    return LatticeDist(n=n, mass=vals)
+    sums = [_cos_sum(w, m) for w, m in zip(law.weights, grid)]
+    half = [len(a) for a in sums]
+    cut = [n * t + 1 for t in law.ranges]
+    head = law.zeta0 + sums[0]
+    stage = np.empty((cut[0], *half[1:]))
+    for s, m in enumerate(grid):
+        lanes = np.moveaxis(stage, s, -1)
+        for lane in _lane_slices((*cut[:s], *half[s + 1 :]), half[s]):
+            if s == 0:
+                rows = np.empty((len(lane[0]) if lane else 1, half[0]))
+                rows[:] = head
+                for axis, i in zip(sums[1:], lane):
+                    rows += axis[i][:, None]
+                _power(rows, n)
+            else:
+                rows = lanes[(*lane, slice(None))]
+            lanes[(*lane, slice(cut[s]))] = np.fft.irfft(rows.astype(complex), n=m)[:, : cut[s]]
+    return LatticeDist(n=n, mass=stage[tuple(map(slice, cut))])
 
 
 def dump_csv(dist: LatticeDist, path) -> None:

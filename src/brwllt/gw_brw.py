@@ -297,9 +297,10 @@ def _block_bits(n_values: int) -> int:
     return (_INT64_MAX // n_values).bit_length() - 1
 
 
-def _blocks(digits: np.ndarray, s: int, per_block: int, reserved: int):
+def _blocks(digits: np.ndarray, bits: int, s: int, per_block: int, reserved: int):
     """Positive counts, given as base-2^32 digits of shape (digits, cells),
-    cut into blocks of at most 2^s particles, 32 <= s < 63.
+    the largest of ``bits`` bits, cut into blocks of at most 2^s particles,
+    32 <= s < 63.
 
     A count q * 2^s + r becomes q blocks of 2^s and, if r > 0, one of r.
     Returns the block sizes cell after cell and the index of each cell's
@@ -308,7 +309,6 @@ def _blocks(digits: np.ndarray, s: int, per_block: int, reserved: int):
     is charged ``per_block`` elements on top of ``reserved`` ones, on either
     route, before the blocks are allocated.
     """
-    bits = _bit_length(digits)
     if bits - s > _DIGIT:
         raise CapacityExceeded(f"counts of {bits} bits need over 2^32 blocks each")
     if bits <= s:
@@ -348,30 +348,35 @@ def _carry(parts) -> np.ndarray:
     return np.stack(digits)
 
 
-def _check_width(digits: np.ndarray, count_width: int, generation: int) -> None:
+def _check_width(digits: np.ndarray, count_width: int, generation: int) -> int:
+    """The bit length of the largest count, checked against ``count_width``."""
     bits = _bit_length(digits)
     if bits >= count_width:
         raise CountOverflow(
             f"a count of {bits} bits exceeds the signed {count_width}-bit limit in generation {generation}"
         )
+    return bits
 
 
-def _step(digits: np.ndarray, n: int, off: OffspringLaw, walk, keys, count_width: int, rekey):
+def _step(digits: np.ndarray, bits: int, n: int, off: OffspringLaw, walk, keys, count_width: int, rekey):
     """Generation ``n`` -> ``n + 1`` of ``len(keys)`` replicates held in one box.
 
     ``digits`` has shape (digits, replicates, *cells): replicate r's counts,
     digit by digit as in ``SiteCounts``, on a box whose radius is read from
-    its odd cell extents.  ``walk`` is the step law's (points, probabilities,
-    ranges), its atoms in canonical order.  Returns the digits of the next
-    generation in the same layout; the new box is the bounding box of every
-    replicate's occupied sites grown by one step, whatever box holds them
-    now.  Replicate r draws its offspring and displacement splits from the
-    generator ``rekey`` (``_rekeyer``) resets to ``keys[r]``, the
-    ``_seed_key`` of its seed: the draws of ``derive_stream(seed, n)``.
+    its odd cell extents; its largest count has ``bits`` bits.  ``walk`` is
+    the step law's (points, probabilities, ranges), its atoms in canonical
+    order.  Returns the digits of the next generation in the same layout
+    and the bit length of its largest count; the new box is the bounding box
+    of every replicate's occupied sites grown by one step, whatever box
+    holds them now.  Replicate r draws its offspring and displacement
+    splits from the generator ``rekey`` (``_rekeyer``) resets to
+    ``keys[r]``, the ``_seed_key`` of its seed: the draws of
+    ``derive_stream(seed, n)``.
     The block sums per cell run only when some cell is cut into more than
     one block, and the displaced counts are split into low and high 32-bit
     halves only when some sum into a cell of the new box could reach 2^63.
-    The new box's counts are checked against ``count_width``.
+    The new box's counts are checked against ``count_width``, and the
+    width checked is the next step's ``bits``.
     """
     points, probs, ranges = walk
     n_values = len(off.probs)
@@ -383,7 +388,7 @@ def _step(digits: np.ndarray, n: int, off: OffspringLaw, walk, keys, count_width
     shape = (len(keys), *(2 * r + 1 for r in radius))
     charge("the next generation's box", math.prod(shape))
     sizes, starts = _blocks(
-        digits[(slice(None), rep, *cells)], _block_bits(n_values), max(n_values, len(points)), math.prod(shape)
+        digits[(slice(None), rep, *cells)], bits, _block_bits(n_values), max(n_values, len(points)), math.prod(shape)
     )
     bounds = np.append(starts, len(sizes))[np.searchsorted(rep, np.arange(len(keys) + 1))]
 
@@ -428,8 +433,7 @@ def _step(digits: np.ndarray, n: int, off: OffspringLaw, walk, keys, count_width
         for sum_, part in zip(sums, parts):
             sum_[dest] += part[:, a]
     digits = _carry(sums.reshape(len(parts), *shape))
-    _check_width(digits, count_width, n + 1)
-    return digits
+    return digits, _check_width(digits, count_width, n + 1)
 
 
 def _batch_size(box: SiteCounts, steps: int, off: OffspringLaw, walk, count_width: int) -> int:
@@ -508,7 +512,7 @@ def simulate(
     n_max = max(probes)
     keys = [_seed_key(seed) for seed in seeds]
     box = start.counts
-    _check_width(box.digits, count_width, start.n)
+    start_bits = _check_width(box.digits, count_width, start.n)
     points, probs = zip(*law.atoms())
     walk = (points, probs, law.ranges)
     batch = _batch_size(box, n_max - start.n, off, walk, count_width)
@@ -519,8 +523,9 @@ def simulate(
         chunk = keys[lo : lo + batch]
         snaps = [[start] if start.n in probes else [] for _ in chunk]
         digits = np.broadcast_to(box.digits[:, np.newaxis], (len(box.digits), len(chunk), *box.digits.shape[1:]))
+        bits = start_bits
         for n in range(start.n, n_max):
-            digits = _step(digits, n, off, walk, chunk, count_width, rekey)
+            digits, bits = _step(digits, bits, n, off, walk, chunk, count_width, rekey)
             if n + 1 not in probes:
                 continue
             # Each snapshot is a view that keeps this whole box alive.

@@ -486,6 +486,60 @@ def test_power_by_squaring_matches_pow(n):
     assert np.all(np.abs(got - ref) <= (n + 1) * info.eps * np.maximum(np.abs(ref), info.tiny))
 
 
+def reference_cf_invert_box(law, n) -> np.ndarray:
+    """Reference: ``cf_invert_box``'s orthant from whole-grid stages.  psi
+    on the whole half grid (zeta0 + a_0 + a_1 + ..., in that order), its
+    n-th power by ``_power``, then each axis cast to complex with that axis
+    innermost, inverted by ``irfft`` and cut to its orthant cells."""
+    grid = cf_grid(law, n)
+    psi = np.full((1,) * law.d, law.zeta0)
+    for s, m in enumerate(grid):
+        phi = 2.0 * np.pi * np.arange(m // 2 + 1) / m
+        axis = np.zeros_like(phi)
+        for r, w in enumerate(law.weights[s], start=1):
+            if w > 0.0:
+                axis = axis + w * np.cos(r * phi)
+        psi = psi + axis.reshape([len(phi) if t == s else 1 for t in range(law.d)])
+    vals = exact_dist._power(psi, n)
+    for s, (m, t) in enumerate(zip(grid, law.ranges)):
+        spectrum = np.moveaxis(np.moveaxis(vals, s, -1).astype(complex, order="C"), -1, s)
+        vals = np.fft.irfft(spectrum, n=m, axis=s)[(slice(None),) * s + (slice(n * t + 1),)]
+    return vals
+
+
+CF_LAWS = [SIMPLE, LAWS[1], validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]]), LAWS[2], LAWS[3], validate(3, 0.0, [[0.4], [0.3], [0.3]])]
+
+
+@pytest.mark.parametrize("one_lane", [False, True], ids=["default-slices", "one-lane-slices"])
+@pytest.mark.parametrize("law", CF_LAWS, ids=["simple-1d", "multi-1d", "bipartite-2d", "multi-2d", "multi-3d", "simple-3d"])
+def test_cf_slices_match_whole_grid(monkeypatch, law, one_lane):
+    # Inverting slice by slice changes no cell: bit for bit the whole-grid
+    # route, at the default slice size and at one lane per slice.
+    if one_lane:
+        monkeypatch.setattr(exact_dist, "CF_SLICE_CELLS", 1)
+    for n in (0, 1, 7, 24):
+        mass = cf_invert_box(law, n).mass
+        ref = reference_cf_invert_box(law, n)
+        assert mass.shape == ref.shape
+        assert np.array_equal(mass, ref)
+
+
+@pytest.mark.parametrize("n, bound", [(240, 2.0), (1024, 1.5)])
+def test_cf_peak_memory_is_near_the_orthant(n, bound):
+    # No whole-grid temporary: the traced peak stays within a small multiple
+    # of the orthant's bytes.  Whole-grid stages reach 4.1x at n = 240 and
+    # 4.4x at n = 1024 on this 2-d law of ranges (2, 1).
+    law = validate(2, 0.2, [[0.25, 0.15], [0.4]])
+    orthant = (2 * n + 1) * (n + 1) * 8
+    tracemalloc.start()
+    try:
+        cf_invert_box(law, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * orthant
+
+
 @pytest.mark.parametrize(
     "law, n",
     [(LAZY, 120), (lazy_simple_law(2, 1.0 / 3.0), 48), (LAWS[2], 24), (LAWS[3], 8)],

@@ -460,7 +460,7 @@ class TestBatchedStep:
         charged, batches = [], []
         real_charge, real_step = gw_brw.charge, gw_brw._step
         monkeypatch.setattr(gw_brw, "charge", lambda what, n: charged.append(n) or real_charge(what, n))
-        monkeypatch.setattr(gw_brw, "_step", lambda *a: batches.append(len(a[4])) or real_step(*a))
+        monkeypatch.setattr(gw_brw, "_step", lambda *a: batches.append(len(a[5])) or real_step(*a))
 
         def largest_charge(replicates):
             charged.clear()
@@ -643,7 +643,7 @@ def test_blocks_match_divmod(box, per_block, reserved):
         sizes += [2**s] * q + [r] * (r > 0)
     charged = []
     with mock.patch.object(gw_brw, "charge", lambda what, n: charged.append(n)):
-        got_sizes, got_starts = gw_brw._blocks(digits, s, per_block, reserved)
+        got_sizes, got_starts = gw_brw._blocks(digits, max(counts).bit_length(), s, per_block, reserved)
     assert got_sizes.tolist() == sizes
     assert got_starts.tolist() == starts
     assert charged == [reserved + len(sizes) * per_block]
