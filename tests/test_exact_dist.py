@@ -507,11 +507,19 @@ def reference_cf_invert_box(law, n) -> np.ndarray:
     return vals
 
 
-CF_LAWS = [SIMPLE, LAWS[1], validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]]), LAWS[2], LAWS[3], validate(3, 0.0, [[0.4], [0.3], [0.3]])]
-
-
 @pytest.mark.parametrize("one_lane", [False, True], ids=["default-slices", "one-lane-slices"])
-@pytest.mark.parametrize("law", CF_LAWS, ids=["simple-1d", "multi-1d", "bipartite-2d", "multi-2d", "multi-3d", "simple-3d"])
+@pytest.mark.parametrize(
+    "law",
+    [
+        SIMPLE,
+        LAWS[1],
+        validate(2, 0.0, [[0.3, 0.0, 0.2], [0.5]]),
+        LAWS[2],
+        LAWS[3],
+        validate(3, 0.0, [[0.4], [0.3], [0.3]]),
+    ],
+    ids=["simple-1d", "multi-1d", "bipartite-2d", "multi-2d", "multi-3d", "simple-3d"],
+)
 def test_cf_slices_match_whole_grid(monkeypatch, law, one_lane):
     # Inverting slice by slice changes no cell: bit for bit the whole-grid
     # route, at the default slice size and at one lane per slice.
