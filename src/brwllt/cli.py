@@ -10,8 +10,13 @@ The default output directory can be set with the BRWLLT_OUTPUT_DIR
 environment variable; an explicit path in the config or on the command
 line wins.
 
-A package error (``BrwlltError``) ends the command with one
-``brwllt: <message>`` line on stderr and exit code 2.
+A package error (``BrwlltError``), or an output file that cannot be
+written, ends the command with one ``brwllt: <message>`` line on stderr
+and exit code 2; an output directory that does not exist is refused
+before the experiment runs.
+
+The argument parser is built once, at import, so a ``main()`` call made
+in a running process pays only for parsing its arguments.
 
 Configs are loaded by ``brwllt.config``, which needs no numpy: only
 ``run`` imports the runners (``brwllt.harness``) and only ``dump-dist``
@@ -68,7 +73,25 @@ def _output_path(cfg, explicit):
     return name if os.path.isabs(name) else os.path.join(base, name)
 
 
-def main(argv=None) -> int:
+def _check_output_dir(path) -> None:
+    """Refuse ``path``, before any work, when its directory does not exist."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise BrwlltError(f"output file {path}: no such directory {folder}")
+
+
+def _steps(text: str) -> int:
+    """``dump-dist --n``: a step count, refused at parse time when negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"--n must be >= 0, got {n}")
+    return n
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="brwllt", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -83,15 +106,22 @@ def main(argv=None) -> int:
 
     p_dump = sub.add_parser("dump-dist", help="dump an exact n-step distribution")
     p_dump.add_argument("config")
-    p_dump.add_argument("--n", type=int, required=True)
+    p_dump.add_argument("--n", type=_steps, required=True)
     p_dump.add_argument("--output", required=True)
     p_dump.add_argument("--override", action="append", default=[])
 
     sub.add_parser("version", help="print the tool version")
+    return parser
 
-    args = parser.parse_args(argv)
-    if args.verb == "dump-dist" and args.n < 0:
-        p_dump.error(f"--n must be >= 0, got {args.n}")
+
+# Built once per process: parse_args leaves it unchanged (an ``append``
+# option copies its default list before appending), so every main() call
+# shares it.
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     if args.verb == "version":
         print(__version__)
@@ -99,7 +129,7 @@ def main(argv=None) -> int:
 
     try:
         return _run_verb(args)
-    except BrwlltError as exc:
+    except (BrwlltError, OSError) as exc:
         print(f"brwllt: {exc}", file=sys.stderr)
         return 2
 
@@ -119,14 +149,16 @@ def _run_verb(args) -> int:
     if args.verb == "dump-dist":
         from .exact_dist import dump_csv, walk_dist
 
+        _check_output_dir(args.output)
         dump_csv(walk_dist(cfg.law, args.n), args.output)
         print(f"wrote {args.output}")
         return 0
 
     from .harness import run_experiment, write_csv
 
-    result = run_experiment(cfg)
     path = _output_path(cfg, args.output)
+    _check_output_dir(path)
+    result = run_experiment(cfg)
     write_csv(cfg, result, path)
     for note in result.notes:
         print(note)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 import warnings
@@ -656,6 +657,22 @@ class TestCli:
         assert cli.main(["run", path, "--output", str(out)]) == 0
         code = cli.main(["run", path, "--output", str(out), "--override", "n_values=[1,2,3]"])
         assert code == 1
+        # The parser is shared between calls: one call's overrides never reach the next.
+        assert cli.main(["run", path, "--output", str(out)]) == 0
+
+    def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        path = self.write_cfg(tmp_path, base_doc("identities"))
+        assert cli.main(["version"]) == 0
+        assert cli.main(["validate", path]) == 0
+        assert built == []
 
     @pytest.mark.parametrize(
         "override, key",
@@ -701,6 +718,31 @@ class TestCli:
         assert exc.value.code == 2
         assert "--n must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir", "directory"])
+    @pytest.mark.parametrize("verb", ["run", "dump-dist"])
+    def test_unwritable_output(self, tmp_path, monkeypatch, capsys, verb, missing_dir):
+        # An output path that cannot be written ends the command with one
+        # stderr line naming it and exit code 2; a missing directory is
+        # refused before the experiment runs.
+        doc = base_doc("identities")
+        doc["step_law"] = dict(LAW_1D_SIMPLE)
+        path = self.write_cfg(tmp_path, doc)
+        out = str(tmp_path / "missing" / "out.csv") if missing_dir else str(tmp_path)
+        if missing_dir:
+            def never(*args):
+                raise AssertionError("the experiment ran")
+
+            monkeypatch.setattr(harness, "run_experiment", never)
+            monkeypatch.setattr(exact_dist, "walk_dist", never)
+        extra = ["--n", "2"] if verb == "dump-dist" else []
+        assert cli.main([verb, path, *extra, "--output", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("brwllt: ")
+        assert out in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_bad_override_form(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, base_doc("identities"))
