@@ -1,8 +1,9 @@
 """The thirteen Gaussian moment identities behind the expansion constants.
 
-Each closed form is checked against one exact Gauss-Hermite rule per axis:
-the per-axis moment tables are multiplied as power series truncated at the
-highest powers the identities read, so the cost grows linearly in d.  The
+Each closed form is checked against exact Gaussian moments: every axis's
+moment table is written from E xi^D = (D - 1)!! of a standard normal xi, and
+the tables are multiplied as power series truncated at the highest powers
+the identities read, so the cost grows linearly in d.  The
 covariances are randomized and diagonal, in dimensions 1 to 5, 12 and 40.
 """
 

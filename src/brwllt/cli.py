@@ -92,7 +92,9 @@ def _steps(text: str) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="brwllt", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="brwllt", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_validate = sub.add_parser("validate", help="validate a config file")

@@ -233,6 +233,9 @@ def load_config(doc: dict) -> ExperimentConfig:
         z_set = tuple(lattice_point(z, law.d) for z in _list(doc.get("z_set", [[0] * law.d])))
     if not z_set:
         raise ConfigError("z_set: needs at least one lattice point")
+    # Predictions are computed in floats, which hold every integer below 2^53.
+    if any(abs(c) >= 2**53 for z in z_set for c in z):
+        raise ConfigError("z_set: a coordinate of 2^53 or more in absolute value, which a float cannot hold exactly")
     if len(set(z_set)) < len(z_set):
         repeated = next(z for i, z in enumerate(z_set) if z in z_set[:i])
         raise ConfigError(f"z_set: z = {repeated} is named more than once")
@@ -258,6 +261,8 @@ def load_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("count_width: must be 64 or 128")
     with _field("base_seed"):
         base_seed = json_int(doc.get("base_seed", 0))
+    if not 0 <= base_seed < 2**64:
+        raise ConfigError(f"base_seed: {base_seed} outside [0, 2^64)")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output: expected a path string, got {type(output).__name__}")

@@ -6,8 +6,8 @@ chi and the norm from them, is the only input of every expansion function
 besides n and the point z), the predicted point probability, the
 scaled residual against the exact distribution, an empirical fit of the
 1/n and 1/n^2 correction coefficients, and the Gaussian moment identities
-behind the expansion, checked in any dimension by one exact Gauss-Hermite
-rule per axis whose moment tables are multiplied as truncated power series.
+behind the expansion, checked in any dimension by exact Gaussian moment
+tables, one per axis, multiplied as truncated power series.
 """
 
 from __future__ import annotations
@@ -223,22 +223,19 @@ _SUM_DEGREES = (2, 4, 6, 1)
 _TOP = tuple(max(exponents[k] for exponents, _ in _IDENTITIES) for k in range(len(_SUM_DEGREES)))
 
 
-@functools.cache
-def _hermite_rule():
-    """The standard normal's 6-node Gauss-Hermite rule, exact to degree 11."""
-    from numpy.polynomial.hermite_e import hermegauss  # imported on first use only
-
-    nodes, weights = hermegauss(6)
-    return nodes, weights / weights.sum()
+def _normal_moment(k: int) -> int:
+    """E[xi^k] of a standard normal xi: (k - 1)!! for even k, 0 for odd k."""
+    return 0 if k % 2 else math.prod(range(k - 1, 0, -2))
 
 
 @functools.cache
 def _moment_table():
     """The moment table's fixed layout: (row, col, lag), the flat cells with
     exponents row = col + lag, so that the truncated product of tables t and
-    u sums t[lag] * u[col] into row; j_1! j_2! j_3! j_4! of each cell j; and
-    the cell each identity reads.  A flat cell is linear in its exponents,
-    so lag = row - col."""
+    u sums t[lag] * u[col] into row; E[xi^D] / j! of each cell j, with
+    D = 2 j_1 + 4 j_2 + 6 j_3 + j_4 and xi standard normal; j_1! j_2! j_3!
+    j_4! of each cell; and the cell each identity reads.  A flat cell is
+    linear in its exponents, so lag = row - col."""
     shape = tuple(p + 1 for p in _TOP)
     row = col = np.zeros(1, dtype=int)
     factorials = np.ones(1)
@@ -246,8 +243,10 @@ def _moment_table():
         j, l = np.tril_indices(n)
         row, col = (row[:, None] * n + j).ravel(), (col[:, None] * n + l).ravel()
         factorials = np.outer(factorials, [math.factorial(i) for i in range(n)]).ravel()
+    degrees = np.dot(_SUM_DEGREES, np.indices(shape).reshape(len(shape), -1))
+    normal = np.array([_normal_moment(k) for k in degrees.tolist()]) / factorials
     read = np.ravel_multi_index(tuple(np.transpose([exponents for exponents, _ in _IDENTITIES])), shape)
-    return row, col, row - col, factorials, read
+    return row, col, row - col, normal, factorials, read
 
 
 def identity_expectations(m: Moments, z) -> np.ndarray:
@@ -255,24 +254,22 @@ def identity_expectations(m: Moments, z) -> np.ndarray:
 
     The theta_s are independent N(0, 1/zeta_s(2)) and each sum adds one term
     X_{s,k} = c_{k,s} theta_s^{deg_k} per axis, so the expectation over p!
-    is the t^p coefficient of prod_s E[exp(sum_k t_k X_{s,k})].  Each axis's
-    table of E[X_s^j] / j!, j <= _TOP, comes from the 6-node rule, and the
-    tables are multiplied as power series truncated at _TOP.  The cells the
-    identities read, and those that feed them, have per-axis degree <= 8, so
-    they are exact up to rounding; the unread top cells are not.  Memory
-    does not grow with d.  z is read by ``lattice_point``.
+    is the t^p coefficient of prod_s E[exp(sum_k t_k X_{s,k})].  With
+    theta_s = xi_s / sqrt(zeta_s(2)) and xi_s standard normal, axis s's
+    table of E[X_s^j] / j!, j <= _TOP, is r_s^j E[xi^D] / j! in closed form,
+    r_s = (1, zeta_s(4)/zeta_s(2)^2, zeta_s(6)/zeta_s(2)^3, z_s/sqrt(zeta_s(2)))
+    and D = 2 j_1 + 4 j_2 + 6 j_3 + j_4; the tables are multiplied as power
+    series truncated at _TOP.  Memory does not grow with d.  z is read by
+    ``lattice_point``.
     """
     z = lattice_point(z, m.d)
-    nodes, weights = _hermite_rule()
-    row, col, lag, factorials, read = _moment_table()
-    table = np.eye(1, factorials.size).ravel()
+    row, col, lag, normal, factorials, read = _moment_table()
+    table = np.eye(1, normal.size).ravel()
     for s in range(m.d):
-        theta = nodes / math.sqrt(m.gamma2[s])
-        powers = [
-            (float(c[s]) * theta**deg)[:, None] ** np.arange(p + 1)
-            for c, deg, p in zip((m.gamma2, m.gamma4, m.gamma6, z), _SUM_DEGREES, _TOP)
-        ]
-        axis = np.einsum("i,ia,ib,ic,ie->abce", weights, *powers).ravel() / factorials
+        g2 = m.gamma2[s]
+        ratios = (1.0, m.gamma4[s] / g2**2, m.gamma6[s] / g2**3, float(z[s]) / math.sqrt(g2))
+        powers = [r ** np.arange(p + 1) for r, p in zip(ratios, _TOP)]
+        axis = normal * functools.reduce(np.multiply.outer, powers).ravel()
         table = np.bincount(row, axis[lag] * table[col], table.size)
     return (table * factorials)[read]
 

@@ -174,6 +174,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^offspring: {experiment} requires an offspring spec$"):
             load_config(doc)
 
+    @pytest.mark.parametrize("experiment", ["martingale-check", "brw-check"])
+    def test_base_seed_range(self, experiment):
+        # A seed outside [0, 2^64) would overflow the martingale-check stream
+        # key, or be masked to the stream of another seed by brw-check.
+        for bad in (-1, 2**64):
+            with pytest.raises(ConfigError, match=rf"^base_seed: {bad} outside \[0, 2\^64\)$"):
+                load_config(own_doc(experiment, base_seed=bad))
+        assert load_config(own_doc(experiment, base_seed=2**64 - 1)).base_seed == 2**64 - 1
+
+    @pytest.mark.parametrize("experiment", ["martingale-check", "brw-check"])
+    def test_z_coordinates_fit_a_float(self, experiment):
+        for bad in (2**53, -(2**53)):
+            with pytest.raises(ConfigError, match=r"^z_set: a coordinate of 2\^53 or more"):
+                load_config(own_doc(experiment, z_set=[[bad]]))
+        assert load_config(own_doc(experiment, z_set=[[2**53 - 1]])).z_set == ((2**53 - 1,),)
+
     def test_hash_stable_and_order_independent(self):
         a = load_config({"experiment": "identities", "step_law": LAW_1D_LAZY, "base_seed": 7})
         b = load_config({"base_seed": 7, "step_law": LAW_1D_LAZY, "experiment": "identities"})
@@ -659,6 +675,13 @@ class TestCli:
         assert code == 1
         # The parser is shared between calls: one call's overrides never reach the next.
         assert cli.main(["run", path, "--output", str(out)]) == 0
+
+    def test_help_keeps_the_verbs_table(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "    dump-dist  write the exact n-step distribution of the config's law as CSV" in lines
 
     def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
         built = []

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,6 +229,39 @@ def grid_expectations(m, z):
     return [float(np.sum(weight * math.prod(a**p for a, p in zip(sums, exps)))) for exps, _ in _IDENTITIES]
 
 
+def fraction_expectations(m, z):
+    """Exact reference for :func:`identity_expectations`: each identity's
+    factor expanded in Fraction arithmetic as a polynomial in theta, whose
+    monomials have E theta_s^D = (D - 1)!! / zeta_s(2)^(D/2) for even D and
+    0 for odd D."""
+    d = m.d
+    g2 = [Fraction(g) for g in m.gamma2]
+
+    def axis_sum(coefficients, deg):
+        return {tuple(deg * (t == s) for t in range(d)): Fraction(c) for s, c in enumerate(coefficients) if c}
+
+    def times(p, q):
+        out = {}
+        for a, x in p.items():
+            for b, y in q.items():
+                key = tuple(i + j for i, j in zip(a, b))
+                out[key] = out.get(key, 0) + x * y
+        return out
+
+    def moment(s, k):
+        return 0 if k % 2 else math.prod(range(k - 1, 0, -2)) / g2[s] ** (k // 2)
+
+    sums = [axis_sum(c, deg) for c, deg in zip((m.gamma2, m.gamma4, m.gamma6, z), (2, 4, 6, 1))]
+    values = []
+    for exps, _ in _IDENTITIES:
+        poly = {(0,) * d: Fraction(1)}
+        for total, p in zip(sums, exps):
+            for _ in range(p):
+                poly = times(poly, total)
+        values.append(sum(c * math.prod(moment(s, k) for s, k in enumerate(e)) for e, c in poly.items()))
+    return values
+
+
 class TestGaussianIdentities:
     @pytest.mark.parametrize("idx", range(1, 14))
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 10, 11, 40])
@@ -243,6 +277,16 @@ class TestGaussianIdentities:
         m = random_moments(d, rng)
         z = tuple(int(v) for v in rng.integers(-3, 4, size=d))
         np.testing.assert_allclose(identity_expectations(m, z), grid_expectations(m, z), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_exact_rationals(self, d):
+        # Dyadic moments and an integer z: every term of the reference is an
+        # exact rational.
+        rng = np.random.default_rng(70 + d)
+        g2, g4, g6 = (tuple(int(v) / 16 for v in rng.integers(4, 64, size=d)) for _ in range(3))
+        z = tuple(int(v) for v in rng.choice([-3, -2, -1, 1, 2, 3], size=d))
+        exact = [float(v) for v in fraction_expectations(Moments(g2, g4, g6), z)]
+        np.testing.assert_allclose(identity_expectations(Moments(g2, g4, g6), z), exact, rtol=1e-14, atol=0.0)
 
     def test_one_error_per_identity(self):
         errs = gaussian_identity_check(identity_moments(3), (1, 0, -2))
@@ -268,7 +312,7 @@ class TestGaussianIdentities:
         # with d (one 6^6 grid alone would hold 373 kB).
         m = Moments(gamma2=(1 / 400,) * 200, gamma4=(1 / 400,) * 200, gamma6=(1 / 400,) * 200)
         assert m.det_gamma2 == 0.0
-        gaussian_identity_check(identity_moments(1), (0,))  # builds the cached rule and layout
+        gaussian_identity_check(identity_moments(1), (0,))  # builds the cached moment table
         tracemalloc.start()
         try:
             errs = gaussian_identity_check(m, (1, -2) * 100)
