@@ -283,10 +283,10 @@ class TestGaussianIdentities:
         # Dyadic moments and an integer z: every term of the reference is an
         # exact rational.
         rng = np.random.default_rng(70 + d)
-        g2, g4, g6 = (tuple(int(v) / 16 for v in rng.integers(4, 64, size=d)) for _ in range(3))
+        m = Moments(*(tuple(int(v) / 16 for v in rng.integers(4, 64, size=d)) for _ in range(3)))
         z = tuple(int(v) for v in rng.choice([-3, -2, -1, 1, 2, 3], size=d))
-        exact = [float(v) for v in fraction_expectations(Moments(g2, g4, g6), z)]
-        np.testing.assert_allclose(identity_expectations(Moments(g2, g4, g6), z), exact, rtol=1e-14, atol=0.0)
+        exact = [float(v) for v in fraction_expectations(m, z)]
+        np.testing.assert_allclose(identity_expectations(m, z), exact, rtol=1e-14, atol=0.0)
 
     def test_one_error_per_identity(self):
         errs = gaussian_identity_check(identity_moments(3), (1, 0, -2))
