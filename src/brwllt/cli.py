@@ -10,10 +10,11 @@ The default output directory can be set with the BRWLLT_OUTPUT_DIR
 environment variable; an explicit path in the config or on the command
 line wins.
 
-A package error (``BrwlltError``), or an output file that cannot be
-written, ends the command with one ``brwllt: <message>`` line on stderr
-and exit code 2; an output directory that does not exist is refused
-before the experiment runs.
+A package error (``BrwlltError``; a config file that is not UTF-8 JSON,
+or a JSON integer of more digits than ``int`` reads, is a ``ConfigError``),
+or an output file that cannot be written, ends the command with one
+``brwllt: <message>`` line on stderr and exit code 2; an output
+directory that does not exist is refused before the experiment runs.
 
 The argument parser is built once, at import, so a ``main()`` call made
 in a running process pays only for parsing its arguments.
@@ -45,6 +46,8 @@ def _apply_overrides(doc: dict, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except ValueError as exc:  # an integer of more digits than int() reads
+            raise ConfigError(f"override {key}: {exc}") from exc
         node, parts = doc, key.split(".")
         for i, part in enumerate(parts):
             if not isinstance(node, dict):
@@ -58,9 +61,9 @@ def _apply_overrides(doc: dict, overrides) -> dict:
 
 def _load(path, overrides):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8 or too many digits
         raise ConfigError(f"config file {path}: {exc}") from exc
     return load_config(_apply_overrides(doc, overrides))
 

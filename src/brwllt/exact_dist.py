@@ -13,21 +13,21 @@ Three routes give P(S_n = z).  The stepped oracle (``convolve_step``,
 (``_orthant_steps``), in place in two padded buffers.  The axis mixture
 (``axis_mixture``) reads a few points without any d-dim array: a step
 moves along one axis or stays put, so P(S_n = z) is a binomial mixture of
-1-d k-step laws, all d of them stepped together as one stack by the same
-kernel; every term is nonnegative, so its error is relative in every
-cell.  The characteristic-function route (``cf_invert_box``) samples
-psi(phi)^n on a uniform torus grid of least 5-smooth size >= 2*n*t_s + 1
-per axis (``step_law.cf_grid``), on the orthant phi_s <= pi only, and
-inverts it with a real FFT per axis into the orthant of the law, one slice
-of lanes at a time (``CF_SLICE_CELLS``): psi is formed and raised to the
+1-d k-step laws, each axis's law stepped on its own by the same kernel;
+every term is nonnegative, so its error is relative in every cell.  The
+characteristic-function route (``cf_invert_box``) samples psi(phi)^n on a
+uniform torus grid of least 5-smooth size >= 2*n*t_s + 1 per axis
+(``step_law.cf_grid``), on the orthant phi_s <= pi only, and inverts it
+with a real FFT per axis into the orthant of the law, one slice of lanes
+at a time (``CF_SLICE_CELLS``): psi is formed and raised to the
 n-th power by repeated squaring on each slice of axis 0, and later axes
 are inverted in place in one stage array, so no whole-grid temporary is
 built; the integrand is a trigonometric polynomial of known degree, so the
 grid rule is exact up to rounding and serves as a genuinely independent
 second method.  Every route charges the element budget
 (``config.charge``) before it allocates: the stepped oracle the kernel's
-two buffers, the mixture its tables and then those buffers, the CF route
-its whole grid.
+two buffers, the mixture its tables and then each axis's buffers, the CF
+route its whole grid.
 """
 
 from __future__ import annotations
@@ -94,37 +94,35 @@ def delta_dist(law: StepLaw) -> LatticeDist:
     return LatticeDist(n=0, mass=np.ones((1,) * law.d))
 
 
-def _orthant_steps(start: np.ndarray, t, zeta0, terms, n: int):
-    """Step a stack of orthants n times, in place in two padded buffers.
+def _orthant_steps(start: np.ndarray, t, zeta0: float, terms, n: int):
+    """Step an orthant n times, in place in two padded buffers.
 
-    The one shift-and-add loop of the package.  ``start[b]`` holds the
-    cells z >= 0 of a law with per-axis reflection symmetry, z_s = 0 ..
-    radius_s on axis s + 1.  A step convolves every member of the stack
-    with a step law of range t_s on axis s that keeps ``zeta0`` in place
-    and puts c on each of +-r*e_s, for every (s, r, c) in ``terms``; zeta0
-    and c are numbers, or columns of shape (len(start), 1, ...) that give
-    each member its own coefficient.  The two buffers are charged to the
-    element budget, then allocated at the size of the last stage, and take
-    turns as input and output.  Axis s of a buffer holds z_s = -t_s ..
-    radius_s + 2*t_s: before a step the t_s low ghost cells take the
-    reflection (cell -k holds cell k), and the cells above the current
-    radius are still zero, as the stages only grow.  A step computes only
-    the window z_s = 0 .. radius_s + t_s: zeta0*m(z), then, axis-major and
-    by increasing r, += (m(z - r*e_s) + m(z + r*e_s)) * c.  Yields, at
-    every stage k = 0 .. n, the orthant z >= 0 of the buffer that holds it,
-    zero above the stage's radius; the next step overwrites it.
+    The one shift-and-add loop of the package.  ``start`` holds the cells
+    z >= 0 of a law with per-axis reflection symmetry, z_s = 0 .. radius_s
+    on axis s.  A step convolves it with a step law of range t_s on axis s
+    that keeps ``zeta0`` in place and puts c on each of +-r*e_s, for every
+    (s, r, c) in ``terms``.  The two buffers are charged to the element
+    budget, then allocated at the size of the last stage, and take turns as
+    input and output.  Axis s of a buffer holds z_s = -t_s .. radius_s +
+    2*t_s: before a step the t_s low ghost cells take the reflection (cell
+    -k holds cell k), and the cells above the current radius are still
+    zero, as the stages only grow.  A step computes only the window z_s =
+    0 .. radius_s + t_s: zeta0*m(z), then, axis-major and by increasing r,
+    += (m(z - r*e_s) + m(z + r*e_s)) * c.  Yields, at every stage k = 0 ..
+    n, the orthant z >= 0 of the buffer that holds it, zero above the
+    stage's radius; the next step overwrites it.
     """
-    radius = [m - 1 for m in start.shape[1:]]
-    shape = (len(start), *(r + n * ts + 1 + 2 * ts for r, ts in zip(radius, t)))
+    radius = [m - 1 for m in start.shape]
+    shape = tuple(r + n * ts + 1 + 2 * ts for r, ts in zip(radius, t))
     charge(f"two stepping buffers {shape}", 2 * math.prod(shape))
     src, dst = np.zeros(shape), np.zeros(shape)
-    orthant = (slice(None), *(slice(ts, None) for ts in t))
+    orthant = tuple(slice(ts, None) for ts in t)
     src[orthant][tuple(map(slice, start.shape))] = start
     yield src[orthant]
     for _ in range(n):
         radius = [r + ts for r, ts in zip(radius, t)]
-        core = (slice(None), *(slice(ts, ts + r + 1) for r, ts in zip(radius, t)))
-        for s, ts in enumerate(t, start=1):
+        core = tuple(slice(ts, ts + r + 1) for r, ts in zip(radius, t))
+        for s, ts in enumerate(t):
             ghost, mirror = list(core), list(core)
             ghost[s], mirror[s] = slice(None, ts), slice(2 * ts, ts, -1)
             src[tuple(ghost)] = src[tuple(mirror)]
@@ -132,8 +130,8 @@ def _orthant_steps(start: np.ndarray, t, zeta0, terms, n: int):
         np.multiply(src[core], zeta0, out=out)
         for s, r, c in terms:
             lo, hi = list(core), list(core)
-            lo[s + 1] = slice(t[s] - r, t[s] - r + radius[s] + 1)
-            hi[s + 1] = slice(t[s] + r, t[s] + r + radius[s] + 1)
+            lo[s] = slice(t[s] - r, t[s] - r + radius[s] + 1)
+            hi[s] = slice(t[s] + r, t[s] + r + radius[s] + 1)
             term = src[tuple(lo)] + src[tuple(hi)]
             term *= c
             out += term
@@ -141,14 +139,20 @@ def _orthant_steps(start: np.ndarray, t, zeta0, terms, n: int):
         yield src[orthant]
 
 
+def _law_steps(start: np.ndarray, law: StepLaw, n: int):
+    """``_orthant_steps`` of ``law``: zeta0 in place and w/2 on each of
+    +-r*e_s, a pair of zero weight left out."""
+    terms = [(s, r, 0.5 * w) for s in range(law.d) for r, w in enumerate(law.weights[s], start=1) if w > 0.0]
+    return _orthant_steps(start, law.ranges, law.zeta0, terms, n)
+
+
 def _stepped(dist: LatticeDist, law: StepLaw, n: int) -> LatticeDist:
     """``dist`` after n steps of ``law``: n kernel steps on its orthant, whose
     last stage, cut to the new radius, is the result."""
-    terms = [(s, r, 0.5 * w) for s in range(law.d) for r, w in enumerate(law.weights[s], start=1) if w > 0.0]
-    for stage in _orthant_steps(dist.mass[None], law.ranges, law.zeta0, terms, n):
+    for stage in _law_steps(dist.mass, law, n):
         pass
     radius = tuple(r + n * t for r, t in zip(dist.radius, law.ranges))
-    return LatticeDist(n=dist.n + n, mass=stage[(0, *(slice(r + 1) for r in radius))])
+    return LatticeDist(n=dist.n + n, mass=stage[tuple(slice(r + 1) for r in radius)])
 
 
 def convolve_step(dist: LatticeDist, law: StepLaw) -> LatticeDist:
@@ -185,48 +189,43 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
     Given how many of the n steps fall on each axis, the axes move
     independently, so P(S_n = z) is the mixture over k_0 + ... + k_{d-1} = n
     of prod_s P(X_s^(k_s) = z_s), X_s the walk of axis s's 1-d law
-    (``_axis_step``), with multinomial weights.  The d axis laws are
-    stepped together up to the largest probe, as one stack of 1-d rows in
-    the orthant kernel of ``convolve_step`` (``_orthant_steps``): row s has
-    its own zeta0 and w/2 columns, and a pair that its law lacks gets the
-    coefficient 0.0, which adds exactly +0.0.  At each k only the cells at
-    the points and each row's total, with mirror multiplicities, are
-    recorded.  The axes are then mixed one at a time, last first: axis s
-    takes k of the m steps left to axes s.. with weight C(m, k) a^k
-    b^(m-k), a = p_s / sum_{t>=s} p_t and b = sum_{t>s} p_t / sum_{t>=s}
-    p_t, built by the Pascal recurrence W[m, k] = a W[m-1, k-1] + b W[m-1,
-    k], which never overflows.  Cost O(n^2) per point on each inner axis,
+    (``_axis_step``), with multinomial weights.  Each axis law is stepped
+    on its own up to the largest probe, in the orthant kernel of
+    ``convolve_step`` (``_orthant_steps``), with its own range t_s, zeta0
+    and w/2 pairs.  At each k only the cells at the points and the row's
+    total, with mirror multiplicities, are recorded.  The axes are then
+    mixed one at a time, last first: axis s takes k of the m steps left to
+    axes s.. with weight C(m, k) a^k b^(m-k), a = p_s / sum_{t>=s} p_t and
+    b = sum_{t>s} p_t / sum_{t>=s} p_t, built by the Pascal recurrence
+    W[m, k] = a W[m-1, k-1] + b W[m-1, k], which never overflows.  Cost O(n^2) per point on each inner axis,
     O(n) on axis 0.
 
     Returns ``(mass, total)``: ``mass[i, j]`` is P(S_n = points[j]) at
     n = probes[i], and ``total[i]`` the mixture's whole mass at probes[i],
     mixed from the row totals; probes are read by ``step_count``, points by
-    ``lattice_point``.  The recorded tables, then the kernel's buffers, are
-    charged to the element budget before the first step.
+    ``lattice_point``.  The recorded tables are charged to the element
+    budget before the first step, and each axis's kernel buffers before
+    its table is allocated.
     """
     probes = list(map(step_count, probes))
     points = [lattice_point(z, law.d) for z in points]
     n_max = max(probes, default=0)
     cols = len(points) + 1
     charge(f"axis tables for {n_max} steps", law.d * (n_max + 1) * cols)
-    p, axes = zip(*(_axis_step(law, s) for s in range(law.d)))
-    t = law.max_range
-    padded = [a.weights[0] + (0.0,) * (t - a.max_range) for a in axes]
-    terms = [(0, r, np.array([[0.5 * w[r - 1]] for w in padded])) for r in range(1, t + 1)]
-    stages = _orthant_steps(np.ones((law.d, 1)), (t,), np.array([[a.zeta0] for a in axes]), terms, n_max)
-    first = next(stages)  # the buffers are charged and allocated before the tables
-    tables = np.empty((law.d, n_max + 1, cols))
-    # A point beyond reach reads cell n_max*t + 1, which stays zero.
-    at = np.array([[min(abs(z[s]), n_max * t + 1) for z in points] for s in range(law.d)], dtype=np.int64)
-    rows, ranges = np.arange(law.d)[:, None], law.ranges
-    for k, orthant in enumerate(itertools.chain([first], stages)):
-        tables[:, k, :-1] = orthant[rows, at]
-        # Each row's cells doubled past z = 0, its mirror image, and summed
-        # over the cells ``_mirror_sum`` would sum: the same total.
-        doubled = orthant[:, : k * t + 1] * 2.0
-        doubled[:, 0] = orthant[:, 0]
-        for s, ts in enumerate(ranges):
-            tables[s, k, -1] = doubled[s, : k * ts + 1].sum()
+    p, tables = [], []
+    for s in range(law.d):
+        p_s, axis = _axis_step(law, s)
+        (t,) = axis.ranges
+        stages = _law_steps(np.ones(1), axis, n_max)
+        first = next(stages)  # the buffers are charged and allocated before the table
+        table = np.empty((n_max + 1, cols))
+        # A point beyond reach reads cell n_max*t + 1, which stays zero.
+        at = np.array([min(abs(z[s]), n_max * t + 1) for z in points], dtype=np.int64)
+        for k, orthant in enumerate(itertools.chain([first], stages)):
+            table[k, :-1] = orthant[at]
+            table[k, -1] = _mirror_sum(orthant[: k * t + 1].copy())
+        p.append(p_s)
+        tables.append(table)
     # mixed[m]: the law of the steps on axes s.., given that m steps fall there.
     mixed = tables[-1]
     for s in range(law.d - 2, -1, -1):

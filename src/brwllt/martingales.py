@@ -263,18 +263,3 @@ def corollary_eval(sigma: float, ro: MartingaleReadout) -> tuple[float, float]:
     )
     return h1, h2
 
-
-__all__ = [
-    "FUNCTIONALS",
-    "MartingaleReadout",
-    "functional_value",
-    "readout",
-    "harmonicity_defect",
-    "f1_eval",
-    "f2_eval",
-    "theorem_prediction",
-    "brw_residual",
-    "mu_sigma_d",
-    "chi_sigma_d",
-    "corollary_eval",
-]

@@ -82,11 +82,23 @@ class TestOffspring:
         with pytest.raises(errors.NonNormalized):
             validate_offspring({2: float("nan")})
 
+    def test_negative_probability_rejected(self):
+        # Summing to 1 does not excuse a negative entry, in either form.
+        for table in ([-0.5, 1.5], {1: -0.5, 2: 1.5}):
+            with pytest.raises(errors.NonNormalized, match="^offspring probabilities must be nonnegative$"):
+                validate_offspring(table)
+
     def test_table_size(self):
         with pytest.raises(ValueError):
             validate_offspring({})
         with pytest.raises(errors.CapacityExceeded):
             validate_offspring({2**40: 1.0})
+
+    def test_list_longer_than_max_offspring(self):
+        top = config.MAX_OFFSPRING
+        with pytest.raises(errors.CapacityExceeded, match=f"^offspring number {top + 1} above {top}$"):
+            validate_offspring([0.0] * top + [1.0])
+        assert validate_offspring([0.0] * (top - 1) + [1.0]).mean == top
 
     def test_offspring_numbers_are_integers(self):
         # an offspring number of 2.5 is refused, not read as 2

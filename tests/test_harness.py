@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -125,6 +126,11 @@ class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
             load_config(base_doc("nonsense"))
+
+    def test_document_must_be_an_object(self):
+        for doc, kind in (([base_doc("identities")], "list"), ("identities", "str"), (None, "NoneType")):
+            with pytest.raises(ConfigError, match=f"^config: expected a JSON object, got {kind}$"):
+                load_config(doc)
 
     def test_kappa_gate(self):
         for bad in (0.0, 1.0 / 6.0, 0.3, -0.1):
@@ -438,6 +444,40 @@ class TestRunners:
         assert kinds.count("harmonicity") == harness.HARMONICITY_POINTS * len(harness.FUNCTIONALS)
         assert kinds.count("one-step") == 3
         assert kinds.count("trajectory") == 10
+
+    def test_martingale_check_fails_on_a_harmonicity_defect(self, monkeypatch):
+        # One defect of 1.0 at every grid point, far above HARMONICITY_REL.
+        monkeypatch.setattr(harness, "harmonicity_defect", lambda *args, **kwargs: 1.0)
+        res = run_experiment(load_config(base_doc("martingale-check", offspring={"2": 1.0}, n_values=[10])))
+        assert not res.passed
+        assert all(row[-1] > harness.HARMONICITY_REL for row in res.rows if row[0] == "harmonicity")
+
+    def test_martingale_check_fails_on_a_one_step_mean(self, monkeypatch):
+        # Every readout after the parent's reads W 1.0 too high, so the
+        # one-step mean of W misses the parent's by 1.0.
+        real, calls = harness.readout, []
+
+        def planted(*args):
+            ro = real(*args)
+            calls.append(ro)
+            return ro if len(calls) == 1 else dataclasses.replace(ro, W=ro.W + 1.0)
+
+        monkeypatch.setattr(harness, "readout", planted)
+        res = run_experiment(load_config(base_doc("martingale-check", offspring={"2": 1.0}, n_values=[10])))
+        assert not res.passed
+        (w_row,) = [row for row in res.rows if row[:2] == ("one-step", "W")]
+        assert w_row[-2] == pytest.approx(1.0, rel=1e-12)
+
+    def test_brw_check_fails_outside_the_f1_band(self, monkeypatch):
+        # The same run passes; with every F1 readout moved up by 100 the
+        # scaled median falls below the band.
+        doc = base_doc("brw-check", offspring={"2": 1.0}, replicates=8, n_values=[8, 16], z_set=[[0]])
+        assert run_experiment(load_config(doc)).passed
+        real = harness.f1_eval
+        monkeypatch.setattr(harness, "f1_eval", lambda *args: real(*args) + 100.0)
+        res = run_experiment(load_config(doc))
+        assert not res.passed
+        assert res.notes[-1].startswith("z=(0,): n*(ratio) median ")
 
     def test_brw_check_shape(self):
         cfg = load_config(
@@ -823,12 +863,36 @@ class TestCli:
             assert err.startswith(f"brwllt: config file {path}: ")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["digits-in-file", "digits-in-override", "not-utf8"])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_unreadable_config_refused(self, tmp_path, capsys, verb, case):
+        # A JSON integer of more digits than int() reads, in the file or in
+        # an override, and a file that is not UTF-8 each end the command in
+        # one stderr line naming the file or the override, exit code 2.
+        huge = "9" * 5000
+        good = json.dumps(base_doc("identities")).encode()
+        long_seed = json.dumps(base_doc("identities", base_seed="@")).replace('"@"', huge).encode()
+        path, out = tmp_path / "cfg.json", tmp_path / "res.csv"
+        text, overrides, named = {
+            "digits-in-file": (long_seed, [], f"config file {path}: "),
+            "digits-in-override": (good, ["--override", f"z_set=[[{huge}]]"], "override z_set: "),
+            "not-utf8": (good.replace(b"identities", b"identit\xe9s"), [], f"config file {path}: "),
+        }[case]
+        path.write_bytes(text)
+        argv = [verb, str(path), *overrides] + (["--output", str(out)] if verb == "run" else [])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"brwllt: {named}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_dump_dist_budget(self, tmp_path, capsys):
         doc = base_doc("identities", step_law={"d": 2, "zeta0": 0.2, "axes": [[0.4], [0.4]]}, z_set=[[0, 0]])
         path = self.write_cfg(tmp_path, doc)
         out = tmp_path / "dist.csv"
         assert cli.main(["dump-dist", path, "--n", "20000", "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("brwllt: two stepping buffers (1, 20003, 20003) exceeds element budget")
+        assert err.startswith("brwllt: two stepping buffers (20003, 20003) exceeds element budget")
         assert err.count("\n") == 1
         assert not out.exists()

@@ -16,6 +16,7 @@ from brwllt.llt import (
     constants_for,
     expansion_bracket,
     fit_correction_coefficients,
+    fit_points,
     gamma_residual,
     gaussian_identity_check,
     identity_expectations,
@@ -203,6 +204,12 @@ class TestCoefficientFit:
     def test_probes_positive(self):
         with pytest.raises(ValueError):
             fit_correction_coefficients(SIMPLE, (0,), (0, 2, 4))
+
+    def test_probes_increase(self):
+        # A repeated or out-of-order probe is refused before any CF box.
+        for n_list in ((64, 256, 128), (64, 64, 128)):
+            with pytest.raises(ValueError, match="^n_list must be strictly increasing$"):
+                fit_points(SIMPLE, [(0,)], n_list)
 
     def test_element_budget(self, monkeypatch):
         monkeypatch.setattr(config, "ELEMENT_BUDGET", 10)

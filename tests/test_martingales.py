@@ -157,6 +157,11 @@ class TestFunctionalValues:
             readout(initial_state(1), 2.0, M1, (0.5,))
         assert functional_value("N2z", M1, (1,), 3, z=(2.0,)) == functional_value("N2z", M1, (1,), 3, z=(2,))
 
+    def test_unknown_functional_refused(self):
+        for fid in ("N5", "w", ""):
+            with pytest.raises(ValueError, match=f"^unknown functional: {fid}$"):
+                functional_value(fid, M1, (1,), 3)
+
     def test_table_built_once_per_law_and_point(self):
         # however many points a run reads out, each (moments, z) pair is
         # built once and then found again

@@ -93,9 +93,19 @@ def test_negative_weight():
         validate(1, 0.5, [[0.7, -0.2]])
 
 
+def test_negative_zeta0():
+    with pytest.raises(errors.NegativeWeight, match=r"^zeta0 = -0.1 is negative$"):
+        validate(1, -0.1, [[1.1]])
+
+
 def test_zero_top_weight():
     with pytest.raises(errors.ZeroTopWeight):
         validate(1, 0.5, [[0.5, 0.0]])
+
+
+def test_empty_axis_row():
+    with pytest.raises(errors.ZeroTopWeight, match="^axis 1: no ranges declared$"):
+        validate(2, 0.2, [[0.8], []])
 
 
 def test_degenerate_lazy():
