@@ -197,8 +197,8 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
     mixed one at a time, last first: axis s takes k of the m steps left to
     axes s.. with weight C(m, k) a^k b^(m-k), a = p_s / sum_{t>=s} p_t and
     b = sum_{t>s} p_t / sum_{t>=s} p_t, built by the Pascal recurrence
-    W[m, k] = a W[m-1, k-1] + b W[m-1, k], which never overflows.  Cost O(n^2) per point on each inner axis,
-    O(n) on axis 0.
+    W[m, k] = a W[m-1, k-1] + b W[m-1, k], which never overflows.  Cost
+    O(n^2) per point on each inner axis, O(n) on axis 0.
 
     Returns ``(mass, total)``: ``mass[i, j]`` is P(S_n = points[j]) at
     n = probes[i], and ``total[i]`` the mixture's whole mass at probes[i],

@@ -262,4 +262,3 @@ def corollary_eval(sigma: float, ro: MartingaleReadout) -> tuple[float, float]:
         + 0.125 * v4_t
     )
     return h1, h2
-
