@@ -223,7 +223,9 @@ def axis_mixture(law: StepLaw, probes, points) -> tuple[np.ndarray, np.ndarray]:
         at = np.array([min(abs(z[s]), n_max * t + 1) for z in points], dtype=np.int64)
         for k, orthant in enumerate(itertools.chain([first], stages)):
             table[k, :-1] = orthant[at]
-            table[k, -1] = _mirror_sum(orthant[: k * t + 1].copy())
+            row = orthant[: k * t + 1] * 2.0  # each cell off the origin stands for two
+            row[0] = orthant[0]
+            table[k, -1] = row.sum()
         p.append(p_s)
         tables.append(table)
     # mixed[m]: the law of the steps on axes s.., given that m steps fall there.

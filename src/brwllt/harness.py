@@ -6,12 +6,21 @@ fields each experiment reads.  ``RUNNERS`` gives each of those experiments
 its runner; every emitted row carries the config hash and base seed so it
 can be reproduced bit-exactly.
 
-A run's verdict is fixed by the code, not by its config.  Its gates are
-``CF_AGREEMENT`` (llt-check, exact against CF), ``IDENTITY_REL_ERR``
-(identities), ``HARMONICITY_REL`` (martingale-check's harmonicity grid)
-and ``C1_REL_ERR`` (coeff-fit's relative c1 error), and martingale-check
-draws ``HARMONICITY_POINTS`` grid points and ``ONE_STEP_SAMPLES``
-one-step children whatever its config.
+A run's verdict is fixed by the code, not by its config: each runner
+returns the ``Gate`` records it checked, and the run passes when all pass.
+A NaN fails every gate.  A limit's value is its largest input, NaN if any
+is; a trend's value is its last figure and its bound its first.  llt-check:
+``cf_agreement`` (each |exact - cf| <= ``CF_AGREEMENT``),
+``gamma_trend`` (sup|gamma| at the last probe < at the first) and, with 3
+or more probes, ``n_gamma_converges`` (at each z, each change of n*gamma
+smaller than the one before).  identities: ``identity_rel_err``
+(<= ``IDENTITY_REL_ERR``).  coeff-fit: ``c1_rel_err z=(..)`` per point
+(<= ``C1_REL_ERR``).  martingale-check, on ``HARMONICITY_POINTS`` grid points
+and ``ONE_STEP_SAMPLES`` children: ``harmonicity`` (<= ``HARMONICITY_REL``)
+and ``one_step W``, ``N2z``, ``N4`` (|mean - parent| <= 4 standard errors +
+1e-12).  brw-check: ``ratio_trend z=(..)`` per point (median|ratio| at the
+last probe < at the first) and, with 4 or more replicates, ``f1_band z=(..)``
+(median n*ratio in the F1 quartiles, widened by 1e-9).
 """
 
 from __future__ import annotations
@@ -27,13 +36,7 @@ from .config import ExperimentConfig
 from .exact_dist import axis_mixture, cf_invert_box, dist_at
 from .gw_brw import ReplicateSeed, simulate
 from .llt import constants_for, fit_points, gaussian_identity_check, leading_factor, rw_expansion
-from .martingales import (
-    FUNCTIONALS,
-    f1_eval,
-    functional_value,
-    harmonicity_defect,
-    readout,
-)
+from .martingales import FUNCTIONALS, f1_eval, functional_value, harmonicity_defect, readout
 from .step_law import moments
 
 # Version of the random streams behind every sampled figure; it changes
@@ -50,14 +53,38 @@ HARMONICITY_POINTS = 100
 ONE_STEP_SAMPLES = 200
 
 
+@dataclass(frozen=True)
+class Gate:
+    """One check of a run: its ``value`` against its ``bound``."""
+
+    name: str
+    value: float
+    bound: float | tuple[float, float]
+    passed: bool
+
+
+def _largest(values) -> float:
+    """max(values), or NaN if any value is NaN: ``max`` keeps or drops a NaN by its place."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _limit(name: str, values: list, bound: float) -> Gate:
+    """Every value <= bound."""
+    return Gate(name, _largest(values), bound, all(v <= bound for v in values))
+
+
 @dataclass
 class RunResult:
     columns: tuple[str, ...]
     rows: list[tuple]
-    passed: bool
+    gates: list[Gate]
     notes: list[str] = field(default_factory=list)
     # Deterministic figures for the CSV's audit header, in this order.
     audit: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(g.passed for g in self.gates)
 
 
 def run_llt_check(cfg: ExperimentConfig) -> RunResult:
@@ -73,73 +100,67 @@ def run_llt_check(cfg: ExperimentConfig) -> RunResult:
     at the largest probe.
     """
     c = constants_for(cfg.law)
-    rows = []
-    sup_gamma = {}
-    gap_max = 0.0
+    rows, gaps, gammas = [], [], []  # gammas[i][j]: gamma at probes[i], z_set[j]
     negative_mass = 0.0
     probes = sorted(set(cfg.n_values))
     exact_mass, total_mass = axis_mixture(cfg.law, probes, cfg.z_set)
     for n, at in zip(probes, exact_mass.tolist()):
-        sup = 0.0
         dist = cf_invert_box(cfg.law, n)
         negative_mass = max(negative_mass, dist.negative_mass())
+        gammas.append([])
         for z, exact in zip(cfg.z_set, at):
             cf = dist_at(dist, z)
             pred = rw_expansion(c, n, z)
-            gamma = n ** (cfg.law.d / 2.0 + 2.0) * (exact - pred)
-            sup = max(sup, abs(gamma))
-            gap_max = max(gap_max, abs(exact - cf))
-            rows.append((n, *z, exact, cf, pred, gamma))
-        sup_gamma[n] = sup
-    for n in probes:
-        rows.append((n, *("sup",) * cfg.law.d, "", "", "", sup_gamma[n]))
-    decreasing = sup_gamma[probes[-1]] < sup_gamma[probes[0]]
-    cf_ok = gap_max <= CF_AGREEMENT
+            gammas[-1].append(n ** (cfg.law.d / 2.0 + 2.0) * (exact - pred))
+            gaps.append(abs(exact - cf))
+            rows.append((n, *z, exact, cf, pred, gammas[-1][-1]))
+    sups = [_largest([abs(g) for g in at]) for at in gammas]
+    rows += [(n, *("sup",) * cfg.law.d, "", "", "", sup) for n, sup in zip(probes, sups)]
+    agreement = _limit("cf_agreement", gaps, CF_AGREEMENT)
+    gates = [agreement, Gate("gamma_trend", sups[-1], sups[0], sups[-1] < sups[0])]
+    if len(probes) >= 3:
+        # |change of n*gamma(z)| from each probe to the next, then how much each outgrows the one before.
+        moves = np.abs(np.diff(np.array(probes)[:, None] * np.array(gammas), axis=0))
+        growth = np.diff(moves, axis=0).ravel().tolist()
+        gates.append(Gate("n_gamma_converges", _largest(growth), 0.0, all(g < 0.0 for g in growth)))
     notes = [
-        f"sup|gamma| at n={probes[0]}: {sup_gamma[probes[0]]:.6g}",
-        f"sup|gamma| at n={probes[-1]}: {sup_gamma[probes[-1]]:.6g}",
-        f"exact/cf agreement within {CF_AGREEMENT}: {cf_ok}",
+        f"sup|gamma| at n={probes[0]}: {sups[0]:.6g}",
+        f"sup|gamma| at n={probes[-1]}: {sups[-1]:.6g}",
+        f"exact/cf agreement within {CF_AGREEMENT}: {agreement.passed}",
     ]
     cols = ("n", *(f"z{s + 1}" for s in range(cfg.law.d)), "exact", "cf_invert", "predicted", "gamma")
     audit = {
-        "oracle_gap_max": gap_max,
+        "oracle_gap_max": agreement.value,
         "cf_negative_mass": negative_mass,
         "exact_mass_drift": 1.0 - float(total_mass[-1]),
     }
-    return RunResult(cols, rows, cf_ok and decreasing, notes, audit)
+    return RunResult(cols, rows, gates, notes, audit)
 
 
 def run_coeff_fit(cfg: ExperimentConfig) -> RunResult:
     """Empirical 1/n, 1/n^2 coefficients plus the Lambda-sign verdict."""
-    rows = []
-    ok = True
-    notes = []
+    rows, gates, notes = [], [], []
     for z, fit in zip(cfg.z_set, fit_points(cfg.law, cfg.z_set, cfg.n_values)):
         for n, c1, c2 in zip(fit.n_list, fit.c1_seq, fit.c2_seq):
             rows.append(("fit", *z, n, c1, c2, "", ""))
-        err_theorem = abs(fit.c2_hat - fit.c2_theorem)
-        err_flipped = abs(fit.c2_hat - fit.c2_flipped)
-        verdict = "theorem" if err_theorem <= err_flipped else "flipped"
-        rows.append(
-            ("verdict", *z, fit.n_list[-1], fit.c1_hat, fit.c2_hat, fit.c2_theorem, verdict)
-        )
+        verdict = "theorem" if abs(fit.c2_hat - fit.c2_theorem) <= abs(fit.c2_hat - fit.c2_flipped) else "flipped"
+        rows.append(("verdict", *z, fit.n_list[-1], fit.c1_hat, fit.c2_hat, fit.c2_theorem, verdict))
         c1_err = abs(fit.c1_hat - fit.c1_exact) / max(abs(fit.c1_exact), 1e-30)
-        if c1_err > C1_REL_ERR:
-            ok = False
+        gates.append(_limit(f"c1_rel_err z={z}", [c1_err], C1_REL_ERR))
         notes.append(
             f"z={z}: c1_hat={fit.c1_hat:.6g} (exact {fit.c1_exact:.6g}), "
             f"c2_hat={fit.c2_hat:.6g}, sign verdict: {verdict}"
         )
     cols = ("kind", *(f"z{s + 1}" for s in range(cfg.law.d)), "n", "c1", "c2", "c2_candidate", "verdict")
-    return RunResult(cols, rows, ok, notes)
+    return RunResult(cols, rows, gates, notes)
 
 
 def run_identities(cfg: ExperimentConfig) -> RunResult:
     """Relative errors of the Gaussian moment identities at the config's z."""
     errs = gaussian_identity_check(moments(cfg.law), cfg.z_set[0])
-    ok = all(e <= IDENTITY_REL_ERR for e in errs)
+    gate = _limit("identity_rel_err", errs, IDENTITY_REL_ERR)
     rows = list(enumerate(errs, start=1))
-    return RunResult(("identity", "relative_error"), rows, ok, [f"all {len(errs)} <= {IDENTITY_REL_ERR}: {ok}"])
+    return RunResult(("identity", "relative_error"), rows, [gate], [f"all {len(errs)} <= {IDENTITY_REL_ERR}: {gate.passed}"])
 
 
 def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
@@ -147,8 +168,7 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
     m = moments(cfg.law)
     z = cfg.z_set[0]
     rng = np.random.Generator(np.random.Philox(key=np.array([cfg.base_seed, 0x6D61727467], dtype=np.uint64)))
-    rows = []
-    ok = True
+    rows, rels = [], []
 
     # (a) harmonicity on a randomized grid.
     span = 5 * cfg.law.max_range
@@ -159,10 +179,9 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
             defect = harmonicity_defect(fid, cfg.law, x, n, z=z)
             val = functional_value(fid, m, x, n, z=z)
             scale = 1.0 + (max(abs(v) for v in val) if isinstance(val, tuple) else abs(val))
-            rel = abs(defect) / scale
-            if rel > HARMONICITY_REL:
-                ok = False
-            rows.append(("harmonicity", fid, *x, n, defect, rel))
+            rels.append(abs(defect) / scale)
+            rows.append(("harmonicity", fid, *x, n, defect, rels[-1]))
+    gates = [_limit("harmonicity", rels, HARMONICITY_REL)]
 
     # (b) one-step annealed martingale check by Monte Carlo.
     ((base,),) = simulate(cfg.offspring, cfg.law, [ReplicateSeed(cfg.base_seed, 0)], (4,), cfg.count_width)
@@ -177,9 +196,7 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
         mean = statistics.fmean(vals)
         se = statistics.stdev(vals) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
         parent_val = getattr(parent, fid)
-        within = abs(mean - parent_val) <= 4.0 * se + 1e-12
-        if not within:
-            ok = False
+        gates.append(_limit(f"one_step {fid}", [abs(mean - parent_val)], 4.0 * se + 1e-12))
         rows.append(("one-step", fid, *(("",) * cfg.law.d), base.n + 1, mean - parent_val, se))
 
     # (c) readout trajectory for visual convergence.
@@ -190,7 +207,7 @@ def run_martingale_check(cfg: ExperimentConfig) -> RunResult:
         ro = readout(state, cfg.offspring.mean, m, z)
         rows.append(("trajectory", "all", *(("",) * cfg.law.d), ro.n, ro.W, ro.N4))
     cols = ("kind", "functional", *(f"x{s + 1}" for s in range(cfg.law.d)), "n", "value", "aux")
-    return RunResult(cols, rows, ok, [f"harmonicity and one-step checks pass: {ok}"])
+    return RunResult(cols, rows, gates, [f"harmonicity and one-step checks pass: {all(g.passed for g in gates)}"])
 
 
 def run_brw_check(cfg: ExperimentConfig) -> RunResult:
@@ -219,32 +236,26 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
                 ratio = observed / lead - w_n
                 per_probe[(n, z)].append(ratio)
                 rows.append((rep, n, *z, observed, lead * w_n, ratio, w_n))
-    ok = True
-    notes = []
+    gates, notes = [], []
     for z in cfg.z_set:
         meds = {}
         for n in probes:
-            vals = [abs(v) for v in per_probe[(n, z)]]
-            meds[n] = statistics.median(vals)
+            meds[n] = statistics.median([abs(v) for v in per_probe[(n, z)]])
             q = statistics.quantiles(per_probe[(n, z)], n=4) if band else ("",) * 3
             rows.append(("agg", n, *z, meds[n], q[0], q[2], ""))
-        if meds[probes[-1]] >= meds[probes[0]]:
-            ok = False
-        notes.append(
-            f"z={z}: median|ratio| {meds[probes[0]]:.4g} (n={probes[0]}) -> "
-            f"{meds[probes[-1]]:.4g} (n={probes[-1]})"
-        )
+        first, last = meds[probes[0]], meds[probes[-1]]
+        gates.append(Gate(f"ratio_trend z={z}", last, first, last < first))
+        notes.append(f"z={z}: median|ratio| {first:.4g} (n={probes[0]}) -> {last:.4g} (n={probes[-1]})")
         # first-order band check at the largest probe
         if not band:
             notes.append(f"z={z}: F1 band not checked ({cfg.replicates} replicates, needs 4)")
             continue
         lo, _, hi = statistics.quantiles(f1_bands[z], n=4)
         med_scaled = statistics.median([probes[-1] * v for v in per_probe[(probes[-1], z)]])
-        if not lo - 1e-9 <= med_scaled <= hi + 1e-9:
-            ok = False
+        gates.append(Gate(f"f1_band z={z}", med_scaled, (lo, hi), lo - 1e-9 <= med_scaled <= hi + 1e-9))
         notes.append(f"z={z}: n*(ratio) median {med_scaled:.4g} vs F1 IQR [{lo:.4g}, {hi:.4g}]")
     cols = ("replicate", "n", *(f"z{s + 1}" for s in range(cfg.law.d)), "observed", "predicted", "ratio", "W_n")
-    return RunResult(cols, rows, ok, notes)
+    return RunResult(cols, rows, gates, notes)
 
 
 # One runner per experiment of ``config.EXPERIMENTS``, in its order.

@@ -12,9 +12,14 @@ named in the head's BENCHMARK.json, pair k runs
 on each side, base first when k is even and head first when k is odd;
 T is always ``run_seconds`` of the head's BENCHMARK.json.
 The output file records, per workload and end-to-end metric, each side's
-runs, median and quartiles, and how many pairs the head won (ties count
-for neither side), each side's check counts, and each side's line count
-of ``src/brwllt/*.py`` (as ``wc -l`` counts them).
+runs, median and quartiles, how many pairs the head won (ties count for
+neither side), and two verdicts: ``gain_met``, whether a claimed gain
+would be met (the head wins at least 9 pairs in 10 and its median is
+better than the base's by more than the base's q3 - q1), and
+``bound_met``, whether the head median is worse than the base median by
+at most ``bound`` times the base median.  It also records each side's
+check counts and each side's line count of ``src/brwllt/*.py`` (as
+``wc -l`` counts them).
 """
 
 from __future__ import annotations
@@ -66,6 +71,24 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def _gain(base: float, head: float, better: str) -> float:
+    """How much better ``head`` is than ``base``; negative when worse."""
+    return base - head if better == "lower" else head - base
+
+
+def verdicts(base: list[float], head: list[float], better: str, bound: float) -> dict:
+    """Head wins per pair, ``gain_met`` and ``bound_met`` of paired runs
+    ``base[k]``, ``head[k]`` of one metric."""
+    b, h = _summary(base), _summary(head)
+    wins = sum(_gain(x, y, better) > 0 for x, y in zip(base, head))
+    gain = _gain(b["median"], h["median"], better)
+    return {
+        "head_wins": wins,
+        "gain_met": 10 * wins >= 9 * len(base) and gain > b["q3"] - b["q1"],
+        "bound_met": -gain <= bound * b["median"],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD^", help="commit measured as the parent (default HEAD^)")
@@ -102,15 +125,13 @@ def main(argv=None) -> int:
         metrics = {}
         for m in spec["end_to_end"]:
             values = {side: [r["metrics"][m["name"]]["value"] for r in rs] for side, rs in by_side.items()}
-            lower = m["better"] == "lower"
-            wins = sum((h < b) if lower else (h > b) for b, h in zip(values["base"], values["head"]))
             metrics[m["name"]] = {
                 "unit": m["unit"],
                 "better": m["better"],
                 "bound": m["bound"],
                 "base": _summary(values["base"]),
                 "head": _summary(values["head"]),
-                "head_wins": wins,
+                **verdicts(values["base"], values["head"], m["better"], m["bound"]),
                 "pairs": args.reps,
             }
         checks = {side: {"attempted": sum(r["attempted"] for r in rs), "failed": sum(r["failed"] for r in rs),
@@ -137,7 +158,8 @@ def main(argv=None) -> int:
         for metric, m in rec["metrics"].items():
             cells = "  ".join(f"{side} {m[side]['median']:.4g} [{m[side]['q1']:.4g}, {m[side]['q3']:.4g}]"
                               for side in ("base", "head"))
-            print(f"{name:12s} {metric:12s} {cells}  head wins {m['head_wins']}/{m['pairs']}")
+            print(f"{name:12s} {metric:12s} {cells}  head wins {m['head_wins']}/{m['pairs']}"
+                  f"  gain met {m['gain_met']}  bound met {m['bound_met']}")
     return 0
 
 
