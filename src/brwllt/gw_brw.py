@@ -28,18 +28,23 @@ one; the keys are those of ``derive_stream``.  An offspring law with all
 its mass on its largest offspring number skips the offspring split, which
 would draw nothing.  Neither changes a draw: the stream version stays 2.
 
-Counts are exact at any size.  A box keeps every count as base-2^32
-digits, and a count too large for one int64 draw is split into blocks of
-2^s particles, with s chosen so that the offspring of a block still fit
-in int64; independent blocks realize the exact law of the whole count.
-A step does only the work its counts need.  While every count is below
-2^s, each cell is one block, and the blocks are the counts themselves:
-no block sums run.  A cell of the new box then receives at most one
-displaced count per atom, so while A times the largest displaced count
-is below 2^63 the counts are scattered and carried as one int64 part.
-Otherwise, and always once a cell is cut into several blocks, each
-displaced count is split into low and high 32-bit halves, summed per
-cell and carried apart.  None of this changes a draw.
+Counts are exact at any size.  A ``SiteCounts`` box keeps every count as
+base-2^32 digits.  Between generations ``simulate`` keeps a batch's counts
+as one int64 plane while every count is below 2^63, and as base-2^32
+digits only once a count needs more; it cuts a plane into digits for each
+snapshot it keeps.  A count too large for one int64 draw is split into
+blocks of 2^s particles, with s chosen so that the offspring of a block
+still fit in int64; independent blocks realize the exact law of the whole
+count.  A step does only the work its counts need.  While every count is
+below 2^s, each cell is one block, and the blocks are the counts
+themselves: no block sums run.  A cell of the new box then receives at
+most one displaced count per atom, so while A times the largest displaced
+count is below 2^63 the counts are scattered as one int64 part, whose
+largest count gives the next step its bit length.  Otherwise, and always
+once a cell is cut into several blocks, each displaced count is split
+into low and high 32-bit halves, summed per cell and joined into one
+plane again, or into digits if a sum reaches 2^63.  None of this changes
+a draw.
 """
 
 from __future__ import annotations
@@ -297,10 +302,11 @@ def _block_bits(n_values: int) -> int:
     return (_INT64_MAX // n_values).bit_length() - 1
 
 
-def _blocks(digits: np.ndarray, bits: int, s: int, per_block: int, reserved: int):
-    """Positive counts, given as base-2^32 digits of shape (digits, cells),
-    the largest of ``bits`` bits, cut into blocks of at most 2^s particles,
-    32 <= s < 63.
+def _blocks(planes: np.ndarray, bits: int, s: int, per_block: int, reserved: int):
+    """Positive counts of shape (planes, cells), the largest of ``bits``
+    bits, cut into blocks of at most 2^s particles, 32 <= s < 63.  One plane
+    holds the counts themselves, each below 2^63; two or more hold their
+    base-2^32 digits, as ``SiteCounts`` does.
 
     A count q * 2^s + r becomes q blocks of 2^s and, if r > 0, one of r.
     Returns the block sizes cell after cell and the index of each cell's
@@ -311,17 +317,19 @@ def _blocks(digits: np.ndarray, bits: int, s: int, per_block: int, reserved: int
     """
     if bits - s > _DIGIT:
         raise CapacityExceeded(f"counts of {bits} bits need over 2^32 blocks each")
+    if len(planes) > 1 and bits < 64:
+        # Digits of counts below 2^63, whose third and higher digits are zero.
+        planes = planes[:1] | (planes[1:2] << _DIGIT)
     if bits <= s:
-        charge("the next generation's box and count blocks", reserved + digits.shape[1] * per_block)
-        sizes = digits[0] | (digits[1] << _DIGIT) if len(digits) > 1 else digits[0]
-        return sizes, np.arange(digits.shape[1])
-    rest = digits[0]
-    full = np.zeros_like(rest)
-    if len(digits) > 1:
-        rest = rest | ((digits[1] & ((1 << (s - _DIGIT)) - 1)) << _DIGIT)
-        full = digits[1] >> (s - _DIGIT)
-        for k in range(2, len(digits)):
-            full = full + (digits[k] << (_DIGIT * k - s))
+        charge("the next generation's box and count blocks", reserved + planes.shape[1] * per_block)
+        return planes[0], np.arange(planes.shape[1])
+    if len(planes) == 1:
+        rest, full = planes[0] & ((1 << s) - 1), planes[0] >> s
+    else:
+        rest = planes[0] | ((planes[1] & ((1 << (s - _DIGIT)) - 1)) << _DIGIT)
+        full = planes[1] >> (s - _DIGIT)
+        for k in range(2, len(planes)):
+            full = full + (planes[k] << (_DIGIT * k - s))
     has_rest = rest > 0
     n_blocks = full + has_rest
     total = int(n_blocks.sum())
@@ -332,25 +340,21 @@ def _blocks(digits: np.ndarray, bits: int, s: int, per_block: int, reserved: int
     return sizes, starts
 
 
-def _carry(parts) -> np.ndarray:
-    """Base-2^32 digits of sum_k parts[k] * 2^(32 k), for nonnegative parts."""
-    digits = []
-    carry = np.zeros_like(parts[0])
-    for part in parts:
-        value = part + carry
-        digits.append(value & _DIGIT_MASK)
-        carry = value >> _DIGIT
-    while carry.any():
-        digits.append(carry & _DIGIT_MASK)
-        carry = carry >> _DIGIT
-    while len(digits) > 1 and not digits[-1].any():
-        digits.pop()
-    return np.stack(digits)
+def _join(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
+    """The counts lo + hi * 2^32, for nonnegative lo and hi, as one int64
+    plane when every count is below 2^63 and as base-2^32 digits otherwise,
+    and the bit length of the largest; lo and hi are overwritten."""
+    hi += lo >> _DIGIT
+    lo &= _DIGIT_MASK
+    top = int(hi.max(initial=0))
+    bits = _DIGIT + top.bit_length() if top else int(lo.max(initial=0)).bit_length()
+    if bits < 64:
+        return (lo | (hi << _DIGIT))[np.newaxis], bits
+    return np.stack([lo, hi & _DIGIT_MASK, hi >> _DIGIT][: -(-bits // _DIGIT)]), bits
 
 
-def _check_width(digits: np.ndarray, count_width: int, generation: int) -> int:
-    """The bit length of the largest count, checked against ``count_width``."""
-    bits = _bit_length(digits)
+def _check_width(bits: int, count_width: int, generation: int) -> int:
+    """``bits``, the bit length of the largest count, checked against ``count_width``."""
     if bits >= count_width:
         raise CountOverflow(
             f"a count of {bits} bits exceeds the signed {count_width}-bit limit in generation {generation}"
@@ -358,39 +362,47 @@ def _check_width(digits: np.ndarray, count_width: int, generation: int) -> int:
     return bits
 
 
-def _step(digits: np.ndarray, bits: int, n: int, off: OffspringLaw, walk, keys, count_width: int, rekey):
+def _step(planes: np.ndarray, bits: int, n: int, off: OffspringLaw, walk, keys, count_width: int, rekey):
     """Generation ``n`` -> ``n + 1`` of ``len(keys)`` replicates held in one box.
 
-    ``digits`` has shape (digits, replicates, *cells): replicate r's counts,
-    digit by digit as in ``SiteCounts``, on a box whose radius is read from
-    its odd cell extents; its largest count has ``bits`` bits.  ``walk`` is
-    the step law's (points, probabilities, ranges), its atoms in canonical
-    order.  Returns the digits of the next generation in the same layout
-    and the bit length of its largest count; the new box is the bounding box
-    of every replicate's occupied sites grown by one step, whatever box
-    holds them now.  Replicate r draws its offspring and displacement
-    splits from the generator ``rekey`` (``_rekeyer``) resets to
-    ``keys[r]``, the ``_seed_key`` of its seed: the draws of
+    ``planes`` has shape (planes, replicates, *cells): replicate r's counts
+    on a box whose radius is read from its odd cell extents, as in
+    ``_blocks``: one int64 plane while every count is below 2^63, and
+    base-2^32 digits otherwise.  Its largest count has ``bits`` bits.
+    ``walk`` is the step law's (points, probabilities, ranges), its atoms in
+    canonical order.  Returns the next generation in the same layout and
+    the bit length of its largest count, checked against ``count_width``
+    and read off the new box as it is formed: the next step's ``bits``.  The
+    new box is the bounding box of every replicate's occupied sites grown by
+    one step, whatever box holds them now.  Replicate r draws its offspring
+    and displacement splits from the generator ``rekey`` (``_rekeyer``)
+    resets to ``keys[r]``, the ``_seed_key`` of its seed: the draws of
     ``derive_stream(seed, n)``.
     The block sums per cell run only when some cell is cut into more than
     one block, and the displaced counts are split into low and high 32-bit
     halves only when some sum into a cell of the new box could reach 2^63.
-    The new box's counts are checked against ``count_width``, and the
-    width checked is the next step's ``bits``.
     """
     points, probs, ranges = walk
     n_values = len(off.probs)
-    # Occupied cells in lexicographic order of (replicate, site): each
-    # replicate's cells, and so its blocks, form one run in site order.
-    rep, *cells = np.nonzero(digits.any(axis=0))
-    sites = [c - e // 2 for c, e in zip(cells, digits.shape[2:])]
-    radius = tuple(int(np.abs(x).max(initial=0)) + t for x, t in zip(sites, ranges))
+    # Occupied cells in flat order of (replicate, site), which is
+    # lexicographic: each replicate's cells, and so its blocks, form one run
+    # in site order.
+    occupied = planes[0] if len(planes) == 1 else planes.any(axis=0)
+    flat = occupied.ravel().nonzero()[0]
+    rep, *cells = np.unravel_index(flat, occupied.shape)
+    centre = [e // 2 for e in occupied.shape[1:]]
+    radius = [max(m - int(c.min(initial=m)), int(c.max(initial=m)) - m) + t for c, m, t in zip(cells, centre, ranges)]
     shape = (len(keys), *(2 * r + 1 for r in radius))
-    charge("the next generation's box", math.prod(shape))
+    size = math.prod(shape)
+    charge("the next generation's box", size)
     sizes, starts = _blocks(
-        digits[(slice(None), rep, *cells)], bits, _block_bits(n_values), max(n_values, len(points)), math.prod(shape)
+        planes.reshape(len(planes), -1).take(flat, axis=1), bits, _block_bits(n_values), max(n_values, len(points)), size
     )
-    bounds = np.append(starts, len(sizes))[np.searchsorted(rep, np.arange(len(keys) + 1))]
+    split = len(sizes) > len(flat)
+    bounds = rep.searchsorted(np.arange(len(keys) + 1))
+    if split:
+        bounds = np.append(starts, len(sizes))[bounds]
+    bounds = bounds.tolist()
 
     # With all its mass on the largest offspring number K, a block of b
     # particles has K b children, and the offspring split would draw
@@ -398,42 +410,51 @@ def _step(digits: np.ndarray, bits: int, n: int, off: OffspringLaw, walk, keys, 
     # last, and a binomial of p = 0 returns before drawing.  A point mass on
     # a smaller number draws, at its binomial of p = 1.
     one_point = not any(off.probs[:-1])
+    offspring = sizes * n_values if one_point else None
     values = np.arange(1, n_values + 1, dtype=np.int64)
-    placed = np.empty((len(sizes), len(points)), dtype=np.int64)
     mixed = _mix64(n)
-    for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
+    draws = []
+    for key, lo, hi in zip(keys, bounds, bounds[1:]):
         rng = rekey(key, mixed)
-        if one_point:
-            offspring = sizes[lo:hi] * n_values
-        else:
-            offspring = rng.multinomial(sizes[lo:hi], off.probs) @ values
-        placed[lo:hi] = rng.multinomial(offspring, probs)
+        children = offspring[lo:hi] if one_point else rng.multinomial(sizes[lo:hi], off.probs) @ values
+        draws.append(rng.multinomial(children, probs))
+    placed = np.concatenate(draws)
 
     # A cell of the new box receives at most one displaced count per atom.
     # When every cell is one block, those are single entries of ``placed``,
-    # so with A atoms the cell's sum is at most A max(placed): below 2^63,
-    # the counts are scattered as one part.  Otherwise each displaced count
-    # (< 2^63) enters as its low and high 32-bit halves, summed over the
-    # blocks of a cell when some cell is cut; their sums per cell stay far
-    # below 2^63, as the element budget holds fewer than 2^28 blocks.  The
-    # parts are carried at the end.  Shifting the box by an atom shifts
-    # every flat index of the new box by one offset.
-    split = len(sizes) > len(starts)
-    if split or int(placed.max(initial=0)) > _INT64_MAX // len(points):
+    # so with A atoms the cell's sum is at most A max(placed), itself below
+    # A K 2^bits: while either bound keeps it below 2^63, the counts are
+    # scattered as one part, whose largest count is the next bit length.
+    # Otherwise each displaced count (< 2^63) enters as its low and high
+    # 32-bit halves, summed over the blocks of a cell when some cell is cut;
+    # their sums per cell stay far below 2^63, as the element budget holds
+    # fewer than 2^28 blocks, and ``_join`` puts them together.  Shifting
+    # the box by an atom shifts every flat index of the new box by one
+    # offset.
+    one_part = not split and (
+        (n_values * len(points)) << bits <= 1 << 63 or int(placed.max(initial=0)) <= _INT64_MAX // len(points)
+    )
+    if one_part:
+        parts = [placed]
+    else:
         parts = [placed & _DIGIT_MASK, placed >> _DIGIT]
         if split:
             parts = [np.add.reduceat(part, starts, axis=0) for part in parts]
+    strides = [math.prod(shape[s + 1 :]) for s in range(len(shape))]
+    origin = rep * strides[0]
+    for c, st in zip(cells, strides[1:]):
+        origin += c * st
+    centred = sum((r - m) * st for r, m, st in zip(radius, centre, strides[1:]))
+    dests = [origin + (centred + sum(p * st for p, st in zip(point, strides[1:]))) for point in points]
+    sums = np.zeros((len(parts), size), dtype=np.int64)
+    for sum_, part in zip(sums, parts):
+        for dest, column in zip(dests, part.T):
+            np.add.at(sum_, dest, column)
+    if one_part:
+        new, bits = sums, int(sums.max(initial=0)).bit_length()
     else:
-        parts = [placed]
-    origin = np.ravel_multi_index((rep, *(x + r for x, r in zip(sites, radius))), shape)
-    strides = [math.prod(shape[s + 1 :]) for s in range(1, len(shape))]
-    sums = np.zeros((len(parts), math.prod(shape)), dtype=np.int64)
-    for a, point in enumerate(points):
-        dest = origin + sum(p * st for p, st in zip(point, strides))
-        for sum_, part in zip(sums, parts):
-            sum_[dest] += part[:, a]
-    digits = _carry(sums.reshape(len(parts), *shape))
-    return digits, _check_width(digits, count_width, n + 1)
+        new, bits = _join(*sums)
+    return new.reshape(len(new), *shape), _check_width(bits, count_width, n + 1)
 
 
 def _batch_size(box: SiteCounts, steps: int, off: OffspringLaw, walk, count_width: int) -> int:
@@ -477,10 +498,14 @@ def simulate(
 
     The replicates are stepped together, in batches sized up front so that
     every step of a batch fits the element budget (``_batch_size``); a
-    replicate's snapshots do not depend on the batching.  Each snapshot
-    keeps only its replicate's nonzero digits, on the batch's box, and so
-    keeps that whole box alive; the kept boxes are charged to the element
-    budget as they are kept.
+    replicate's snapshots do not depend on the batching.  Between
+    generations a batch's counts are one int64 plane while every count is
+    below 2^63, and base-2^32 digits once one is not (``_step``).  At a
+    scheduled generation a plane holding a count of 2^32 or more is cut
+    into two digits.  Each snapshot keeps only its replicate's nonzero
+    digits, on the batch's box, and so keeps that whole box of digits
+    alive; the kept boxes are charged to the element budget as they are
+    kept.
 
     Raises:
         ValueError: ``step_count`` refuses a scheduled generation, one lies
@@ -512,7 +537,7 @@ def simulate(
     n_max = max(probes)
     keys = [_seed_key(seed) for seed in seeds]
     box = start.counts
-    start_bits = _check_width(box.digits, count_width, start.n)
+    start_bits = _check_width(box.bit_length(), count_width, start.n)
     points, probs = zip(*law.atoms())
     walk = (points, probs, law.ranges)
     batch = _batch_size(box, n_max - start.n, off, walk, count_width)
@@ -522,12 +547,15 @@ def simulate(
     for lo in range(0, len(keys), batch):
         chunk = keys[lo : lo + batch]
         snaps = [[start] if start.n in probes else [] for _ in chunk]
-        digits = np.broadcast_to(box.digits[:, np.newaxis], (len(box.digits), len(chunk), *box.digits.shape[1:]))
+        planes = np.broadcast_to(box.digits[:, np.newaxis], (len(box.digits), len(chunk), *box.digits.shape[1:]))
         bits = start_bits
         for n in range(start.n, n_max):
-            digits, bits = _step(digits, bits, n, off, walk, chunk, count_width, rekey)
+            planes, bits = _step(planes, bits, n, off, walk, chunk, count_width, rekey)
             if n + 1 not in probes:
                 continue
+            digits = planes
+            if len(planes) == 1 and bits > _DIGIT:
+                digits = np.stack((planes[0] & _DIGIT_MASK, planes[0] >> _DIGIT))
             # Each snapshot is a view that keeps this whole box alive.
             kept += digits.size
             charge("the kept snapshots' boxes", kept)

@@ -9,7 +9,9 @@ can be reproduced bit-exactly.
 A run's verdict is fixed by the code, not by its config: each runner
 returns the ``Gate`` records it checked, and the run passes when all pass.
 A NaN fails every gate.  A limit's value is its largest input, NaN if any
-is; a trend's value is its last figure and its bound its first.  llt-check:
+is, and brw-check's medians and quartiles over replicates are NaN if any
+replicate's value is; a trend's value is its last figure and its bound its
+first.  llt-check:
 ``cf_agreement`` (each |exact - cf| <= ``CF_AGREEMENT``),
 ``gamma_trend`` (sup|gamma| at the last probe < at the first) and, with 3
 or more probes, ``n_gamma_converges`` (at each z, each change of n*gamma
@@ -63,9 +65,23 @@ class Gate:
     passed: bool
 
 
+def _has_nan(values) -> bool:
+    return any(map(math.isnan, values))
+
+
 def _largest(values) -> float:
     """max(values), or NaN if any value is NaN: ``max`` keeps or drops a NaN by its place."""
-    return math.nan if any(map(math.isnan, values)) else max(values)
+    return math.nan if _has_nan(values) else max(values)
+
+
+def _median(values) -> float:
+    """The median, or NaN if any value is NaN: a sort moves a NaN anywhere."""
+    return math.nan if _has_nan(values) else statistics.median(values)
+
+
+def _quartiles(values) -> list[float]:
+    """The three quartiles, or three NaNs if any value is NaN, as for ``_median``."""
+    return [math.nan] * 3 if _has_nan(values) else statistics.quantiles(values, n=4)
 
 
 def _limit(name: str, values: list, bound: float) -> Gate:
@@ -240,8 +256,8 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
     for z in cfg.z_set:
         meds = {}
         for n in probes:
-            meds[n] = statistics.median([abs(v) for v in per_probe[(n, z)]])
-            q = statistics.quantiles(per_probe[(n, z)], n=4) if band else ("",) * 3
+            meds[n] = _median([abs(v) for v in per_probe[(n, z)]])
+            q = _quartiles(per_probe[(n, z)]) if band else ("",) * 3
             rows.append(("agg", n, *z, meds[n], q[0], q[2], ""))
         first, last = meds[probes[0]], meds[probes[-1]]
         gates.append(Gate(f"ratio_trend z={z}", last, first, last < first))
@@ -250,8 +266,8 @@ def run_brw_check(cfg: ExperimentConfig) -> RunResult:
         if not band:
             notes.append(f"z={z}: F1 band not checked ({cfg.replicates} replicates, needs 4)")
             continue
-        lo, _, hi = statistics.quantiles(f1_bands[z], n=4)
-        med_scaled = statistics.median([probes[-1] * v for v in per_probe[(probes[-1], z)]])
+        lo, _, hi = _quartiles(f1_bands[z])
+        med_scaled = _median([probes[-1] * v for v in per_probe[(probes[-1], z)]])
         gates.append(Gate(f"f1_band z={z}", med_scaled, (lo, hi), lo - 1e-9 <= med_scaled <= hi + 1e-9))
         notes.append(f"z={z}: n*(ratio) median {med_scaled:.4g} vs F1 IQR [{lo:.4g}, {hi:.4g}]")
     cols = ("replicate", "n", *(f"z{s + 1}" for s in range(cfg.law.d)), "observed", "predicted", "ratio", "W_n")

@@ -116,6 +116,13 @@ def trend_note_reads_nan(res):
     assert res.notes[0] == "z=(0,): median|ratio| nan (n=8) -> nan (n=16)"
 
 
+def trend_bound_reads_nan(res):
+    # One replicate's ratio at n = 8 is NaN: the median at n = 8 is NaN,
+    # the one at n = 16 is not.
+    gate = next(g for g in res.gates if g.name == "ratio_trend z=(0,)")
+    assert math.isnan(gate.bound) and not math.isnan(gate.value)
+
+
 def no_check(res):
     pass
 
@@ -166,6 +173,12 @@ ROWS = [
         # Too few replicates for the F1 band, so the trend is the only gate.
         {**BRW, "replicates": 2}, plant(harness, "leading_factor", lambda v: math.nan), "ratio_trend z=(0,)", True,
         trend_note_reads_nan, id="nan-leading-factor",
+    ),
+    pytest.param(
+        # One replicate's leading factor NaN at the first probe, among 8: a
+        # sorted median would move it out of the middle.
+        BRW, plant(harness, "leading_factor", lambda v: math.nan, first_call), "ratio_trend z=(0,)", True,
+        trend_bound_reads_nan, id="nan-one-replicate",
     ),
 ]
 

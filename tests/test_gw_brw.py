@@ -328,6 +328,31 @@ class TestEvolve:
         with pytest.raises(errors.CountOverflow):
             next_generation(state_of({(0,): 2**127}), off, SIMPLE, ReplicateSeed(14, 0), count_width=128)
 
+    @pytest.mark.parametrize(
+        "start, width",
+        [
+            # Children of 3 2^59 on each side meet at the origin: one part.
+            ({(-1,): 3 << 59, (1,): 3 << 59}, 63),
+            # Counts cut into blocks, their halves joined into one plane.
+            ({(0,): 3 << 60}, 63),
+            ({(0,): 3 << 61}, 64),
+        ],
+        ids=["one-part-2p62", "joined-2p62", "joined-2p63"],
+    )
+    def test_width_edges(self, start, width):
+        # About half of a site's children go each way, so the largest new
+        # count has width - 1 bits and passes the width check.  From
+        # 3 2^(width - 3) on each side of the origin, the origin receives
+        # about 3 2^(width - 2): width bits, refused.
+        off = validate_offspring({2: 1.0})
+        seed = ReplicateSeed(14, 0)
+        new = next_generation(state_of(start), off, SIMPLE, seed, width)
+        assert new.total == 2 * sum(start.values())
+        assert max(new.counts.values()).bit_length() == width - 1
+        message = f"^a count of {width} bits exceeds the signed {width}-bit limit in generation 1$"
+        with pytest.raises(errors.CountOverflow, match=message):
+            next_generation(state_of({(-1,): 3 << (width - 3), (1,): 3 << (width - 3)}), off, SIMPLE, seed, width)
+
     def test_block_budget(self):
         # 2^90 particles need 2^29 blocks of 2^61, 2^126 need 2^65; both
         # are refused before any block is allocated.

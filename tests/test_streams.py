@@ -54,6 +54,25 @@ def test_snapshot_digest(law, offspring, start, replicates, probes, width, diges
     assert h.hexdigest() == digest
 
 
+# The six configs of test_snapshot_digest, read from its parametrize mark.
+(DIGEST_CASES,) = test_snapshot_digest.pytestmark
+
+
+@pytest.mark.parametrize(*DIGEST_CASES.args, **DIGEST_CASES.kwargs)
+def test_snapshot_digits_are_32_bit(law, offspring, start, replicates, probes, width, digest):
+    # Between generations a step may hold counts as one int64 plane; every
+    # snapshot holds base-2^32 digits, its top digit nonzero somewhere.
+    seeds = [ReplicateSeed(7, r) for r in range(replicates)]
+    if start is not None:
+        start = GenerationState(0, SiteCounts.from_mapping(start, law.d))
+    for run in simulate(validate_offspring(offspring), law, seeds, probes, width, start=start):
+        for state in run:
+            digits = state.counts.digits
+            assert digits.dtype == np.int64
+            assert digits.min() >= 0 and digits.max() < 2**32
+            assert len(digits) == 1 or digits[-1].any()
+
+
 def reference(seed, generation):
     """A new generator of the stream's key, built from the key's definition."""
     mix = gw_brw._mix64
